@@ -2,8 +2,11 @@
 
 Subcommands: sketch, estimate, variance, simulate, retrieval, knn, dp.
 Every run is fully determined by its flags (seeds default to 0; nothing
-reads the clock). Errors print one line ``error: <category>: <message>``
-to stderr and exit with a category-specific code:
+reads the clock), except the noise of a ``dp`` release: it comes from fresh
+OS entropy unless ``--noise-seed`` is given, because noise anyone can
+regenerate can be subtracted. Errors print one line
+``error: <category>: <message>`` to stderr and exit with a
+category-specific code:
 
     0  success
     2  usage errors (unknown flags, missing arguments)
@@ -20,6 +23,7 @@ round-trip precision.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import struct
 import sys
@@ -375,6 +379,12 @@ def _cmd_knn(args) -> int:
 
 
 def _cmd_dp(args) -> int:
+    if args.noise_seed is not None:
+        print(
+            "warning: --noise-seed makes the release noise reproducible; "
+            "anyone who knows the seed can subtract it",
+            file=sys.stderr,
+        )
     M = load_matrix(args.input)
     u = _row(M, args.row, args.input)
     config = SketchConfig(
@@ -415,7 +425,9 @@ _ESTIMATOR_CHOICES = [
 ]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="oporp",
         description="Binned random-projection sketches, estimators, and variance oracles",
@@ -506,7 +518,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--beta", type=float, default=1.0, help="adjacency step size")
-    p.add_argument("--noise-seed", type=int, default=0)
+    p.add_argument(
+        "--noise-seed", type=int, default=None,
+        help="seed the release noise for a reproducible run; this voids the privacy "
+        "of the release against anyone who knows the seed (default: fresh OS entropy)",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_dp)
 

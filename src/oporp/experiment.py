@@ -7,6 +7,13 @@ stream per sweep cell with a fixed trial-major layout and fixed internal
 chunk sizes, so a given (inputs, seed) always produces bit-identical rows;
 the batch kernels are distribution-identical to the per-call sketch path
 (cross-checked in the test suite).
+
+The retrieval and classification harnesses sketch through one
+:class:`~oporp.sketch.SketchPlan` per config: base and query rows share one
+draw of the permutations and projections (as the paper's scheme requires),
+drawn once per ``similarity_matrix`` call rather than once per row, and
+each row's sketch is bit-identical to ``oporp_sketch`` or ``vsrp_sketch``
+of that row.
 """
 
 from __future__ import annotations
@@ -29,20 +36,19 @@ from .projection import (
     sparse,
 )
 from .sketch import (
+    _CHUNK_ELEMENTS,
     Binning,
     SketchConfig,
+    SketchPlan,
     ZeroNormError,
-    oporp_sketch,
-    vsrp_sketch,
+    row_norms,
+    vsrp_config,
 )
 
 # Stream tags for sub-seed derivation.
 _PAIR = 0
 _CELL = 1
 _DATA = 2
-
-# Target elements per chunk array; fixed so results never depend on memory.
-_CHUNK_ELEMENTS = 4_000_000
 
 _OPORP_ESTIMATORS = ("inner", "distance", "cosine", "normalized_inner", "mle_inner")
 _VSRP_ESTIMATORS = ("vsrp_inner", "vsrp_cosine")
@@ -362,26 +368,12 @@ def _unit_rows(M: np.ndarray, what: str) -> np.ndarray:
     return M / norms[:, None]
 
 
-def _sketch_matrix(M: np.ndarray, config: SketchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack oporp_sketch values for every row; returns (values, norms)."""
-    values = np.empty((M.shape[0], config.k * config.m))
-    norms = np.empty(M.shape[0])
-    for i in range(M.shape[0]):
-        sk = oporp_sketch(M[i], config)
-        values[i] = sk.values
-        norms[i] = sk.stored_norm
-    return values, norms
-
-
-def _vsrp_matrix(M: np.ndarray, config: SketchConfig) -> np.ndarray:
+def _vsrp_plan(config: SketchConfig) -> SketchPlan:
+    """One VSRP plan with k*m samples, on the stream vsrp_sketch uses for them."""
     if config.dist.kind not in (ProjectionKind.SPARSE, ProjectionKind.RADEMACHER):
         raise ValueError("vsrp estimators need a sparse or Rademacher distribution")
-    s = config.dist.sparsity
     samples = config.k * config.m
-    values = np.empty((M.shape[0], samples))
-    for i in range(M.shape[0]):
-        values[i] = vsrp_sketch(M[i], config.dim, samples, s, config.seed).values
-    return values
+    return SketchPlan(vsrp_config(config.dim, samples, config.dist.sparsity, config.seed), "vsrp")
 
 
 def _block_normalize(values: np.ndarray, m: int, k: int, what: str) -> np.ndarray:
@@ -413,15 +405,15 @@ def similarity_matrix(
     if name == "exact":
         return _unit_rows(queries, "queries") @ _unit_rows(base, "base").T
     if name in ("vsrp_inner", "vsrp_cosine"):
-        VB = _vsrp_matrix(base, config)
-        VQ = _vsrp_matrix(queries, config)
+        plan = _vsrp_plan(config)
+        VB, VQ = plan.apply(base), plan.apply(queries)
         if name == "vsrp_inner":
             return (VQ @ VB.T) / VB.shape[1]
         return _unit_rows(VQ, "query sketch") @ _unit_rows(VB, "base sketch").T
     if name not in ("inner", "distance", "cosine", "normalized_inner"):
         raise ValueError(f"estimator {name!r} is not supported for retrieval")
-    SB, norms_b = _sketch_matrix(base, config)
-    SQ, norms_q = _sketch_matrix(queries, config)
+    plan = SketchPlan(config)
+    SB, SQ = plan.apply(base), plan.apply(queries)
     m, k = config.m, config.k
     if name == "inner":
         return (SQ @ SB.T) / m
@@ -434,7 +426,7 @@ def similarity_matrix(
     cosines = (QN @ BN.T) / m
     if name == "cosine":
         return cosines
-    return cosines * (norms_q[:, None] * norms_b[None, :])
+    return cosines * (row_norms(queries)[:, None] * row_norms(base)[None, :])
 
 
 def _ranked(scores: np.ndarray) -> np.ndarray:

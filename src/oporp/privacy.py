@@ -131,8 +131,9 @@ def _check_private_input(u: np.ndarray, config: SketchConfig) -> np.ndarray:
             "private release requires Rademacher multipliers and m = 1"
         )
     u = np.asarray(u, dtype=np.float64)
-    if np.any(np.abs(u) > 1.0):
-        raise ValueError("private release requires entries in [-1, 1]")
+    # Written so NaN fails too: every comparison with NaN is false.
+    if not np.all(np.abs(u) <= 1.0):
+        raise ValueError("private release requires finite entries in [-1, 1]")
     return u
 
 

@@ -18,6 +18,13 @@ OPORP sketch with k=1 bin and m=k repetitions and is stored under that
 equivalent config, but it is computed by an independent code path and
 tagged with its own flavor so the two stream layouts cannot be mixed.
 
+All rows sketched under one config share one draw of the randomness. A
+:class:`SketchPlan` draws it once (the m permutations or bin-index arrays
+and the m multiplier vectors, or the VSRP projection matrix) and sketches
+an (N, dim) matrix in row chunks; ``oporp_sketch`` and ``vsrp_sketch`` are
+its N = 1 case, so a row sketched in a batch is bit-identical to the same
+vector sketched alone. Inputs holding inf or NaN are rejected.
+
 Sketch file layout (little-endian, 64-byte header):
 
     offset  size  field
@@ -64,6 +71,9 @@ _PERM = 0
 _PROJ = 1
 _BINS = 2
 _VSRP = 3
+
+# Target elements per chunk array; fixed so results never depend on memory.
+_CHUNK_ELEMENTS = 4_000_000
 
 
 class Binning(enum.Enum):
@@ -131,6 +141,14 @@ class Sketch:
     flavor: str = "oporp"
     stored_norm: float | None = None
 
+    def __post_init__(self) -> None:
+        expected = self.config.k * self.config.m
+        if np.ndim(self.values) != 1 or len(self.values) != expected:
+            raise ValueError(
+                f"a k={self.config.k}, m={self.config.m} sketch needs {expected} values, "
+                f"got shape {np.shape(self.values)}"
+            )
+
     def rep(self, t: int) -> np.ndarray:
         """View of repetition t's k values."""
         k = self.config.k
@@ -177,39 +195,31 @@ def bin_assignment(config: SketchConfig, repetition: int) -> np.ndarray:
     return rng.integers(0, config.k, size=config.dim)
 
 
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError("input holds inf or NaN entries")
+
+
 def _as_vector(u: np.ndarray, dim: int) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.shape[0] != dim:
         raise ValueError(f"expected a length-{dim} vector, got shape {u.shape}")
+    _check_finite(u)
     return u
 
 
-def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:
-    """Sketch ``u`` under ``config``; same config means shared randomness.
+def _as_matrix(M: np.ndarray, dim: int) -> np.ndarray:
+    M = np.asarray(M, dtype=np.float64)
+    if M.ndim != 2 or M.shape[1] != dim:
+        raise ValueError(f"expected an (N, {dim}) matrix, got shape {M.shape}")
+    _check_finite(M)
+    return M
 
-    Two vectors sketched under an identical config see the same
-    permutations, projections, and bin draws, which is what makes the
-    estimators in :mod:`oporp.estimate` work.
-    """
-    u = _as_vector(u, config.dim)
-    k, m = config.k, config.m
-    Dp = config.padded_dim
-    if config.binning is Binning.FIXED and Dp != config.dim:
-        w = np.zeros(Dp)
-        w[: config.dim] = u
-    else:
-        w = u
-    values = np.empty(m * k)
-    for t in range(m):
-        r = generate_projection_vector(Dp, config.dist, _rep_seed(config, t, _PROJ))
-        if config.binning is Binning.FIXED:
-            perm = generate_permutation(Dp, _rep_seed(config, t, _PERM))
-            x = (w[perm] * r).reshape(k, config.block_length).sum(axis=1)
-        else:
-            bins = bin_assignment(config, t)
-            x = np.bincount(bins, weights=w * r, minlength=k)
-        values[t * k : (t + 1) * k] = x
-    return Sketch(values, config, "oporp", stored_norm=float(np.linalg.norm(u)))
+
+def row_norms(M: np.ndarray) -> np.ndarray:
+    """l2 norm of every row of M, each reduced exactly as np.linalg.norm(row)."""
+    M = np.asarray(M, dtype=np.float64)
+    return np.sqrt(np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0])
 
 
 def _sparse_matrix(rng: np.random.Generator, dim: int, k: int, s: float) -> np.ndarray:
@@ -223,6 +233,98 @@ def _sparse_matrix(rng: np.random.Generator, dim: int, k: int, s: float) -> np.n
     return R
 
 
+def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
+    """The (k=1 bin, m=k repetitions) config a k-sample VSRP sketch is stored under."""
+    return SketchConfig(
+        dim=D, k=1, binning=Binning.VARIABLE, dist=sparse(s), m=int(k), seed=seed
+    )
+
+
+class SketchPlan:
+    """A config's randomness, drawn once and applied to any number of rows.
+
+    An ``"oporp"`` plan holds the m repetitions' permutations (fixed
+    binning) or bin-index arrays (variable binning) and their multiplier
+    vectors; a ``"vsrp"`` plan, built on a :func:`vsrp_config`, holds the
+    dim x m sparse projection matrix. Every draw comes from the same
+    ``(seed, repetition, purpose)`` stream the single-vector functions use,
+    so all rows sketched under one config share one draw of the randomness
+    and ``plan.apply(M)[i]`` equals the sketch of ``M[i]`` bit for bit.
+    """
+
+    def __init__(self, config: SketchConfig, flavor: str = "oporp") -> None:
+        self.config = config
+        self.flavor = flavor
+        if flavor == "vsrp":
+            shape = (config.k, config.binning, config.dist.kind)
+            if shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):
+                raise ValueError("a vsrp plan needs the config made by vsrp_config")
+            rng = generator(derive_seed(config.seed, _VSRP))
+            self._projection = _sparse_matrix(rng, config.dim, config.m, config.dist.sparsity)
+            return
+        if flavor != "oporp":
+            raise ValueError(f"unknown sketch flavor {flavor!r}")
+        Dp = config.padded_dim
+        reps = range(config.m)
+        self._multipliers = [
+            generate_projection_vector(Dp, config.dist, _rep_seed(config, t, _PROJ))
+            for t in reps
+        ]
+        if config.binning is Binning.FIXED:
+            self._indices = [generate_permutation(Dp, _rep_seed(config, t, _PERM)) for t in reps]
+        else:
+            self._indices = [bin_assignment(config, t) for t in reps]
+
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        """(N, k*m) sketch values of the rows of an (N, dim) matrix, each repetition-major."""
+        return self._apply(_as_matrix(M, self.config.dim))
+
+    def sketch(self, u: np.ndarray) -> Sketch:
+        """The sketch of one vector, its l2 norm stored alongside."""
+        row = _as_vector(u, self.config.dim)[None, :]
+        return Sketch(self._apply(row)[0], self.config, self.flavor, float(row_norms(row)[0]))
+
+    def _apply(self, M: np.ndarray) -> np.ndarray:
+        if self.flavor == "vsrp":
+            # One matrix-vector product per row: a single M @ R would sum in
+            # another order and differ from the one-vector sketch in the last bits.
+            return np.matmul(M[:, None, :], self._projection)[:, 0, :]
+        config = self.config
+        k, m, Dp = config.k, config.m, config.padded_dim
+        fixed = config.binning is Binning.FIXED
+        out = np.empty((M.shape[0], m * k))
+        chunk = max(1, _CHUNK_ELEMENTS // Dp)
+        for start in range(0, M.shape[0], chunk):
+            W = M[start : start + chunk]
+            c = W.shape[0]
+            if Dp != config.dim:
+                W = np.concatenate([W, np.zeros((c, Dp - config.dim))], axis=1)
+            if not fixed:
+                offsets = k * np.arange(c)[:, None]
+            for t, (index, r) in enumerate(zip(self._indices, self._multipliers)):
+                if fixed:
+                    G = np.take(W, index, axis=1)
+                    G *= r
+                    # (c*k, L) rows, not (c, k, L): the 3-d sum reduces in another order.
+                    x = G.reshape(c * k, config.block_length).sum(axis=1)
+                else:
+                    flat = (index + offsets).ravel()
+                    x = np.bincount(flat, weights=(W * r).ravel(), minlength=c * k)
+                out[start : start + c, t * k : (t + 1) * k] = x.reshape(c, k)
+        return out
+
+
+def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:
+    """Sketch ``u`` under ``config``; same config means shared randomness.
+
+    Two vectors sketched under an identical config see the same
+    permutations, projections, and bin draws, which is what makes the
+    estimators in :mod:`oporp.estimate` work. To sketch many vectors,
+    build one :class:`SketchPlan` and reuse it.
+    """
+    return SketchPlan(config).sketch(u)
+
+
 def vsrp_sketch(u: np.ndarray, D: int, k: int, s: float, seed: int) -> Sketch:
     """Very sparse random projection: k independent samples u . r_col.
 
@@ -230,13 +332,7 @@ def vsrp_sketch(u: np.ndarray, D: int, k: int, s: float, seed: int) -> Sketch:
     estimators agree with the pooled VSRP ones, but computed by its own
     direct matrix path on an independent stream.
     """
-    config = SketchConfig(
-        dim=D, k=1, binning=Binning.VARIABLE, dist=sparse(s), m=int(k), seed=seed
-    )
-    u = _as_vector(u, D)
-    rng = generator(derive_seed(seed, _VSRP))
-    R = _sparse_matrix(rng, D, config.m, s)
-    return Sketch(u @ R, config, "vsrp", stored_norm=float(np.linalg.norm(u)))
+    return SketchPlan(vsrp_config(D, k, s, seed), "vsrp").sketch(u)
 
 
 def normalize_sketch(sk: Sketch) -> Sketch:

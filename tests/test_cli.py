@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from oporp.cli import load_matrix, run, save_matrix
+from oporp.cli import _build_parser, load_matrix, run, save_matrix
 from oporp.projection import rademacher
 from oporp.sketch import Binning, SketchConfig, load_sign_sketch, load_sketch
 from oporp.variance import pair_statistics, var_cosine, var_inner, var_inner_vsrp
@@ -284,6 +284,47 @@ def test_dp_rejects_out_of_domain_data(tmp_path):
         "dp", "--input", str(path), "--k", "8", "--mechanism", "rr",
         "--epsilon", "1.0", "--out", str(tmp_path / "o"),
     ]) == 4
+
+
+def test_dp_default_noise_is_fresh_and_seeded_noise_warns(tmp_path, capsys, bounded_matrix_file):
+    releases = []
+    for name in ("a", "b"):
+        out_path = tmp_path / f"{name}.sk"
+        run_ok(capsys, [
+            "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", "gaussian",
+            "--epsilon", "1.0", "--delta", "1e-6", "--out", str(out_path),
+        ])
+        releases.append(out_path.read_bytes())
+    assert releases[0] != releases[1]
+    assert "warning" not in capsys.readouterr().err
+
+    code = run([
+        "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", "rr",
+        "--epsilon", "1.0", "--noise-seed", "3", "--out", str(tmp_path / "c.sk"),
+    ])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: ")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_input_exits_four(tmp_path, capsys, bad):
+    path = tmp_path / "bad.csv"
+    rows = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 16)).astype(str)
+    rows[0, 3] = bad
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    assert run(["sketch", "--input", str(path), "--k", "4", "--out", str(tmp_path / "o")]) == 4
+    assert run([
+        "dp", "--input", str(path), "--k", "4", "--mechanism", "gaussian",
+        "--epsilon", "1.0", "--delta", "1e-6", "--out", str(tmp_path / "o"),
+    ]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: invalid: ") for line in err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 # --- exit codes and usage ----------------------------------------------------------------

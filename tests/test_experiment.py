@@ -25,7 +25,7 @@ from oporp.experiment import (
     similarity_matrix,
 )
 from oporp.projection import ProjectionKind, derive_seed, rademacher, sparse
-from oporp.sketch import Binning, SketchConfig, oporp_sketch
+from oporp.sketch import Binning, SketchConfig, oporp_sketch, vsrp_sketch
 from oporp.variance import pair_statistics, var_inner
 
 
@@ -186,6 +186,33 @@ def test_similarity_matrix_rejections():
             SketchConfig(dim=8, k=4, binning=Binning.FIXED, dist=distribution_for_moment(3.0)),
             "vsrp_inner",
         )
+
+
+def test_similarity_matrix_equals_per_row_sketch_scores():
+    """One plan for base and queries scores exactly as per-row sketches do."""
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((15, 20)) * rng.uniform(0.5, 2.0, (15, 1))
+    queries = rng.standard_normal((4, 20))
+    config = SketchConfig(dim=20, k=6, binning=Binning.FIXED, dist=rademacher(), m=3, seed=2)
+    SB = np.stack([oporp_sketch(u, config).values for u in base])
+    SQ = np.stack([oporp_sketch(u, config).values for u in queries])
+    assert np.array_equal(similarity_matrix(base, queries, config, "inner"), (SQ @ SB.T) / 3)
+    vsrp = SketchConfig(dim=20, k=4, binning=Binning.FIXED, dist=sparse(3.0), m=2, seed=2)
+    VB = np.stack([vsrp_sketch(u, 20, 8, 3.0, 2).values for u in base])
+    VQ = np.stack([vsrp_sketch(u, 20, 8, 3.0, 2).values for u in queries])
+    assert np.array_equal(similarity_matrix(base, queries, vsrp, "vsrp_inner"), (VQ @ VB.T) / 8)
+
+
+def test_similarity_matrix_rejects_non_finite_rows():
+    rng = np.random.default_rng(13)
+    base, queries = rng.standard_normal((6, 8)), rng.standard_normal((2, 8))
+    base[3, 1] = np.nan
+    config = SketchConfig(dim=8, k=4, binning=Binning.FIXED, dist=rademacher())
+    for name in ("inner", "cosine", "vsrp_inner"):
+        with pytest.raises(ValueError):
+            similarity_matrix(base, queries, config, name)
+        with pytest.raises(ValueError):
+            similarity_matrix(queries, base, config, name)
 
 
 def test_vsrp_similarity_unbiased_at_many_samples():

@@ -156,6 +156,15 @@ def test_private_release_domain_enforcement():
         dp_oporp(u, SketchConfig(dim=32, k=8, binning=Binning.FIXED, dist=rademacher(), m=2), spec)
     with pytest.raises(ValueError):  # out of the [-1, 1] data domain
         dp_oporp(2.0 * u, private_config(32, 8), spec)
+    for bad in (np.nan, np.inf):  # not finite, so not in the domain either
+        v = u.copy()
+        v[5] = bad
+        with pytest.raises(ValueError):
+            dp_oporp(v, private_config(32, 8), spec)
+        with pytest.raises(ValueError):
+            dp_sign_oporp_rr(v, private_config(32, 8), 1.0)
+        with pytest.raises(ValueError):
+            dp_sign_oporp_rr_smooth(v, private_config(32, 8), 1.0, 0.5)
     with pytest.raises(ValueError):  # Gaussian mechanism is undefined at delta = 0
         dp_oporp(u, private_config(32, 8), PrivacySpec(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):

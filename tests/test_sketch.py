@@ -8,6 +8,7 @@ randomness is wired breaks here rather than silently shifting results.
 import numpy as np
 import pytest
 
+import oporp.sketch
 from oporp.projection import (
     derive_seed,
     gaussian,
@@ -15,6 +16,7 @@ from oporp.projection import (
     generate_projection_vector,
     generator,
     rademacher,
+    scaled_uniform,
     sparse,
 )
 from oporp.sketch import (
@@ -27,6 +29,7 @@ from oporp.sketch import (
     SketchConfig,
     SketchFileError,
     SketchMismatchError,
+    SketchPlan,
     ZeroNormError,
     bin_assignment,
     bins_from_permutation,
@@ -36,7 +39,9 @@ from oporp.sketch import (
     normalize_sketch,
     oporp_sketch,
     save_sign_sketch,
+    row_norms,
     save_sketch,
+    vsrp_config,
     vsrp_sketch,
     with_seed,
 )
@@ -194,6 +199,81 @@ def test_oporp_rejects_wrong_shape():
         oporp_sketch(np.zeros((4, 4)), cfg())
     with pytest.raises(ValueError):
         oporp_sketch(np.zeros(15), cfg())
+
+
+def test_sketch_rejects_non_finite_input():
+    for bad in (np.inf, -np.inf, np.nan):
+        u = np.ones(16)
+        u[3] = bad
+        with pytest.raises(ValueError):
+            oporp_sketch(u, cfg())
+        with pytest.raises(ValueError):
+            vsrp_sketch(u, 16, 4, 2.0, 0)
+        M = np.ones((5, 16))
+        M[4, 7] = bad
+        with pytest.raises(ValueError):
+            SketchPlan(cfg()).apply(M)
+        with pytest.raises(ValueError):
+            SketchPlan(vsrp_config(16, 4, 2.0, 0), "vsrp").apply(M)
+
+
+def test_sketch_requires_k_times_m_values():
+    with pytest.raises(ValueError):
+        Sketch(np.zeros(5), cfg(dim=8, k=8))
+    with pytest.raises(ValueError):
+        Sketch(np.zeros((2, 4)), cfg(dim=8, k=4, m=2))
+    assert Sketch(np.zeros(8), cfg(dim=8, k=4, m=2)).reps.shape == (2, 4)
+
+
+# --- batch plans ----------------------------------------------------------------
+
+
+PLAN_DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
+
+
+@pytest.mark.parametrize("dist", PLAN_DISTS, ids=lambda d: d.kind.value)
+@pytest.mark.parametrize("m", (1, 3))
+@pytest.mark.parametrize(
+    "dim, k, binning",
+    [(24, 6, Binning.FIXED), (23, 6, Binning.FIXED), (23, 6, Binning.VARIABLE)],
+    ids=["fixed", "fixed-padded", "variable"],
+)
+def test_plan_is_bit_identical_to_per_row_sketches(monkeypatch, dim, k, binning, m, dist):
+    # 30 elements per chunk: one row per chunk, so 7 rows span 7 chunks
+    monkeypatch.setattr(oporp.sketch, "_CHUNK_ELEMENTS", 30)
+    M = np.random.default_rng(15).standard_normal((7, dim))
+    config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=41)
+    rows = [oporp_sketch(u, config) for u in M]
+    assert np.array_equal(SketchPlan(config).apply(M), np.stack([sk.values for sk in rows]))
+    assert np.array_equal(row_norms(M), [sk.stored_norm for sk in rows])
+    assert np.array_equal(row_norms(M), [np.linalg.norm(u) for u in M])
+
+
+@pytest.mark.parametrize("s", (1.0, 3.0))
+def test_vsrp_plan_is_bit_identical_to_per_row_sketches(s):
+    M = np.random.default_rng(16).standard_normal((9, 40))
+    rows = [vsrp_sketch(u, 40, 12, s, 8) for u in M]
+    plan = SketchPlan(vsrp_config(40, 12, s, 8), "vsrp")
+    assert np.array_equal(plan.apply(M), np.stack([sk.values for sk in rows]))
+    assert np.array_equal(row_norms(M), [sk.stored_norm for sk in rows])
+    # the one-vector path is the plain matrix product u @ R on the vsrp stream
+    R = np.zeros((40, 12))
+    draws = generator(derive_seed(8, _VSRP)).random((40, 12))
+    R[draws < 0.5 / s] = -np.sqrt(s)
+    R[draws >= 1.0 - 0.5 / s] = np.sqrt(s)
+    assert np.array_equal(np.stack([u @ R for u in M]), plan.apply(M))
+
+
+def test_plan_validation():
+    with pytest.raises(ValueError):
+        SketchPlan(cfg(), "vsrp")  # a vsrp plan needs the (k=1, m=samples) config
+    with pytest.raises(ValueError):
+        SketchPlan(cfg(), "dense")
+    with pytest.raises(ValueError):
+        SketchPlan(cfg()).apply(np.zeros((3, 15)))
+    with pytest.raises(ValueError):
+        SketchPlan(cfg()).apply(np.zeros(16))
+    assert SketchPlan(cfg(m=2)).apply(np.zeros((0, 16))).shape == (0, 8)
 
 
 def test_vsrp_matches_manual_matrix():
