@@ -16,8 +16,9 @@ category-specific code:
 
 Vector inputs are matrices with one vector per row: either CSV, or the
 binary layout magic b"OPMX" + u64 rows + u64 cols + float64 row-major
-values, all little-endian. Floats in output are printed with shortest
-round-trip precision.
+values, all little-endian. A matrix holding inf or NaN exits with code 4,
+a sketch file holding one with code 3. Floats in output are printed with
+shortest round-trip precision.
 """
 
 from __future__ import annotations
@@ -94,7 +95,17 @@ def _fmt(x: float) -> str:
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Read a one-vector-per-row matrix, CSV or binary (see module docs)."""
+    """Read a one-vector-per-row matrix, CSV or binary (see module docs).
+
+    Raises ValueError if the matrix holds inf or NaN entries.
+    """
+    M = _read_matrix(path)
+    if not np.isfinite(M).all():
+        raise ValueError(f"{path}: matrix holds inf or NaN entries")
+    return M
+
+
+def _read_matrix(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(4)
         if head == _MATRIX_MAGIC:

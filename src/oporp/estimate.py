@@ -73,29 +73,56 @@ def normalized_inner_product(rho_hat: float, norm_u: float, norm_v: float) -> fl
     return float(rho_hat) * float(norm_u) * float(norm_v)
 
 
-def likelihood_root(sxy: float, sxx: float, syy: float, E: float, F: float) -> float:
-    """Root of the sketch-likelihood cubic, restricted to the feasible interval.
+def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
+    """Roots of the sketch-likelihood cubic, restricted to the feasible interval.
 
-    The cubic a^3 - a^2*sxy + a*(E*syy + F*sxx - E*F) - E*F*sxy always has a
-    real root in [-sqrt(E*F), +sqrt(E*F)] (its values at the two endpoints
-    have opposite signs); among feasible real roots we keep the one closest
-    to the norm-rescaled cosine estimate.
+    Solves, elementwise over broadcast arrays, the cubic
+    a^3 - a^2*sxy + a*(E*syy + F*sxx - E*F) - E*F*sxy = 0. With
+    x = a / sqrt(E*F) it reads x^3 - B x^2 + C x - B = 0 for
+    B = sxy / sqrt(E*F) and C = sxx/E + syy/F - 1, which is solved in closed
+    form (Cardano for one real root, the trigonometric form for three) and
+    polished with two Newton steps. The cubic has a real root in
+    [-sqrt(E*F), +sqrt(E*F)] whenever sxy^2 <= sxx*syy (its values at the two
+    endpoints have opposite signs); among feasible real roots we keep the one
+    closest to the norm-rescaled cosine estimate. Raises EstimationError if
+    any element has no feasible root.
     """
-    roots = np.roots([1.0, -sxy, E * syy + F * sxx - E * F, -E * F * sxy])
-    scale = np.maximum(1.0, np.abs(roots))
-    real = roots.real[np.abs(roots.imag) <= 1e-6 * scale]
-    bound = math.sqrt(E * F)
-    feasible = real[np.abs(real) <= bound * (1.0 + 1e-9)]
-    if feasible.size == 0:
-        raise EstimationError(
-            f"no admissible likelihood root in [-{bound:g}, {bound:g}]"
+    sxy, sxx, syy, E, F = (np.asarray(z, dtype=np.float64) for z in (sxy, sxx, syy, E, F))
+    bound = np.sqrt(E * F)
+    B = sxy / bound
+    C = sxx / E + syy / F - 1.0
+    # depressed cubic t^3 + p t + q = 0 with x = t + B/3
+    p = C - B * B / 3.0
+    q = B * (C / 3.0 - 1.0 - 2.0 * B * B / 27.0)
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    one_real = disc > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root_disc = np.sqrt(np.where(one_real, disc, 0.0))
+        cardano = np.cbrt(-q / 2.0 + root_disc) + np.cbrt(-q / 2.0 - root_disc)
+        r = np.sqrt(np.maximum(-p / 3.0, 0.0))
+        cos3 = np.where(r > 0.0, np.clip(-q / (2.0 * r**3), -1.0, 1.0), 0.0)
+        theta = np.arccos(cos3)[..., None] / 3.0 - (2.0 * np.pi / 3.0) * np.arange(3)
+        trig = 2.0 * r[..., None] * np.cos(theta)
+        x = np.where(one_real[..., None], cardano[..., None], trig) + (B / 3.0)[..., None]
+        Bc, Cc = B[..., None], C[..., None]
+        for _ in range(2):
+            value = ((x - Bc) * x + Cc) * x - Bc
+            slope = (3.0 * x - 2.0 * Bc) * x + Cc
+            x = x - np.where(slope != 0.0, value / slope, 0.0)
+        rho = np.where(
+            (sxx > 0.0) & (syy > 0.0), np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0), 0.0
         )
-    if sxx > 0.0 and syy > 0.0:
-        rho = min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy)))
-    else:
-        rho = 0.0
-    anchor = rho * bound
-    return float(feasible[np.argmin(np.abs(feasible - anchor))])
+    feasible = np.abs(x) <= 1.0 + 1e-9
+    if not np.all(np.any(feasible, axis=-1)):
+        raise EstimationError("no admissible likelihood root in [-sqrt(E*F), sqrt(E*F)]")
+    gap = np.where(feasible, np.abs(x - rho[..., None]), np.inf)
+    best = np.take_along_axis(x, np.argmin(gap, axis=-1)[..., None], axis=-1)[..., 0]
+    return best * bound
+
+
+def likelihood_root(sxy: float, sxx: float, syy: float, E: float, F: float) -> float:
+    """Scalar form of :func:`likelihood_roots`."""
+    return float(likelihood_roots(sxy, sxx, syy, E, F))
 
 
 def mle_inner_product(x: Sketch, y: Sketch, sumsq_u: float, sumsq_v: float) -> float:
@@ -112,11 +139,7 @@ def mle_inner_product(x: Sketch, y: Sketch, sumsq_u: float, sumsq_v: float) -> f
     dots = np.einsum("ij,ij->i", X, Y)
     sxx = np.einsum("ij,ij->i", X, X)
     syy = np.einsum("ij,ij->i", Y, Y)
-    roots = [
-        likelihood_root(float(dots[t]), float(sxx[t]), float(syy[t]), sumsq_u, sumsq_v)
-        for t in range(x.config.m)
-    ]
-    return float(np.mean(roots))
+    return float(np.mean(likelihood_roots(dots, sxx, syy, sumsq_u, sumsq_v)))
 
 
 def _check_vsrp(x: Sketch, y: Sketch) -> None:

@@ -6,7 +6,12 @@ next to it. Trials are drawn batch-wise from one derived counter-based
 stream per sweep cell with a fixed trial-major layout and fixed internal
 chunk sizes, so a given (inputs, seed) always produces bit-identical rows;
 the batch kernels are distribution-identical to the per-call sketch path
-(cross-checked in the test suite).
+(cross-checked in the test suite). VSRP cells with s > 1 draw only the
+nonzero projection entries (geometric gaps, one sign bit each), so their
+rows differ from those of the earlier dense draw; s = 1 cells still draw
+dense signs and keep their rows, and sketches and sketch files are not
+affected. The ``mle_inner`` cubic is solved in closed form for every trial
+of a chunk at once (:func:`~oporp.estimate.likelihood_roots`).
 
 The retrieval and classification harnesses sketch through one
 :class:`~oporp.sketch.SketchPlan` per config: base and query rows share one
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variance as var
-from .estimate import Estimator, likelihood_root
+from .estimate import Estimator, likelihood_roots
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
@@ -41,6 +46,7 @@ from .sketch import (
     SketchConfig,
     SketchPlan,
     ZeroNormError,
+    _check_finite,
     row_norms,
     vsrp_config,
 )
@@ -176,18 +182,53 @@ def _oporp_chunk(
 def _vsrp_chunk(
     u: np.ndarray, v: np.ndarray, k: int, s: float, c: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """c independent k-sample sparse-projection pairs, shapes (c, k)."""
+    """c independent k-sample sparse-projection pairs, shapes (c, k).
+
+    For s > 1 only the nonzero entries of the flattened (c, k, D) projection
+    are drawn: geometric gaps between them by inversion, one sign bit each,
+    then one segmented sum per sample (Li, Hastie and Church, KDD 2006).
+    """
     D = u.shape[0]
     if s == 1.0:
         R = (2.0 * rng.integers(0, 2, size=(c, k, D)) - 1.0).astype(np.float64)
-    else:
-        draws = rng.random((c, k, D))
-        half = 0.5 / s
-        R = np.zeros((c, k, D))
-        root = math.sqrt(s)
-        R[draws < half] = -root
-        R[draws >= 1.0 - half] = root
-    return R @ u, R @ v
+        return R @ u, R @ v
+    samples = c * k
+    total = samples * D
+    expected = total / s
+    scale = 1.0 / math.log1p(-1.0 / s)
+    # Geometric(1/s) gaps between nonzeros by inversion (the quotient is
+    # >= 0, so the integer cast is the floor), drawn in batches until the
+    # positions run past the end of the flattened cell array.
+    batches = []
+    end = -1
+    while end < total - 1:
+        draws = rng.random(int(expected + 6.0 * math.sqrt(expected) + 16.0))
+        np.negative(draws, out=draws)
+        np.log1p(draws, out=draws)
+        draws *= scale
+        pos = draws.astype(np.int64)
+        pos += 1
+        np.cumsum(pos, out=pos)
+        pos += end
+        batches.append(pos)
+        end = int(pos[-1])
+    pos = batches[0] if len(batches) == 1 else np.concatenate(batches)
+    n = int(np.searchsorted(pos, total))
+    pos = pos[:n]
+    starts = np.searchsorted(pos, D * np.arange(samples))
+    # Row 2i (2i + 1) of the table holds +(u_i, v_i) (its negation); one
+    # sign bit per nonzero picks the row.
+    table = np.stack([u, v], axis=1)
+    table = np.stack([table, -table], axis=1).reshape(2 * D, 2)
+    rows = np.remainder(pos, D, out=pos)
+    rows <<= 1
+    rows += np.unpackbits(np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8), count=n)
+    filled = np.diff(starts, append=n) > 0
+    sums = np.zeros((samples, 2))
+    if n:
+        W = np.take(table, rows, axis=0)
+        sums[filled] = np.add.reduceat(W, starts[filled], axis=0) * math.sqrt(s)
+    return sums[:, 0].reshape(c, k), sums[:, 1].reshape(c, k)
 
 
 def _normalize_names(estimators) -> list[str]:
@@ -308,18 +349,19 @@ def mse_sweep(
                     elif n == "normalized_inner":
                         estimates[n][sl] = cosines * (norm_u * norm_v)
                     else:
-                        estimates[n][sl] = [
-                            likelihood_root(
-                                float(dots[t]), float(sxx[t]), float(syy[t]),
-                                stats.sumsq_u, stats.sumsq_v,
-                            )
-                            for t in range(c)
-                        ]
+                        estimates[n][sl] = likelihood_roots(
+                            dots, sxx, syy, stats.sumsq_u, stats.sumsq_v
+                        )
                 pos += c
 
         if vsrp_names:
             rng = generator(derive_seed(seed, _CELL, k, 1))
-            chunk = max(1, _CHUNK_ELEMENTS // (D * k))
+            if s == 1.0:
+                chunk = max(1, _CHUNK_ELEMENTS // (D * k))
+            else:
+                # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk: the
+                # sparse draw keeps about four 8-byte values per nonzero.
+                chunk = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k))
             pos = 0
             while pos < trials:
                 c = min(chunk, trials - pos)
@@ -403,6 +445,8 @@ def similarity_matrix(
         )
     name = estimator.value if isinstance(estimator, Estimator) else str(estimator)
     if name == "exact":
+        _check_finite(base)
+        _check_finite(queries)
         return _unit_rows(queries, "queries") @ _unit_rows(base, "base").T
     if name in ("vsrp_inner", "vsrp_cosine"):
         plan = _vsrp_plan(config)

@@ -13,6 +13,7 @@ variance formulas depend on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,10 @@ class ProjectionDistribution:
     sparsity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind is ProjectionKind.SPARSE and self.sparsity < 1.0:
-            # E(r^4) >= E(r^2)^2 = 1 by Cauchy-Schwarz; s < 1 is unrealizable.
-            raise ValueError(f"sparse parameter must be >= 1, got {self.sparsity}")
+        if self.kind is ProjectionKind.SPARSE and not 1.0 <= self.sparsity < math.inf:
+            # E(r^4) >= E(r^2)^2 = 1 by Cauchy-Schwarz; s < 1 is unrealizable,
+            # and s = inf or NaN has no nonzero entries to draw.
+            raise ValueError(f"sparse parameter must be finite and >= 1, got {self.sparsity}")
 
     @property
     def fourth_moment(self) -> float:

@@ -419,6 +419,8 @@ def _unpack_header(buf: bytes) -> tuple[SketchConfig, int, str, float | None]:
         flavor_name = _FLAVORS[flavor]
     except (KeyError, ValueError) as exc:
         raise SketchFileError(f"bad sketch header field: {exc}") from exc
+    if has_norm and not math.isfinite(norm):
+        raise SketchFileError(f"stored norm {norm} is not finite")
     return config, payload, flavor_name, (float(norm) if has_norm else None)
 
 
@@ -450,6 +452,8 @@ def load_sketch(path: str) -> Sketch:
         raise SketchFileError(
             f"expected {expected} values, file holds {values.shape[0]}"
         )
+    if not np.isfinite(values).all():
+        raise SketchFileError("sketch file holds inf or NaN values")
     return Sketch(values.astype(np.float64), config, flavor, stored_norm=norm)
 
 

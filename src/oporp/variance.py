@@ -54,6 +54,8 @@ def pair_statistics(u: np.ndarray, v: np.ndarray) -> PairStatistics:
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"need two equal-length vectors, got {u.shape} and {v.shape}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("pair statistics need finite vectors, got inf or NaN entries")
     sumsq_u = float(np.dot(u, u))
     sumsq_v = float(np.dot(v, v))
     if sumsq_u == 0.0 or sumsq_v == 0.0:

@@ -11,7 +11,7 @@ import pytest
 
 from oporp.cli import _build_parser, load_matrix, run, save_matrix
 from oporp.projection import rademacher
-from oporp.sketch import Binning, SketchConfig, load_sign_sketch, load_sketch
+from oporp.sketch import Binning, SketchConfig, load_sign_sketch, load_sketch, save_sketch
 from oporp.variance import pair_statistics, var_cosine, var_inner, var_inner_vsrp
 
 
@@ -321,6 +321,36 @@ def test_non_finite_input_exits_four(tmp_path, capsys, bad):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all(line.startswith("error: invalid: ") for line in err)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_variance_of_non_finite_pair_exits_four(tmp_path, capsys, bad):
+    M = np.random.default_rng(6).standard_normal((2, 4))
+    M[0, 1] = float(bad)
+    csv, binary = tmp_path / "bad.csv", tmp_path / "bad.bin"
+    csv.write_text("\n".join(",".join(str(x) for x in row) for row in M) + "\n")
+    save_matrix(str(binary), M)
+    for path in (csv, binary):
+        assert run(["variance", "--input", str(path), "--k-list", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(line.startswith("error: invalid: ") for line in captured.err.splitlines())
+    with pytest.raises(ValueError):
+        load_matrix(str(binary))
+
+
+def test_estimate_on_non_finite_sketch_file_exits_three(tmp_path, capsys, matrix_file):
+    path, _ = matrix_file
+    x, y = str(tmp_path / "x.sk"), str(tmp_path / "y.sk")
+    for out, row in ((x, "0"), (y, "1")):
+        run_ok(capsys, ["sketch", "--input", path, "--row", row, "--k", "4", "--out", out])
+    sk = load_sketch(y)
+    sk.values[0] = np.nan
+    save_sketch(y, sk)
+    assert run(["estimate", "--x", x, "--y", y, "--estimator", "cosine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: file: ")
 
 
 def test_parser_is_built_once():

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oporp.estimate import (
     EstimationError,
@@ -18,6 +20,7 @@ from oporp.estimate import (
     distance_hat,
     inner_product_hat,
     likelihood_root,
+    likelihood_roots,
     mle_inner_product,
     normalized_inner_product,
     vsrp_cosine_hat,
@@ -150,6 +153,83 @@ def test_likelihood_root_stays_feasible():
         sxy = rng.uniform(-1, 1) * math.sqrt(sxx * syy)
         root = likelihood_root(float(sxy), float(sxx), float(syy), E, F)
         assert abs(root) <= math.sqrt(E * F) * (1.0 + 1e-9)
+
+
+def _np_roots_reference(sxy, sxx, syy, E, F):
+    """The companion-matrix solver: (chosen root or None, anchor, every root).
+
+    Real roots are those np.roots returns with a negligible imaginary part;
+    among those in [-sqrt(EF), sqrt(EF)] the one closest to the norm-rescaled
+    cosine estimate is chosen.
+    """
+    roots = np.roots([1.0, -sxy, E * syy + F * sxx - E * F, -E * F * sxy])
+    scale = np.maximum(1.0, np.abs(roots))
+    real = roots.real[np.abs(roots.imag) <= 1e-6 * scale]
+    bound = math.sqrt(E * F)
+    feasible = real[np.abs(real) <= bound * (1.0 + 1e-9)]
+    rho = min(1.0, max(-1.0, sxy / math.sqrt(sxx * syy))) if sxx > 0 and syy > 0 else 0.0
+    anchor = rho * bound
+    if feasible.size == 0:
+        return None, anchor, roots
+    return float(feasible[np.argmin(np.abs(feasible - anchor))]), anchor, roots
+
+
+def _well_posed(anchor, roots, bound):
+    """Roots apart from each other and from the interval ends, no tie at the anchor.
+
+    Near a multiple root both solvers lose about half their digits, and at a
+    tie or at an end of the interval the choice itself is a coin flip.
+    """
+    x = roots / bound
+    if min(abs(x[i] - x[j]) for i in range(3) for j in range(i)) < 1e-2:
+        return False
+    real = x.real[np.abs(x.imag) < 1e-3]
+    if np.any(np.abs(np.abs(real) - (1.0 + 1e-9)) < 1e-10):
+        return False
+    gaps = np.sort(np.abs(real[np.abs(real) <= 1.0 + 1e-9] - anchor / bound))
+    return gaps.size < 2 or gaps[1] - gaps[0] > 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    E=st.floats(0.01, 100.0),
+    F=st.floats(0.01, 100.0),
+    cases=st.lists(
+        # (sxx/E, syy/F, cosine); |cosine| > 1 breaks Cauchy-Schwarz, which
+        # is where the cubic can lose every feasible root
+        st.tuples(st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.floats(-1.3, 1.3)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_likelihood_roots_match_np_roots_reference(E, F, cases):
+    rx, ry, r = (np.array(col) for col in zip(*cases))
+    sxx, syy = E * rx, F * ry
+    sxy = r * np.sqrt(sxx * syy)
+    bound = math.sqrt(E * F)
+    refs = [_np_roots_reference(sxy[i], sxx[i], syy[i], E, F) for i in range(len(cases))]
+    assume(all(_well_posed(anchor, roots, bound) for _, anchor, roots in refs))
+    if any(choice is None for choice, _, _ in refs):
+        with pytest.raises(EstimationError):
+            likelihood_roots(sxy, sxx, syy, E, F)
+        return
+    got = likelihood_roots(sxy, sxx, syy, E, F)
+    assert got.shape == sxy.shape
+    assert np.all(np.abs(got) <= bound * (1.0 + 1e-9))
+    want = np.array([choice for choice, _, _ in refs])
+    assert np.all(np.abs(got - want) <= 1e-12 * max(1.0, bound))
+
+
+def test_mle_solves_every_repetition_like_the_scalar_root():
+    rng = np.random.default_rng(10)
+    u, v = rng.standard_normal(64), rng.standard_normal(64)
+    E, F = float(u @ u), float(v @ v)
+    x, y = sketch_pair(u, v, rademacher_config(64, 8, m=7, seed=3))
+    per_rep = [
+        likelihood_root(float(a @ b), float(a @ a), float(b @ b), E, F)
+        for a, b in zip(x.reps, y.reps)
+    ]
+    assert mle_inner_product(x, y, E, F) == pytest.approx(np.mean(per_rep), rel=1e-12)
 
 
 def test_mle_uses_margins_and_beats_plain_inner_at_high_cosine():

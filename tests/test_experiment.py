@@ -14,6 +14,7 @@ import pytest
 from oporp.estimate import inner_product_hat
 from oporp.experiment import (
     ConvergenceError,
+    _vsrp_chunk,
     PRPoint,
     area_under_pr,
     distribution_for_moment,
@@ -24,8 +25,8 @@ from oporp.experiment import (
     retrieval_eval,
     similarity_matrix,
 )
-from oporp.projection import ProjectionKind, derive_seed, rademacher, sparse
-from oporp.sketch import Binning, SketchConfig, oporp_sketch, vsrp_sketch
+from oporp.projection import ProjectionKind, derive_seed, generator, rademacher, sparse
+from oporp.sketch import Binning, SketchConfig, ZeroNormError, oporp_sketch, vsrp_sketch
 from oporp.variance import pair_statistics, var_inner
 
 
@@ -122,6 +123,49 @@ def test_sweep_vsrp_and_mle_rows():
     assert by_name["mle_inner"].empirical_mse > 0.0
 
 
+def test_sparse_vsrp_empty_samples_are_exactly_zero():
+    # Signed subset sums of distinct powers of two (three) never vanish, so
+    # a sample is 0 exactly when it drew no nonzero.
+    u = np.array([1.0, 2.0, 4.0, 8.0])
+    v = np.array([1.0, 3.0, 9.0, 27.0])
+    s, c, k = 50.0, 2000, 2
+    X, Y = _vsrp_chunk(u, v, k, s, c, generator(derive_seed(5)))
+    assert X.shape == Y.shape == (c, k)
+    empty = X == 0.0
+    assert np.array_equal(empty, Y == 0.0)
+    p = (1.0 - 1.0 / s) ** u.shape[0]
+    n = c * k
+    assert abs(empty.sum() - n * p) <= 6.0 * math.sqrt(n * p * (1.0 - p))
+    # with so few nonzeros whole trials come out zero, and the cosine refuses them
+    a, b = generate_pair_with_cosine(8, 0.5, 0.01, seed=2)
+    with pytest.raises(ZeroNormError):
+        mse_sweep(a, b, [2], s, Binning.VARIABLE, ["vsrp_cosine"], 200, 1)
+
+
+@pytest.mark.parametrize("s", [3.0, 30.0])
+def test_sparse_vsrp_products_have_the_paper_moments(s):
+    """E[XY] = a and Var[XY] = |u|^2 |v|^2 + a^2 + (s - 3) sum u^2 v^2 per sample."""
+    rng = np.random.default_rng(14)
+    u, v = rng.standard_normal(24), rng.standard_normal(24)
+    X, Y = _vsrp_chunk(u, v, 8, s, 25_000, generator(derive_seed(6, int(s))))
+    Z = (X * Y).ravel()
+    n = Z.shape[0]
+    a = float(u @ v)
+    var = float(u @ u) * float(v @ v) + a * a + (s - 3.0) * float(np.sum(u * u * v * v))
+    assert abs(Z.mean() - a) <= 6.0 * math.sqrt(var / n)
+    dev2 = (Z - Z.mean()) ** 2
+    assert abs(dev2.mean() - var) <= 6.0 * dev2.std() / math.sqrt(n)
+
+
+@pytest.mark.parametrize("s", [3.0, 30.0])
+def test_sparse_vsrp_rows_are_seed_deterministic(s):
+    u, v = generate_pair_with_cosine(40, 0.6, 0.01, seed=8)
+    args = (u, v, [16, 32], s, Binning.VARIABLE, ["vsrp_inner", "vsrp_cosine"], 600)
+    rows = mse_sweep(*args, 9)
+    assert mse_sweep(*args, 9) == rows
+    assert mse_sweep(*args, 10) != rows
+
+
 def test_sweep_cosine_bias_is_small_at_large_k():
     u, v = generate_pair_with_cosine(256, 0.9, 0.005, seed=6)
     row = mse_sweep(u, v, [64], 1.0, Binning.FIXED, ["cosine"], 20_000, 5)[0]
@@ -186,6 +230,18 @@ def test_similarity_matrix_rejections():
             SketchConfig(dim=8, k=4, binning=Binning.FIXED, dist=distribution_for_moment(3.0)),
             "vsrp_inner",
         )
+
+
+@pytest.mark.parametrize("side", ["base", "queries"])
+def test_similarity_matrix_exact_rejects_non_finite_rows(side):
+    rng = np.random.default_rng(11)
+    data = {"base": rng.standard_normal((3, 4)), "queries": rng.standard_normal((2, 4))}
+    data[side][1, 2] = np.nan
+    config = SketchConfig(dim=4, k=2, binning=Binning.FIXED, dist=rademacher())
+    with pytest.raises(ValueError):
+        similarity_matrix(data["base"], data["queries"], config, "exact")
+    with pytest.raises(ValueError):
+        retrieval_eval(data["base"], data["queries"], config, "cosine", 2)
 
 
 def test_similarity_matrix_equals_per_row_sketch_scores():

@@ -5,6 +5,8 @@ bounds (no flakes at the frozen seeds); the permutation uniformity test
 is exhaustive over all 5! = 120 permutations.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -38,6 +40,12 @@ def test_sparse_parameter_below_one_rejected():
         sparse(0.5)
     # s = 1 is the Rademacher boundary case and is allowed
     assert sparse(1.0).fourth_moment == 1.0
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan])
+def test_sparse_parameter_must_be_finite(s):
+    with pytest.raises(ValueError):
+        sparse(s)
 
 
 def test_seed_validation():

@@ -401,6 +401,21 @@ def test_file_error_cases(tmp_path):
         load_sketch(str(bad_version))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sketch_file_is_rejected(tmp_path, bad):
+    u = np.random.default_rng(15).standard_normal(16)
+    sk = oporp_sketch(u, cfg(seed=5))
+    values = sk.values.copy()
+    values[1] = bad
+    path = tmp_path / "bad.bin"
+    save_sketch(str(path), Sketch(values, sk.config, sk.flavor, sk.stored_norm))
+    with pytest.raises(SketchFileError):
+        load_sketch(str(path))
+    save_sketch(str(path), Sketch(sk.values, sk.config, sk.flavor, float(bad)))
+    with pytest.raises(SketchFileError):
+        load_sketch(str(path))
+
+
 def test_payload_kind_is_enforced(tmp_path):
     u = np.random.default_rng(14).standard_normal(16)
     vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"

@@ -196,6 +196,16 @@ def test_pair_statistics_rejects_zero_and_mismatch():
         pair_statistics(np.ones(4), np.ones(5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pair_statistics_rejects_non_finite(bad):
+    u = np.ones(4)
+    u[2] = bad
+    with pytest.raises(ValueError):
+        pair_statistics(u, np.ones(4))
+    with pytest.raises(ValueError):
+        pair_statistics(np.ones(4), u)
+
+
 # --- inner and distance variance against enumeration ---------------------------
 
 
