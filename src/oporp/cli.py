@@ -26,6 +26,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import struct
 import sys
 
@@ -113,14 +115,32 @@ def _read_matrix(path: str) -> np.ndarray:
             if len(meta) != 16:
                 raise SketchFileError(f"{path}: truncated matrix header")
             rows, cols = struct.unpack("<QQ", meta)
-            data = np.frombuffer(fh.read(), dtype="<f8")
-            if data.shape[0] != rows * cols:
-                raise SketchFileError(f"{path}: expected {rows}x{cols} values")
-            return data.reshape(rows, cols).astype(np.float64)
+            return _read_values(fh, rows, cols, path)
     try:
         return np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
     except ValueError as exc:
         raise SketchFileError(f"{path}: not CSV or matrix binary: {exc}") from exc
+
+
+def _read_values(fh, rows: int, cols: int, path: str) -> np.ndarray:
+    """The rest of ``fh`` as exactly rows x cols float64 values, read into the result.
+
+    One matrix-sized allocation per load: a bytes buffer plus a converted
+    copy freed together can make malloc trim the heap and fault it back in
+    on the next load.
+    """
+    wrong = SketchFileError(f"{path}: expected {rows}x{cols} values")
+    info = os.fstat(fh.fileno())
+    # A regular file's size is checked before allocating; a pipe's is unknown.
+    if stat.S_ISREG(info.st_mode) and info.st_size - fh.tell() != 8 * rows * cols:
+        raise wrong
+    try:
+        M = np.empty((rows, cols), dtype="<f8")
+    except (ValueError, OverflowError, MemoryError):
+        raise wrong from None
+    if fh.readinto(M) != M.nbytes or fh.read(1):
+        raise wrong
+    return M.astype(np.float64, copy=False)
 
 
 def save_matrix(path: str, M: np.ndarray) -> None:

@@ -34,6 +34,7 @@ from .projection import (
     ProjectionDistribution,
     ProjectionKind,
     derive_seed,
+    draw_multipliers,
     gaussian,
     generator,
     rademacher,
@@ -133,26 +134,6 @@ def distribution_for_moment(s: float) -> ProjectionDistribution:
     return sparse(s)
 
 
-def _draw_multipliers(
-    rng: np.random.Generator, shape: tuple, dist: ProjectionDistribution
-) -> np.ndarray:
-    """Batched i.i.d. multipliers; same families as generate_projection_vector."""
-    if dist.kind is ProjectionKind.RADEMACHER:
-        return (2.0 * rng.integers(0, 2, size=shape) - 1.0).astype(np.float64)
-    if dist.kind is ProjectionKind.GAUSSIAN:
-        return rng.standard_normal(shape)
-    if dist.kind is ProjectionKind.SCALED_UNIFORM:
-        return np.sqrt(3.0) * rng.uniform(-1.0, 1.0, size=shape)
-    s = dist.sparsity
-    u = rng.random(shape)
-    half = 0.5 / s
-    R = np.zeros(shape)
-    root = math.sqrt(s)
-    R[u < half] = -root
-    R[u >= 1.0 - half] = root
-    return R
-
-
 def _oporp_chunk(
     u_pad: np.ndarray,
     v_pad: np.ndarray,
@@ -167,12 +148,12 @@ def _oporp_chunk(
     if scheme is Binning.FIXED:
         L = Dp // k
         P = rng.permuted(np.tile(np.arange(Dp), (c, 1)), axis=1)
-        R = _draw_multipliers(rng, (c, Dp), dist)
+        R = draw_multipliers(rng, (c, Dp), dist)
         X = (u_pad[P] * R).reshape(c, k, L).sum(axis=2)
         Y = (v_pad[P] * R).reshape(c, k, L).sum(axis=2)
         return X, Y
     bins = rng.integers(0, k, size=(c, Dp))
-    R = _draw_multipliers(rng, (c, Dp), dist)
+    R = draw_multipliers(rng, (c, Dp), dist)
     flat = (bins + k * np.arange(c)[:, None]).ravel()
     X = np.bincount(flat, weights=(u_pad * R).ravel(), minlength=c * k).reshape(c, k)
     Y = np.bincount(flat, weights=(v_pad * R).ravel(), minlength=c * k).reshape(c, k)
@@ -190,7 +171,7 @@ def _vsrp_chunk(
     """
     D = u.shape[0]
     if s == 1.0:
-        R = (2.0 * rng.integers(0, 2, size=(c, k, D)) - 1.0).astype(np.float64)
+        R = draw_multipliers(rng, (c, k, D), rademacher())
         return R @ u, R @ v
     samples = c * k
     total = samples * D
@@ -274,8 +255,10 @@ def mse_sweep(
     OPORP estimators use the multiplier distribution realizing fourth
     moment s (Rademacher for 1, Gaussian for 3, scaled uniform for 9/5,
     sparse otherwise); the VSRP estimators always use sparse(s) columns,
-    with k meaning the number of samples. Deterministic: the same inputs
-    and seed give bit-identical rows regardless of chunking.
+    with k meaning the number of samples. Deterministic: the rows are a pure
+    function of the inputs, the seed and the fixed ``_CHUNK_ELEMENTS``
+    (a cell's trials are drawn from one stream in chunks of that size, so
+    another chunk size gives other rows).
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")

@@ -28,10 +28,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .projection import ProjectionKind, check_seed
 from .sketch import Sketch, SketchConfig, oporp_sketch
+
+
+def _check_positive(name: str, value: float) -> None:
+    # Written so NaN fails too: every comparison with NaN is false.
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,12 +48,10 @@ class PrivacySpec:
     beta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        _check_positive("epsilon", self.epsilon)
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        _check_positive("beta", self.beta)
 
     @property
     def delta2(self) -> float:
@@ -72,16 +75,37 @@ class SignSketch:
     flip_probs: np.ndarray
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(z: float) -> float:
+    """Phi(z), split as cephes ndtr: erf near 0, erfc in the tails."""
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0.0 else tail
+
+
+_ndtr_array = np.vectorize(_ndtr, otypes=[np.float64])
+
+
 def std_normal_cdf(z):
-    """Standard normal CDF, accurate to ~1e-16 over the real line."""
-    out = ndtr(z)
-    return float(out) if np.isscalar(z) or np.ndim(z) == 0 else out
+    """Standard normal CDF: a float for a scalar, an array for an array.
+
+    Absolute error ~1e-16 over the real line; in the lower tail the erfc
+    branch keeps the relative error near 1e-13 down to the underflow of
+    Phi (z ~ -37).
+    """
+    if np.ndim(z) == 0:
+        return _ndtr(float(z))
+    return _ndtr_array(np.asarray(z, dtype=np.float64))
 
 
 def _tradeoff_gap(sigma: float, delta2: float, epsilon: float) -> float:
     a = delta2 / (2.0 * sigma) - epsilon * sigma / delta2
     b = -delta2 / (2.0 * sigma) - epsilon * sigma / delta2
-    return float(ndtr(a) - math.exp(epsilon) * ndtr(b))
+    return _ndtr(a) - math.exp(epsilon) * _ndtr(b)
 
 
 def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
@@ -92,10 +116,8 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
     result is tight: unlike the classical sqrt(2 log(1.25/delta)) recipe it
     is valid for every epsilon > 0 and never larger where both apply.
     """
-    if delta2 <= 0.0:
-        raise ValueError(f"delta2 must be > 0, got {delta2}")
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_positive("delta2", delta2)
+    _check_positive("epsilon", epsilon)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"Gaussian mechanism needs delta in (0, 1), got {delta}")
     lo = delta2 / (10.0 * epsilon)
@@ -182,8 +204,7 @@ def dp_sign_oporp_rr(
 ) -> SignSketch:
     """Release sketch signs through epsilon-DP randomized response."""
     u = _check_private_input(u, config)
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    _check_positive("epsilon", epsilon)
     x = oporp_sketch(u, config)
     p = 1.0 / (math.exp(epsilon) + 1.0)
     return _sign_release(x, np.full(x.values.shape[0], p), _noise_rng(noise_seed))
@@ -203,10 +224,8 @@ def dp_sign_oporp_rr_smooth(
     probability 1/(e^(L*eps) + 1) never exceeds the plain RR one.
     """
     u = _check_private_input(u, config)
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    _check_positive("epsilon", epsilon)
+    _check_positive("beta", beta)
     x = oporp_sketch(u, config)
     levels = np.ceil(np.abs(x.values) / beta)
     with np.errstate(over="ignore"):

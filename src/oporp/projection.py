@@ -127,22 +127,28 @@ def generate_permutation(D: int, seed: int) -> Permutation:
     return generator(seed).permutation(D)
 
 
+def draw_multipliers(
+    rng: np.random.Generator, shape, dist: ProjectionDistribution
+) -> np.ndarray:
+    """An array of the given shape of i.i.d. multipliers from ``dist``, drawn from ``rng``."""
+    if dist.kind is ProjectionKind.RADEMACHER:
+        return (2.0 * rng.integers(0, 2, size=shape) - 1.0).astype(np.float64)
+    if dist.kind is ProjectionKind.GAUSSIAN:
+        return rng.standard_normal(shape)
+    if dist.kind is ProjectionKind.SCALED_UNIFORM:
+        return np.sqrt(3.0) * rng.uniform(-1.0, 1.0, size=shape)
+    s = dist.sparsity
+    u = rng.random(shape)
+    half = 0.5 / s
+    values = np.zeros(shape)
+    root = math.sqrt(s)
+    values[u < half] = -root
+    values[u >= 1.0 - half] = root
+    return values
+
+
 def generate_projection_vector(
     D: int, dist: ProjectionDistribution, seed: int
 ) -> ProjectionVector:
     """Draw D i.i.d. multipliers from ``dist``, a pure function of its inputs."""
-    D = _check_dim(D)
-    rng = generator(seed)
-    if dist.kind is ProjectionKind.RADEMACHER:
-        return (2.0 * rng.integers(0, 2, size=D) - 1.0).astype(np.float64)
-    if dist.kind is ProjectionKind.GAUSSIAN:
-        return rng.standard_normal(D)
-    if dist.kind is ProjectionKind.SCALED_UNIFORM:
-        return np.sqrt(3.0) * rng.uniform(-1.0, 1.0, size=D)
-    s = dist.sparsity
-    u = rng.random(D)
-    half = 0.5 / s
-    values = np.zeros(D)
-    values[u < half] = -np.sqrt(s)
-    values[u >= 1.0 - half] = np.sqrt(s)
-    return values
+    return draw_multipliers(generator(seed), _check_dim(D), dist)

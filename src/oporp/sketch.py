@@ -60,6 +60,7 @@ from .projection import (
     ProjectionKind,
     check_seed,
     derive_seed,
+    draw_multipliers,
     generate_permutation,
     generate_projection_vector,
     generator,
@@ -222,17 +223,6 @@ def row_norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0])
 
 
-def _sparse_matrix(rng: np.random.Generator, dim: int, k: int, s: float) -> np.ndarray:
-    """(dim, k) matrix of i.i.d. sparse multipliers, column-major in meaning."""
-    u = rng.random((dim, k))
-    half = 0.5 / s
-    R = np.zeros((dim, k))
-    root = np.sqrt(s)
-    R[u < half] = -root
-    R[u >= 1.0 - half] = root
-    return R
-
-
 def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
     """The (k=1 bin, m=k repetitions) config a k-sample VSRP sketch is stored under."""
     return SketchConfig(
@@ -260,7 +250,7 @@ class SketchPlan:
             if shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):
                 raise ValueError("a vsrp plan needs the config made by vsrp_config")
             rng = generator(derive_seed(config.seed, _VSRP))
-            self._projection = _sparse_matrix(rng, config.dim, config.m, config.dist.sparsity)
+            self._projection = draw_multipliers(rng, (config.dim, config.m), config.dist)
             return
         if flavor != "oporp":
             raise ValueError(f"unknown sketch flavor {flavor!r}")

@@ -5,6 +5,8 @@ be asserted directly.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +41,29 @@ def test_matrix_binary_round_trip(tmp_path):
     path = str(tmp_path / "m.bin")
     save_matrix(path, M)
     assert np.array_equal(load_matrix(path), M)
+
+
+@pytest.mark.parametrize("cut", [-3, -8, 1])
+def test_matrix_binary_payload_must_match_header(tmp_path, cut):
+    path = tmp_path / "m.bin"
+    save_matrix(str(path), np.ones((2, 3)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut] if cut < 0 else raw + b"\0" * cut)
+    assert run(["sketch", "--input", str(path), "--k", "2", "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
+
+
+def test_matrix_binary_from_a_pipe(tmp_path):
+    M = np.random.default_rng(2).standard_normal((3, 5))
+    save_matrix(str(tmp_path / "m.bin"), M)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes((tmp_path / "m.bin").read_bytes()))
+    writer.start()
+    try:
+        assert np.array_equal(load_matrix(str(fifo)), M)
+    finally:
+        writer.join()
 
 
 def test_matrix_csv_loading(matrix_file):
@@ -305,6 +330,30 @@ def test_dp_default_noise_is_fresh_and_seeded_noise_warns(tmp_path, capsys, boun
     assert code == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: ")
+
+
+@pytest.mark.parametrize("mechanism, flags", [
+    ("rr", ["--epsilon", "nan"]),
+    ("rr", ["--epsilon", "inf"]),
+    ("rr-smooth", ["--epsilon", "nan"]),
+    ("rr-smooth", ["--epsilon", "inf"]),
+    ("rr-smooth", ["--epsilon", "1.0", "--beta", "nan"]),
+    ("rr-smooth", ["--epsilon", "1.0", "--beta", "inf"]),
+    ("gaussian", ["--epsilon", "nan"]),
+    ("gaussian", ["--epsilon", "inf"]),
+    ("gaussian", ["--epsilon", "1.0", "--beta", "nan"]),
+    ("gaussian", ["--epsilon", "1.0", "--beta", "inf"]),
+])
+def test_dp_non_finite_privacy_parameters_exit_four(tmp_path, capsys, bounded_matrix_file,
+                                                    mechanism, flags):
+    out_path = tmp_path / "o.sk"
+    assert run([
+        "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", mechanism,
+        "--delta", "1e-6", *flags, "--out", str(out_path),
+    ]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid: ")
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -7,11 +7,16 @@ stated flip laws at frozen seeds.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from oporp.privacy import (
     NoisySketch,
@@ -59,6 +64,30 @@ def test_cdf_symmetry_and_vector_input():
     assert np.all(np.diff(out) > 0)
 
 
+def test_cdf_matches_scipy_ndtr():
+    # down to z = -37, where Phi(z) is about 6e-300, just above underflow
+    z = np.linspace(-37.0, 9.0, 4601)
+    want = ndtr(z)
+    out = std_normal_cdf(z)
+    assert isinstance(out, np.ndarray) and out.shape == z.shape
+    assert np.all(np.abs(out - want) <= 1e-12 * want)
+    for t, w in zip(z[::7], want[::7]):
+        got = std_normal_cdf(float(t))
+        assert isinstance(got, float)
+        assert abs(got - w) <= 1e-12 * w
+
+
+def test_import_loads_no_scipy():
+    # the normal CDF is computed in the package, so importing it must not pull in scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, oporp, oporp.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 # --- sigma solver ----------------------------------------------------------------
 
 
@@ -71,6 +100,34 @@ def test_sigma_solver_residuals_on_grid():
         for delta in DELTA_GRID:
             sigma = solve_gaussian_sigma(1.0, eps, delta)
             assert abs(_tradeoff_gap(sigma, 1.0, eps) - delta) < 1e-12
+
+
+def _reference_sigma(delta2, eps, delta):
+    """Bisection of the trade-off equation on scipy's ndtr, independent of the solver."""
+
+    def gap(sigma):
+        a = delta2 / (2.0 * sigma) - eps * sigma / delta2
+        b = -delta2 / (2.0 * sigma) - eps * sigma / delta2
+        return ndtr(a) - math.exp(eps) * ndtr(b)
+
+    lo = hi = delta2
+    while gap(lo) <= delta:
+        lo /= 2.0
+    while gap(hi) >= delta:
+        hi *= 2.0
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) > delta else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_sigma_matches_scipy_bisection():
+    for delta2 in (0.5, 1.0, 4.0):
+        for eps in (0.05, 0.3, 1.0, 3.0, 10.0):
+            for delta in (1e-10, 1e-6, 1e-3, 0.2):
+                want = _reference_sigma(delta2, eps, delta)
+                got = solve_gaussian_sigma(delta2, eps, delta)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (delta2, eps, delta)
 
 
 def test_sigma_never_exceeds_classical_recipe():
@@ -115,6 +172,27 @@ def test_privacy_spec_validation():
         PrivacySpec(1.0, 1.5, 1.0)
     with pytest.raises(ValueError):
         PrivacySpec(1.0, 1e-6, 0.0)
+
+
+NON_FINITE = (math.nan, math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_privacy_parameters_rejected(bad):
+    u = np.random.default_rng(2).uniform(-1, 1, 32)
+    config = private_config(32, 8)
+    for args in ((bad, 1e-6, 1.0), (1.0, bad, 1.0), (1.0, 1e-6, bad)):
+        with pytest.raises(ValueError):
+            PrivacySpec(*args)
+    for args in ((bad, 1.0, 1e-6), (1.0, bad, 1e-6), (1.0, 1.0, bad)):
+        with pytest.raises(ValueError):
+            solve_gaussian_sigma(*args)
+    with pytest.raises(ValueError):
+        dp_sign_oporp_rr(u, config, bad)
+    with pytest.raises(ValueError):
+        dp_sign_oporp_rr_smooth(u, config, bad, 0.5)
+    with pytest.raises(ValueError):
+        dp_sign_oporp_rr_smooth(u, config, 1.0, bad)
 
 
 # --- gaussian release -------------------------------------------------------------
