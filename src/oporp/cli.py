@@ -52,7 +52,13 @@ from .experiment import (
     mse_sweep,
     retrieval_eval,
 )
-from .privacy import PrivacySpec, dp_oporp, dp_sign_oporp_rr, dp_sign_oporp_rr_smooth
+from .privacy import (
+    PrivacySpec,
+    dp_oporp,
+    dp_sign_oporp_rr,
+    dp_sign_oporp_rr_smooth,
+    flip_probability,
+)
 from .projection import (
     ProjectionDistribution,
     gaussian,
@@ -436,13 +442,14 @@ def _cmd_dp(args) -> int:
     elif args.mechanism == "rr":
         released = dp_sign_oporp_rr(u, config, args.epsilon, noise_seed=args.noise_seed)
         save_sign_sketch(args.out, released.bits, config)
-        print(f"flip_prob {_fmt(released.flip_probs.max())}")
+        print(f"flip_prob {_fmt(flip_probability(args.epsilon))}")
     else:
         released = dp_sign_oporp_rr_smooth(
             u, config, args.epsilon, args.beta, noise_seed=args.noise_seed
         )
         save_sign_sketch(args.out, released.bits, config)
-        print(f"mean_flip_prob {_fmt(released.flip_probs.mean())}")
+        # The ceiling of the per-bin probabilities; they follow the data.
+        print(f"max_flip_prob {_fmt(flip_probability(args.epsilon))}")
     print(f"wrote {args.out}")
     return 0
 

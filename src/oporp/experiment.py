@@ -13,6 +13,12 @@ dense signs and keep their rows, and sketches and sketch files are not
 affected. The ``mle_inner`` cubic is solved in closed form for every trial
 of a chunk at once (:func:`~oporp.estimate.likelihood_roots`).
 
+A chunk's draws are its only chunk-sized arrays. The OPORP products and
+their bin sums go through the shared block kernel
+(:func:`~oporp.sketch._bin_sums`) and the VSRP gather and segmented sums run
+over blocks of whole samples; blocks never change a result, while
+``_CHUNK_ELEMENTS`` fixes the draws and so the rows.
+
 The retrieval and classification harnesses sketch through one
 :class:`~oporp.sketch.SketchPlan` per config: base and query rows share one
 draw of the permutations and projections (as the paper's scheme requires),
@@ -42,12 +48,14 @@ from .projection import (
     sparse,
 )
 from .sketch import (
-    _CHUNK_ELEMENTS,
     Binning,
     SketchConfig,
     SketchPlan,
     ZeroNormError,
+    _bin_sums,
+    _block_rows,
     _check_finite,
+    _padded_dim,
     row_norms,
     vsrp_config,
 )
@@ -56,6 +64,9 @@ from .sketch import (
 _PAIR = 0
 _CELL = 1
 _DATA = 2
+
+# Target entries per sweep chunk of draws; fixed, because the rows depend on it.
+_CHUNK_ELEMENTS = 4_000_000
 
 _OPORP_ESTIMATORS = ("inner", "distance", "cosine", "normalized_inner", "mle_inner")
 _VSRP_ESTIMATORS = ("vsrp_inner", "vsrp_cosine")
@@ -143,20 +154,29 @@ def _oporp_chunk(
     c: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """c independent single-repetition sketch pairs, shapes (c, k)."""
+    """c independent single-repetition sketch pairs, shapes (c, k).
+
+    Only the draws are (c, Dp): one permutation (fixed binning) or bin-index
+    row (variable binning) and one multiplier row per trial. The sketches
+    are summed block by block through one buffer.
+    """
     Dp = u_pad.shape[0]
-    if scheme is Binning.FIXED:
-        L = Dp // k
-        P = rng.permuted(np.tile(np.arange(Dp), (c, 1)), axis=1)
-        R = draw_multipliers(rng, (c, Dp), dist)
-        X = (u_pad[P] * R).reshape(c, k, L).sum(axis=2)
-        Y = (v_pad[P] * R).reshape(c, k, L).sum(axis=2)
-        return X, Y
-    bins = rng.integers(0, k, size=(c, Dp))
+    fixed = scheme is Binning.FIXED
+    if fixed:
+        index = np.tile(np.arange(Dp, dtype=np.int32), (c, 1))
+        rng.permuted(index, axis=1, out=index)
+    else:
+        index = rng.integers(0, k, size=(c, Dp), dtype=np.int32)
     R = draw_multipliers(rng, (c, Dp), dist)
-    flat = (bins + k * np.arange(c)[:, None]).ravel()
-    X = np.bincount(flat, weights=(u_pad * R).ravel(), minlength=c * k).reshape(c, k)
-    Y = np.bincount(flat, weights=(v_pad * R).ravel(), minlength=c * k).reshape(c, k)
+    X = np.empty((c, k))
+    Y = np.empty((c, k))
+    rows = _block_rows(Dp, c)
+    buf = np.empty((rows, Dp))
+    for lo in range(0, c, rows):
+        b = slice(lo, lo + rows)
+        block = buf[: min(rows, c - lo)]
+        X[b] = _bin_sums(block, u_pad, R[b], index[b], k, fixed)
+        Y[b] = _bin_sums(block, v_pad, R[b], index[b], k, fixed)
     return X, Y
 
 
@@ -167,7 +187,8 @@ def _vsrp_chunk(
 
     For s > 1 only the nonzero entries of the flattened (c, k, D) projection
     are drawn: geometric gaps between them by inversion, one sign bit each,
-    then one segmented sum per sample (Li, Hastie and Church, KDD 2006).
+    then one segmented sum per sample (Li, Hastie and Church, KDD 2006),
+    gathered and summed over blocks of whole samples.
     """
     D = u.shape[0]
     if s == 1.0:
@@ -188,6 +209,7 @@ def _vsrp_chunk(
         np.log1p(draws, out=draws)
         draws *= scale
         pos = draws.astype(np.int64)
+        del draws
         pos += 1
         np.cumsum(pos, out=pos)
         pos += end
@@ -204,11 +226,20 @@ def _vsrp_chunk(
     rows = np.remainder(pos, D, out=pos)
     rows <<= 1
     rows += np.unpackbits(np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8), count=n)
-    filled = np.diff(starts, append=n) > 0
+    bounds = np.append(starts, n)
     sums = np.zeros((samples, 2))
-    if n:
-        W = np.take(table, rows, axis=0)
-        sums[filled] = np.add.reduceat(W, starts[filled], axis=0) * math.sqrt(s)
+    # A sample gathers about 2D/s table entries.
+    block = _block_rows(math.ceil(2 * D / s), samples)
+    for lo in range(0, samples, block):
+        hi = min(lo + block, samples)
+        first, last = bounds[lo], bounds[hi]
+        if first == last:
+            continue
+        filled = bounds[lo:hi] < bounds[lo + 1 : hi + 1]
+        W = np.take(table, rows[first:last], axis=0)
+        sums[lo:hi][filled] = (
+            np.add.reduceat(W, bounds[lo:hi][filled] - first, axis=0) * math.sqrt(s)
+        )
     return sums[:, 0].reshape(c, k), sums[:, 1].reshape(c, k)
 
 
@@ -293,7 +324,7 @@ def mse_sweep(
         estimates: dict[str, np.ndarray] = {n: np.empty(trials) for n in names}
 
         if oporp_names:
-            Dp = k * math.ceil(D / k) if scheme is Binning.FIXED else D
+            Dp = _padded_dim(D, k, scheme)
             u_pad = np.zeros(Dp)
             u_pad[:D] = u
             v_pad = np.zeros(Dp)
@@ -342,8 +373,7 @@ def mse_sweep(
             if s == 1.0:
                 chunk = max(1, _CHUNK_ELEMENTS // (D * k))
             else:
-                # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk: the
-                # sparse draw keeps about four 8-byte values per nonzero.
+                # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
                 chunk = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k))
             pos = 0
             while pos < trials:

@@ -13,7 +13,7 @@ Three mechanisms:
   satisfies (epsilon, delta)-DP, found by bisecting the exact Gaussian
   trade-off equation Phi(d/(2s) - es/d) - e^e * Phi(-d/(2s) - es/d) = delta.
 * ``dp_sign_oporp_rr``: release sketch signs through randomized response
-  with flip probability 1/(e^eps + 1).
+  with flip probability 1/(e^eps + 1) (:func:`flip_probability`).
 * ``dp_sign_oporp_rr_smooth``: randomized response where a bin whose
   magnitude is L*beta away from zero flips with the smaller probability
   1/(e^(L*eps) + 1), since L adjacent steps are needed to change its sign.
@@ -69,7 +69,13 @@ class NoisySketch:
 
 @dataclass
 class SignSketch:
-    """Randomized-response sign bits and the per-bit flip probability used."""
+    """Randomized-response sign bits and the per-bit flip probability used.
+
+    ``flip_probs`` depends on the private vector: an empty bin flips with
+    probability 0.5, and under ``rr-smooth`` every bin's probability follows
+    its magnitude. It is for local checks only and must not be published;
+    :func:`flip_probability` gives the value that epsilon alone determines.
+    """
 
     bits: np.ndarray
     flip_probs: np.ndarray
@@ -102,10 +108,26 @@ def std_normal_cdf(z):
     return _ndtr_array(np.asarray(z, dtype=np.float64))
 
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# e^x is a float for every x below this.
+_EXP_LIMIT = 709.0
+
+
 def _tradeoff_gap(sigma: float, delta2: float, epsilon: float) -> float:
     a = delta2 / (2.0 * sigma) - epsilon * sigma / delta2
     b = -delta2 / (2.0 * sigma) - epsilon * sigma / delta2
-    return _ndtr(a) - math.exp(epsilon) * _ndtr(b)
+    if epsilon < _EXP_LIMIT:
+        return _ndtr(a) - math.exp(epsilon) * _ndtr(b)
+    # e^eps overflows. Since eps = (b^2 - a^2)/2, e^eps * Phi(b) equals
+    # e^(-a^2/2) * Phi(b) e^(b^2/2), and b <= -sqrt(2 eps) < -37 here, where
+    # Phi(b) e^(b^2/2) = (1 - 1/b^2 + 3/b^4 - ...) / (-b sqrt(2 pi)) and the
+    # twelfth term of the series is below 1e-24.
+    w = 1.0 / (b * b)
+    term = series = 1.0
+    for j in range(1, 12):
+        term *= -(2 * j - 1) * w
+        series += term
+    return _ndtr(a) - math.exp(-0.5 * a * a) * series / (-b * _SQRT_2PI)
 
 
 def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
@@ -115,21 +137,30 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
     from 1 (sigma -> 0) to 0 (sigma -> inf), so the root is unique. The
     result is tight: unlike the classical sqrt(2 log(1.25/delta)) recipe it
     is valid for every epsilon > 0 and never larger where both apply.
+    Raises ValueError when sigma or its bisection bracket leaves the float range.
     """
     _check_positive("delta2", delta2)
     _check_positive("epsilon", epsilon)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"Gaussian mechanism needs delta in (0, 1), got {delta}")
+    unrepresentable = ValueError(
+        f"cannot calibrate the noise in float range for delta2={delta2}, "
+        f"epsilon={epsilon}, delta={delta}"
+    )
     lo = delta2 / (10.0 * epsilon)
     hi = 10.0 * delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
-    for _ in range(200):
-        if _tradeoff_gap(lo, delta2, epsilon) > delta:
-            break
+    if lo == 0.0:
+        raise unrepresentable
+    # Widen until the root is bracketed; for large epsilon the root scales as
+    # delta2 / sqrt(2 epsilon) and sits far above the 1/epsilon guess.
+    while not _tradeoff_gap(lo, delta2, epsilon) > delta:
         lo /= 2.0
-    for _ in range(200):
-        if _tradeoff_gap(hi, delta2, epsilon) < delta:
-            break
+        if lo == 0.0:
+            raise unrepresentable
+    while not _tradeoff_gap(hi, delta2, epsilon) < delta:
         hi *= 2.0
+        if hi == math.inf:
+            raise unrepresentable
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _tradeoff_gap(mid, delta2, epsilon) > delta:
@@ -138,7 +169,21 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
             hi = mid
         if hi - lo <= 1e-14 * hi:
             break
-    return 0.5 * (lo + hi)
+    sigma = 0.5 * (lo + hi)
+    if not 0.0 < sigma < math.inf:
+        raise unrepresentable
+    return sigma
+
+
+def flip_probability(epsilon):
+    """1/(e^eps + 1), the flip probability of eps-DP randomized response.
+
+    Written as e^-eps / (1 + e^-eps), so no finite epsilon overflows; takes
+    and returns a scalar or an array. It depends on epsilon alone, so unlike
+    :attr:`SignSketch.flip_probs` it may be published.
+    """
+    t = np.exp(-np.asarray(epsilon, dtype=np.float64))
+    return t / (1.0 + t)
 
 
 def _noise_rng(noise_seed: int | None) -> np.random.Generator:
@@ -206,7 +251,7 @@ def dp_sign_oporp_rr(
     u = _check_private_input(u, config)
     _check_positive("epsilon", epsilon)
     x = oporp_sketch(u, config)
-    p = 1.0 / (math.exp(epsilon) + 1.0)
+    p = flip_probability(epsilon)
     return _sign_release(x, np.full(x.values.shape[0], p), _noise_rng(noise_seed))
 
 
@@ -228,9 +273,7 @@ def dp_sign_oporp_rr_smooth(
     _check_positive("beta", beta)
     x = oporp_sketch(u, config)
     levels = np.ceil(np.abs(x.values) / beta)
-    with np.errstate(over="ignore"):
-        probs = 1.0 / (np.exp(levels * epsilon) + 1.0)
-    return _sign_release(x, probs, _noise_rng(noise_seed))
+    return _sign_release(x, flip_probability(levels * epsilon), _noise_rng(noise_seed))
 
 
 def sign_similarity(a, b) -> float:

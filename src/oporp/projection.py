@@ -132,7 +132,12 @@ def draw_multipliers(
 ) -> np.ndarray:
     """An array of the given shape of i.i.d. multipliers from ``dist``, drawn from ``rng``."""
     if dist.kind is ProjectionKind.RADEMACHER:
-        return (2.0 * rng.integers(0, 2, size=shape) - 1.0).astype(np.float64)
+        # int32 draws take the same values and stream positions as int64 ones;
+        # converting in place keeps one float array alive, not three.
+        signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.float64)
+        signs *= 2.0
+        signs -= 1.0
+        return signs
     if dist.kind is ProjectionKind.GAUSSIAN:
         return rng.standard_normal(shape)
     if dist.kind is ProjectionKind.SCALED_UNIFORM:

@@ -21,9 +21,15 @@ tagged with its own flavor so the two stream layouts cannot be mixed.
 All rows sketched under one config share one draw of the randomness. A
 :class:`SketchPlan` draws it once (the m permutations or bin-index arrays
 and the m multiplier vectors, or the VSRP projection matrix) and sketches
-an (N, dim) matrix in row chunks; ``oporp_sketch`` and ``vsrp_sketch`` are
+an (N, dim) matrix in row blocks; ``oporp_sketch`` and ``vsrp_sketch`` are
 its N = 1 case, so a row sketched in a batch is bit-identical to the same
 vector sketched alone. Inputs holding inf or NaN are rejected.
+
+The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
+shared by the plan and the Monte-Carlo sweep. It runs on one reused block
+buffer of about ``_BLOCK_ELEMENTS`` entries; every row is reduced on its
+own, so the block size decides only where temporaries live and never
+changes a result.
 
 Sketch file layout (little-endian, 64-byte header):
 
@@ -73,8 +79,9 @@ _PROJ = 1
 _BINS = 2
 _VSRP = 3
 
-# Target elements per chunk array; fixed so results never depend on memory.
-_CHUNK_ELEMENTS = 4_000_000
+# Target float64 entries per block buffer of the bin-sum kernel. Blocks
+# decide only where temporaries live: no result depends on this size.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 class Binning(enum.Enum):
@@ -92,6 +99,13 @@ class SketchMismatchError(ValueError):
 
 class SketchFileError(ValueError):
     """A sketch file is truncated, has a bad magic, or an unknown layout."""
+
+
+def _padded_dim(dim: int, k: int, binning: Binning) -> int:
+    """dim rounded up to a multiple of k for fixed bins; dim for variable bins."""
+    if binning is Binning.FIXED:
+        return k * math.ceil(dim / k)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -121,9 +135,7 @@ class SketchConfig:
     @property
     def padded_dim(self) -> int:
         """Working dimension: dim rounded up to a multiple of k for fixed bins."""
-        if self.binning is Binning.FIXED:
-            return self.k * math.ceil(self.dim / self.k)
-        return self.dim
+        return _padded_dim(self.dim, self.k, self.binning)
 
     @property
     def block_length(self) -> int:
@@ -280,28 +292,61 @@ class SketchPlan:
             # another order and differ from the one-vector sketch in the last bits.
             return np.matmul(M[:, None, :], self._projection)[:, 0, :]
         config = self.config
-        k, m, Dp = config.k, config.m, config.padded_dim
+        k, m, dim, Dp = config.k, config.m, config.dim, config.padded_dim
         fixed = config.binning is Binning.FIXED
-        out = np.empty((M.shape[0], m * k))
-        chunk = max(1, _CHUNK_ELEMENTS // Dp)
-        for start in range(0, M.shape[0], chunk):
-            W = M[start : start + chunk]
+        N = M.shape[0]
+        out = np.empty((N, m * k))
+        rows = _block_rows(Dp, N)
+        buf = np.empty((rows, Dp))
+        # Rows zero-padded to Dp, one block at a time, for the permutation to gather from.
+        padded = np.zeros((rows, Dp)) if Dp != dim else None
+        for start in range(0, N, rows):
+            W = M[start : start + rows]
             c = W.shape[0]
-            if Dp != config.dim:
-                W = np.concatenate([W, np.zeros((c, Dp - config.dim))], axis=1)
-            if not fixed:
-                offsets = k * np.arange(c)[:, None]
+            if padded is not None:
+                padded[:c, :dim] = W
+                W = padded[:c]
             for t, (index, r) in enumerate(zip(self._indices, self._multipliers)):
-                if fixed:
-                    G = np.take(W, index, axis=1)
-                    G *= r
-                    # (c*k, L) rows, not (c, k, L): the 3-d sum reduces in another order.
-                    x = G.reshape(c * k, config.block_length).sum(axis=1)
-                else:
-                    flat = (index + offsets).ravel()
-                    x = np.bincount(flat, weights=(W * r).ravel(), minlength=c * k)
-                out[start : start + c, t * k : (t + 1) * k] = x.reshape(c, k)
+                out[start : start + c, t * k : (t + 1) * k] = _bin_sums(
+                    buf[:c], W, r, index, k, fixed
+                )
         return out
+
+
+def _block_rows(width: int, rows: int) -> int:
+    """Rows per block of a (rows, width) pass: about _BLOCK_ELEMENTS entries, at least 1."""
+    return max(1, min(rows, _BLOCK_ELEMENTS // width))
+
+
+def _bin_sums(
+    buf: np.ndarray, src: np.ndarray, r: np.ndarray, index: np.ndarray, k: int, fixed: bool
+) -> np.ndarray:
+    """(rows, k) bin sums of one block: the gather x multiply -> bin sum kernel.
+
+    ``buf`` is the (rows, Dp) scratch the block's products are written to.
+    Fixed binning gathers ``src`` by the permutation ``index``, multiplies by
+    ``r`` and sums consecutive runs of Dp/k entries; variable binning
+    multiplies ``src`` by ``r`` and sums by the bin indices ``index``. Each
+    of src, r and index is one row shared by the block or one row per block
+    row. Every row is reduced on its own, so the block's row count never
+    changes a result.
+    """
+    rows, Dp = buf.shape
+    if fixed:
+        # Every index is in range; "wrap" writes straight to buf, where the
+        # default mode would gather through a temporary.
+        np.take(src, index, axis=-1, out=buf, mode="wrap")
+        buf *= r
+        # (rows*k, L) rows, not (rows, k, L): each bin is one 1-d reduction,
+        # as in the one-vector sketch.
+        sums = buf.reshape(rows * k, Dp // k).sum(axis=1)
+    else:
+        np.multiply(src, r, out=buf)
+        if rows > 1:
+            # Row i's bins move to [i*k, (i+1)*k), so one bincount sums the block.
+            index = index + k * np.arange(rows)[:, None]
+        sums = np.bincount(index.ravel(), weights=buf.ravel(), minlength=rows * k)
+    return sums.reshape(rows, k)
 
 
 def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:
@@ -402,7 +447,11 @@ def _unpack_header(buf: bytes) -> tuple[SketchConfig, int, str, float | None]:
             dim=int(dim),
             k=int(k),
             binning=_BINNINGS[binning],
-            dist=ProjectionDistribution(kind, float(sparsity) if kind is ProjectionKind.SPARSE else _DEFAULT_SPARSITY[kind]),
+            dist=(
+                ProjectionDistribution(kind, float(sparsity))
+                if kind is ProjectionKind.SPARSE
+                else ProjectionDistribution(kind)
+            ),
             m=int(m),
             seed=int(seed),
         )
@@ -412,13 +461,6 @@ def _unpack_header(buf: bytes) -> tuple[SketchConfig, int, str, float | None]:
     if has_norm and not math.isfinite(norm):
         raise SketchFileError(f"stored norm {norm} is not finite")
     return config, payload, flavor_name, (float(norm) if has_norm else None)
-
-
-_DEFAULT_SPARSITY = {
-    ProjectionKind.RADEMACHER: 1.0,
-    ProjectionKind.GAUSSIAN: 1.0,
-    ProjectionKind.SCALED_UNIFORM: 1.0,
-}
 
 
 def save_sketch(path: str, sk: Sketch) -> None:

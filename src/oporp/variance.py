@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sketch import Binning, ZeroNormError
+from .sketch import Binning, ZeroNormError, _padded_dim
 
 
 class DegeneratePairError(ValueError):
@@ -115,12 +115,6 @@ def lemma1_moments(D: int, k: int, scheme: Binning) -> Lemma1Moments:
     if scheme is Binning.VARIABLE:
         return Lemma1Moments(1.0 / k, 1.0 / (k * k), 1.0 / (k * k))
     raise ValueError(f"unknown binning scheme: {scheme!r}")
-
-
-def _padded_dim(D: int, k: int, scheme: Binning) -> int:
-    if scheme is Binning.FIXED:
-        return k * math.ceil(D / k)
-    return D
 
 
 def _coupling(stats: PairStatistics, k: int, scheme: Binning) -> float:

@@ -296,9 +296,55 @@ def test_dp_sign_mechanisms(tmp_path, capsys, bounded_matrix_file):
         "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", "rr-smooth",
         "--epsilon", "1.0", "--beta", "0.25", "--noise-seed", "2", "--out", smooth_path,
     ])
-    assert out.splitlines()[0].startswith("mean_flip_prob ")
+    name, value = out.splitlines()[0].split()
+    assert name == "max_flip_prob"
+    assert float(value) == pytest.approx(1.0 / (math.e + 1.0), rel=1e-15)
     bits, _ = load_sign_sketch(smooth_path)
     assert bits.shape == (16,)
+
+
+@pytest.mark.parametrize("mechanism", ["rr", "rr-smooth"])
+def test_dp_sign_stdout_does_not_depend_on_the_data(tmp_path, capsys, mechanism):
+    # k = D: one coordinate per bin, so row 1's zero entry is an exactly empty bin
+    M = np.random.default_rng(5).uniform(0.1, 1.0, (2, 32))
+    M[1, 7] = 0.0
+    path = tmp_path / "two.csv"
+    np.savetxt(path, M, delimiter=",")
+    outs = [
+        run_ok(capsys, [
+            "dp", "--input", str(path), "--row", str(row), "--k", "32",
+            "--mechanism", mechanism, "--epsilon", "1.5", "--beta", "0.3",
+            "--out", str(tmp_path / "o.sk"),
+        ])
+        for row in (0, 1)
+    ]
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("epsilon", ["710", "1000", "1e6"])
+def test_dp_beyond_exp_range(tmp_path, capsys, bounded_matrix_file, epsilon):
+    # e^epsilon overflows a float here, which used to end in an OverflowError traceback
+    for mechanism, extra in (("gaussian", ["--delta", "1e-6"]), ("rr", []), ("rr-smooth", [])):
+        out_path = tmp_path / f"{mechanism}.sk"
+        out = run_ok(capsys, [
+            "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", mechanism,
+            "--epsilon", epsilon, *extra, "--out", str(out_path),
+        ])
+        value = float(out.splitlines()[0].split()[1])
+        assert 0.0 < value < 0.05 if mechanism == "gaussian" else 0.0 <= value < 1e-300
+        assert out_path.exists()
+
+
+def test_dp_refuses_a_noise_scale_outside_float_range(tmp_path, capsys, bounded_matrix_file):
+    out_path = tmp_path / "o.sk"
+    code = run([
+        "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", "gaussian",
+        "--epsilon", "1.7e308", "--delta", "1e-6", "--out", str(out_path),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4
+    assert len(err) == 1 and err[0].startswith("error: invalid:")
+    assert not out_path.exists()
 
 
 def test_dp_rejects_out_of_domain_data(tmp_path):

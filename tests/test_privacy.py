@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
+from oporp import privacy
 from oporp.privacy import (
     NoisySketch,
     PrivacySpec,
@@ -26,6 +27,7 @@ from oporp.privacy import (
     dp_oporp,
     dp_sign_oporp_rr,
     dp_sign_oporp_rr_smooth,
+    flip_probability,
     sign_similarity,
     solve_gaussian_sigma,
     std_normal_cdf,
@@ -128,6 +130,47 @@ def test_sigma_matches_scipy_bisection():
                 want = _reference_sigma(delta2, eps, delta)
                 got = solve_gaussian_sigma(delta2, eps, delta)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), (delta2, eps, delta)
+
+
+def _reference_sigma_log(delta2, eps, delta):
+    """As _reference_sigma, with e^eps * Phi(b) formed as exp(eps + log Phi(b)) on scipy."""
+
+    def gap(sigma):
+        a = delta2 / (2.0 * sigma) - eps * sigma / delta2
+        b = -delta2 / (2.0 * sigma) - eps * sigma / delta2
+        return ndtr(a) - math.exp(min(eps + log_ndtr(b), 709.0))
+
+    lo = hi = delta2
+    while gap(lo) <= delta:
+        lo /= 2.0
+    while gap(hi) >= delta:
+        hi *= 2.0
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) > delta else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("eps", (710.0, 1000.0, 1e6))
+def test_sigma_beyond_exp_range_matches_scipy_log_bisection(eps):
+    # e^eps overflows a float here, which used to raise OverflowError
+    for delta2, delta in ((1.0, 1e-6), (0.25, 1e-10), (4.0, 0.2)):
+        want = _reference_sigma_log(delta2, eps, delta)
+        assert solve_gaussian_sigma(delta2, eps, delta) == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", (100.0, 300.0, 700.0))
+def test_sigma_tail_form_agrees_with_direct_form(monkeypatch, eps):
+    # below the overflow limit the solver keeps the direct e^eps * Phi(b);
+    # the tail form used above it must give the same sigma there
+    direct = solve_gaussian_sigma(1.0, eps, 1e-6)
+    monkeypatch.setattr(privacy, "_EXP_LIMIT", 0.0)
+    assert solve_gaussian_sigma(1.0, eps, 1e-6) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_sigma_outside_float_range_is_refused():
+    with pytest.raises(ValueError, match="float"):
+        solve_gaussian_sigma(1.0, 1.7e308, 1e-6)
 
 
 def test_sigma_never_exceeds_classical_recipe():
@@ -252,6 +295,28 @@ def test_private_release_domain_enforcement():
 
 
 # --- randomized response ------------------------------------------------------------
+
+
+def test_flip_probability_is_overflow_free():
+    eps = np.array([1e-3, 0.5, 1.0, math.log(3.0), 5.0, 30.0, 300.0, 700.0])
+    assert np.allclose(flip_probability(eps), 1.0 / (np.exp(eps) + 1.0), rtol=1e-15, atol=0.0)
+    assert flip_probability(math.log(3.0)) == 0.25
+    assert 0.0 < flip_probability(710.0) < 1e-300
+    assert flip_probability(1e6) == 0.0
+    assert flip_probability(np.inf) == 0.0
+
+
+@pytest.mark.parametrize("eps", (710.0, 1000.0, 1e6))
+def test_rr_beyond_exp_range_releases_the_signs(eps):
+    u = np.random.default_rng(8).uniform(0.1, 1.0, 64)
+    config = private_config(64, 64, seed=6)
+    clean = np.where(oporp_sketch(u, config).values < 0, -1, 1)
+    for released in (
+        dp_sign_oporp_rr(u, config, eps, noise_seed=1),
+        dp_sign_oporp_rr_smooth(u, config, eps, 0.5, noise_seed=1),
+    ):
+        assert np.all(released.flip_probs < 1e-300)
+        assert np.array_equal(released.bits, clean)
 
 
 def test_rr_flip_rate_at_ln3():

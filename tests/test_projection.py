@@ -16,6 +16,7 @@ from oporp.projection import (
     ProjectionKind,
     check_seed,
     derive_seed,
+    draw_multipliers,
     fourth_moment,
     gaussian,
     generate_permutation,
@@ -129,6 +130,18 @@ def test_multiplier_moments(dist):
 def test_rademacher_support():
     r = generate_projection_vector(10_000, rademacher(), 3)
     assert set(np.unique(r)) == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("shape", [1, 7, 1001, (3, 5), (9, 3, 7)])
+def test_rademacher_draw_keeps_the_int64_stream(shape):
+    # the draw is made as int32; values and the stream position after it
+    # must equal those of the plain int64 draw 2*integers(0, 2) - 1
+    a, b = generator(77), generator(77)
+    got = draw_multipliers(a, shape, rademacher())
+    want = 2 * b.integers(0, 2, size=shape) - 1
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert a.random() == b.random()
 
 
 def test_sparse_support_and_zero_fraction():

@@ -239,8 +239,8 @@ PLAN_DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
     ids=["fixed", "fixed-padded", "variable"],
 )
 def test_plan_is_bit_identical_to_per_row_sketches(monkeypatch, dim, k, binning, m, dist):
-    # 30 elements per chunk: one row per chunk, so 7 rows span 7 chunks
-    monkeypatch.setattr(oporp.sketch, "_CHUNK_ELEMENTS", 30)
+    # 30 elements per block: one row per block, so 7 rows span 7 blocks
+    monkeypatch.setattr(oporp.sketch, "_BLOCK_ELEMENTS", 30)
     M = np.random.default_rng(15).standard_normal((7, dim))
     config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=41)
     rows = [oporp_sketch(u, config) for u in M]
