@@ -20,11 +20,11 @@ over blocks of whole samples; blocks never change a result, while
 ``_CHUNK_ELEMENTS`` fixes the draws and so the rows.
 
 The retrieval and classification harnesses sketch through one
-:class:`~oporp.sketch.SketchPlan` per config: base and query rows share one
+:class:`~oporp.sketch.SketchPlan` per config, the cached one that
+``oporp_sketch`` and ``vsrp_sketch`` use: base and query rows share one
 draw of the permutations and projections (as the paper's scheme requires),
-drawn once per ``similarity_matrix`` call rather than once per row, and
-each row's sketch is bit-identical to ``oporp_sketch`` or ``vsrp_sketch``
-of that row.
+drawn once per config rather than once per row, and each row's sketch is
+bit-identical to ``oporp_sketch`` or ``vsrp_sketch`` of that row.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .sketch import (
     _block_rows,
     _check_finite,
     _padded_dim,
+    _plan,
     row_norms,
     vsrp_config,
 )
@@ -67,6 +68,10 @@ _DATA = 2
 
 # Target entries per sweep chunk of draws; fixed, because the rows depend on it.
 _CHUNK_ELEMENTS = 4_000_000
+
+# Target int64 entries per block of the sweep's permutation shuffle; no
+# result depends on it.
+_SHUFFLE_ELEMENTS = 1 << 16
 
 _OPORP_ESTIMATORS = ("inner", "distance", "cosine", "normalized_inner", "mle_inner")
 _VSRP_ESTIMATORS = ("vsrp_inner", "vsrp_cosine")
@@ -145,6 +150,25 @@ def distribution_for_moment(s: float) -> ProjectionDistribution:
     return sparse(s)
 
 
+def _permutation_rows(rng: np.random.Generator, c: int, Dp: int) -> np.ndarray:
+    """(c, Dp) int32 rows, each a permutation of range(Dp), drawn in row order.
+
+    numpy shuffles 8-byte items on a fast path, so blocks of rows are
+    shuffled as int64 and stored as int32: the same draws, and the same
+    stream position after, as shuffling one int32 tile along its rows.
+    """
+    index = np.empty((c, Dp), dtype=np.int32)
+    step = max(1, min(c, _SHUFFLE_ELEMENTS // Dp))
+    shuffle = np.empty((step, Dp), dtype=np.int64)
+    identity = np.arange(Dp)
+    for lo in range(0, c, step):
+        perms = shuffle[: min(step, c - lo)]
+        perms[:] = identity
+        rng.permuted(perms, axis=1, out=perms)
+        index[lo : lo + perms.shape[0]] = perms
+    return index
+
+
 def _oporp_chunk(
     u_pad: np.ndarray,
     v_pad: np.ndarray,
@@ -163,8 +187,7 @@ def _oporp_chunk(
     Dp = u_pad.shape[0]
     fixed = scheme is Binning.FIXED
     if fixed:
-        index = np.tile(np.arange(Dp, dtype=np.int32), (c, 1))
-        rng.permuted(index, axis=1, out=index)
+        index = _permutation_rows(rng, c, Dp)
     else:
         index = rng.integers(0, k, size=(c, Dp), dtype=np.int32)
     R = draw_multipliers(rng, (c, Dp), dist)
@@ -428,7 +451,7 @@ def _vsrp_plan(config: SketchConfig) -> SketchPlan:
     if config.dist.kind not in (ProjectionKind.SPARSE, ProjectionKind.RADEMACHER):
         raise ValueError("vsrp estimators need a sparse or Rademacher distribution")
     samples = config.k * config.m
-    return SketchPlan(vsrp_config(config.dim, samples, config.dist.sparsity, config.seed), "vsrp")
+    return _plan(vsrp_config(config.dim, samples, config.dist.sparsity, config.seed), "vsrp")
 
 
 def _block_normalize(values: np.ndarray, m: int, k: int, what: str) -> np.ndarray:
@@ -469,7 +492,7 @@ def similarity_matrix(
         return _unit_rows(VQ, "query sketch") @ _unit_rows(VB, "base sketch").T
     if name not in ("inner", "distance", "cosine", "normalized_inner"):
         raise ValueError(f"estimator {name!r} is not supported for retrieval")
-    plan = SketchPlan(config)
+    plan = _plan(config, "oporp")
     SB, SQ = plan.apply(base), plan.apply(queries)
     m, k = config.m, config.k
     if name == "inner":

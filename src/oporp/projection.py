@@ -85,11 +85,6 @@ def sparse(s: float) -> ProjectionDistribution:
     return ProjectionDistribution(ProjectionKind.SPARSE, float(s))
 
 
-def fourth_moment(dist: ProjectionDistribution) -> float:
-    """E(r^4) of the given distribution."""
-    return dist.fourth_moment
-
-
 def check_seed(seed: int) -> int:
     """Validate a 64-bit unsigned seed and return it as a plain int."""
     seed = int(seed)

@@ -25,6 +25,16 @@ an (N, dim) matrix in row blocks; ``oporp_sketch`` and ``vsrp_sketch`` are
 its N = 1 case, so a row sketched in a batch is bit-identical to the same
 vector sketched alone. Inputs holding inf or NaN are rejected.
 
+The draws are a pure function of the frozen config and the flavor, so the
+package keeps the plans of the last ``_PLAN_CACHE_SIZE`` = 2 (config, flavor)
+pairs it used (:func:`_plan`, an LRU cache): ``oporp_sketch``,
+``vsrp_sketch``, the DP releases and ``similarity_matrix`` all go through
+it, and sketching many vectors one call at a time draws each config once.
+A kept plan holds m*padded_dim permutation or bin indices and as many
+multipliers (16 bytes per entry), or the dim x m VSRP matrix (8 bytes per
+entry). Every plan's arrays are read-only, whether cached or built
+directly, so a shared draw cannot be changed by a caller.
+
 The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
 shared by the plan and the Monte-Carlo sweep. It runs on one reused block
 buffer of about ``_BLOCK_ELEMENTS`` entries; every row is reduced on its
@@ -55,6 +65,7 @@ Sketch file layout (little-endian, 64-byte header):
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -78,6 +89,10 @@ _PERM = 0
 _PROJ = 1
 _BINS = 2
 _VSRP = 3
+
+# Plans kept by _plan. Two, because loops that sketch pairs under one OPORP
+# and one VSRP config (and retrieval_eval over both kinds) alternate them.
+_PLAN_CACHE_SIZE = 2
 
 # Target float64 entries per block buffer of the bin-sum kernel. Blocks
 # decide only where temporaries live: no result depends on this size.
@@ -251,7 +266,10 @@ class SketchPlan:
     dim x m sparse projection matrix. Every draw comes from the same
     ``(seed, repetition, purpose)`` stream the single-vector functions use,
     so all rows sketched under one config share one draw of the randomness
-    and ``plan.apply(M)[i]`` equals the sketch of ``M[i]`` bit for bit.
+    and ``plan.apply(M)[i]`` equals the sketch of ``M[i]`` bit for bit. The
+    drawn arrays are read-only. A plan constructed directly is not cached;
+    ``oporp_sketch``, ``vsrp_sketch`` and ``similarity_matrix`` share the
+    cached plans of :func:`_plan`.
     """
 
     def __init__(self, config: SketchConfig, flavor: str = "oporp") -> None:
@@ -262,20 +280,23 @@ class SketchPlan:
             if shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):
                 raise ValueError("a vsrp plan needs the config made by vsrp_config")
             rng = generator(derive_seed(config.seed, _VSRP))
-            self._projection = draw_multipliers(rng, (config.dim, config.m), config.dist)
+            self._projection = _read_only(
+                draw_multipliers(rng, (config.dim, config.m), config.dist)
+            )
             return
         if flavor != "oporp":
             raise ValueError(f"unknown sketch flavor {flavor!r}")
         Dp = config.padded_dim
         reps = range(config.m)
-        self._multipliers = [
-            generate_projection_vector(Dp, config.dist, _rep_seed(config, t, _PROJ))
+        self._multipliers = tuple(
+            _read_only(generate_projection_vector(Dp, config.dist, _rep_seed(config, t, _PROJ)))
             for t in reps
-        ]
+        )
         if config.binning is Binning.FIXED:
-            self._indices = [generate_permutation(Dp, _rep_seed(config, t, _PERM)) for t in reps]
+            indices = (generate_permutation(Dp, _rep_seed(config, t, _PERM)) for t in reps)
         else:
-            self._indices = [bin_assignment(config, t) for t in reps]
+            indices = (bin_assignment(config, t) for t in reps)
+        self._indices = tuple(_read_only(index) for index in indices)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """(N, k*m) sketch values of the rows of an (N, dim) matrix, each repetition-major."""
@@ -311,6 +332,28 @@ class SketchPlan:
                     buf[:c], W, r, index, k, fixed
                 )
         return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(config: SketchConfig, flavor: str) -> SketchPlan:
+    """The plan of (config, flavor), shared with every other call that asks for it.
+
+    A hit returns the arrays a miss would draw: the draws are a pure function
+    of the key. Always pass ``flavor`` positionally, so one pair has one key.
+    """
+    return SketchPlan(config, flavor)
+
+
+def _cached_sketch(u: np.ndarray, config: SketchConfig, flavor: str) -> Sketch:
+    sk = _plan(config, flavor).sketch(u)
+    # Equal configs can differ in field types (16 and 16.0); keep the caller's.
+    sk.config = config
+    return sk
 
 
 def _block_rows(width: int, rows: int) -> int:
@@ -352,12 +395,14 @@ def _bin_sums(
 def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:
     """Sketch ``u`` under ``config``; same config means shared randomness.
 
-    Two vectors sketched under an identical config see the same
-    permutations, projections, and bin draws, which is what makes the
-    estimators in :mod:`oporp.estimate` work. To sketch many vectors,
-    build one :class:`SketchPlan` and reuse it.
+    Two vectors sketched under an equal config see the same permutations,
+    projections, and bin draws, which is what makes the estimators in
+    :mod:`oporp.estimate` work. The draws are kept for the last two configs
+    used (see the module docstring), so sketching vectors one call at a time
+    under one config draws them once. To sketch a whole matrix, apply a
+    :class:`SketchPlan` to it: one call sketches every row.
     """
-    return SketchPlan(config).sketch(u)
+    return _cached_sketch(u, config, "oporp")
 
 
 def vsrp_sketch(u: np.ndarray, D: int, k: int, s: float, seed: int) -> Sketch:
@@ -367,7 +412,7 @@ def vsrp_sketch(u: np.ndarray, D: int, k: int, s: float, seed: int) -> Sketch:
     estimators agree with the pooled VSRP ones, but computed by its own
     direct matrix path on an independent stream.
     """
-    return SketchPlan(vsrp_config(D, k, s, seed), "vsrp").sketch(u)
+    return _cached_sketch(u, vsrp_config(D, k, s, seed), "vsrp")
 
 
 def normalize_sketch(sk: Sketch) -> Sketch:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from oporp.estimate import inner_product_hat
+import oporp.experiment
 from oporp.experiment import (
     ConvergenceError,
+    _permutation_rows,
     _vsrp_chunk,
     PRPoint,
     area_under_pr,
@@ -182,6 +184,19 @@ def test_sweep_validation():
         mse_sweep(u, v, [32], 1.0, Binning.FIXED, ["inner"], 500, 0)  # k > D
     with pytest.raises(ValueError):
         mse_sweep(u, v, [4], 1.0, Binning.FIXED, [], 500, 0)
+
+
+@pytest.mark.parametrize("Dp, c", [(1, 3), (3, 5), (16, 300), (1000, 37), (70_000, 2)])
+@pytest.mark.parametrize("block", (1 << 16, 50))
+def test_permutation_rows_match_one_shuffled_int32_tile(monkeypatch, Dp, c, block):
+    # a 50-entry block holds at most one row: every row is its own block
+    monkeypatch.setattr(oporp.experiment, "_SHUFFLE_ELEMENTS", block)
+    rng, ref_rng = generator(5), generator(5)
+    rows = _permutation_rows(rng, c, Dp)
+    ref = np.tile(np.arange(Dp, dtype=np.int32), (c, 1))
+    ref_rng.permuted(ref, axis=1, out=ref)
+    assert rows.dtype == np.int32 and np.array_equal(rows, ref)
+    assert rng.random() == ref_rng.random()
 
 
 # --- similarity matrices ----------------------------------------------------------

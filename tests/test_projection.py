@@ -17,7 +17,6 @@ from oporp.projection import (
     check_seed,
     derive_seed,
     draw_multipliers,
-    fourth_moment,
     gaussian,
     generate_permutation,
     generate_projection_vector,
@@ -33,7 +32,7 @@ def test_fourth_moments_exact():
     assert gaussian().fourth_moment == 3.0
     assert scaled_uniform().fourth_moment == 9.0 / 5.0
     assert sparse(7.0).fourth_moment == 7.0
-    assert fourth_moment(sparse(2.5)) == 2.5
+    assert sparse(2.5).fourth_moment == 2.5
 
 
 def test_sparse_parameter_below_one_rejected():

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import oporp.sketch
+from oporp import cli
+from oporp.experiment import similarity_matrix
+from oporp.privacy import PrivacySpec, dp_oporp, dp_sign_oporp_rr, dp_sign_oporp_rr_smooth
 from oporp.projection import (
+    ProjectionDistribution,
+    ProjectionKind,
     derive_seed,
     gaussian,
     generate_permutation,
@@ -31,6 +36,7 @@ from oporp.sketch import (
     SketchMismatchError,
     SketchPlan,
     ZeroNormError,
+    _plan,
     bin_assignment,
     bins_from_permutation,
     check_compatible,
@@ -274,6 +280,120 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         SketchPlan(cfg()).apply(np.zeros(16))
     assert SketchPlan(cfg(m=2)).apply(np.zeros((0, 16))).shape == (0, 8)
+
+
+# --- the plan cache -------------------------------------------------------------
+
+
+def plan_arrays(plan):
+    if plan.flavor == "vsrp":
+        return [plan._projection]
+    return [*plan._indices, *plan._multipliers]
+
+
+CACHE_CASES = [
+    (cfg(), "oporp"),
+    (cfg(dim=23, k=6, binning=Binning.VARIABLE, dist=gaussian(), m=3, seed=4), "oporp"),
+    (vsrp_config(16, 8, 3.0, 2), "vsrp"),
+]
+
+
+def sketch_through_cache(u, config, flavor):
+    if flavor == "vsrp":
+        return vsrp_sketch(u, config.dim, config.m, config.dist.sparsity, config.seed)
+    return oporp_sketch(u, config)
+
+
+@pytest.mark.parametrize("config, flavor", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
+def test_warm_cache_sketch_equals_cold_one(config, flavor):
+    u = np.random.default_rng(21).standard_normal(config.dim)
+    _plan.cache_clear()
+    cold = sketch_through_cache(u, config, flavor)
+    warm = sketch_through_cache(u, config, flavor)
+    assert _plan.cache_info()[:2] == (1, 1)
+    assert np.array_equal(cold.values, warm.values)
+    assert np.array_equal(warm.values, SketchPlan(config, flavor).sketch(u).values)
+
+
+def test_equal_configs_hit_and_others_miss():
+    u = np.random.default_rng(22).standard_normal(16)
+    _plan.cache_clear()
+    a = oporp_sketch(u, cfg(dist=sparse(3)))
+    b = oporp_sketch(u, cfg(dist=ProjectionDistribution(ProjectionKind.SPARSE, 3)))
+    assert _plan.cache_info()[:2] == (1, 1)
+    assert np.array_equal(a.values, b.values)
+    oporp_sketch(u, cfg(dist=sparse(3.0), seed=1))
+    assert _plan.cache_info()[:2] == (1, 2)
+    # the same config as another flavor is another plan
+    config = vsrp_config(16, 4, 3.0, 0)
+    assert _plan(config, "oporp") is not _plan(config, "vsrp")
+    assert _plan.cache_info()[:2] == (1, 4)
+
+
+def test_sketch_keeps_the_callers_config():
+    u = np.random.default_rng(23).standard_normal(16)
+    _plan.cache_clear()
+    oporp_sketch(u, cfg(dim=16.0))
+    config = cfg()
+    sk = oporp_sketch(u, config)
+    assert _plan.cache_info().hits == 1 and sk.config is config
+
+
+def test_cache_never_exceeds_its_size():
+    assert _plan.cache_info().maxsize == oporp.sketch._PLAN_CACHE_SIZE == 2
+    u = np.ones(16)
+    for seed in range(5):
+        oporp_sketch(u, cfg(seed=seed))
+        vsrp_sketch(u, 16, 4, 1.0, seed)
+        assert _plan.cache_info().currsize <= 2
+
+
+@pytest.mark.parametrize("config, flavor", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
+def test_plan_arrays_are_read_only(config, flavor):
+    for plan in (_plan(config, flavor), SketchPlan(config, flavor)):
+        for array in plan_arrays(plan):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+def test_sketches_from_one_cached_plan_do_not_alias():
+    u = np.random.default_rng(24).standard_normal(16)
+    _plan.cache_clear()
+    a = oporp_sketch(u, cfg(m=2))
+    b = oporp_sketch(u, cfg(m=2))
+    assert not np.shares_memory(a.values, b.values)
+    a.values[:] = 0.0
+    assert np.array_equal(b.values, SketchPlan(cfg(m=2)).sketch(u).values)
+    assert np.array_equal(oporp_sketch(u, cfg(m=2)).values, b.values)
+
+
+def test_every_entry_point_shares_the_cached_plan():
+    u = np.random.default_rng(25).uniform(-1.0, 1.0, 16)
+    config = cfg()
+    _plan.cache_clear()
+    oporp_sketch(u, config)
+    dp_oporp(u, config, PrivacySpec(1.0, 1e-6, 1.0))
+    dp_sign_oporp_rr(u, config, 1.0)
+    dp_sign_oporp_rr_smooth(u, config, 1.0, 0.5)
+    similarity_matrix(u[None, :], u[None, :], config, "cosine")
+    assert _plan.cache_info()[:2] == (4, 1)
+
+
+def test_default_dp_noise_is_fresh_on_a_cached_plan(tmp_path, capsys):
+    path = tmp_path / "bounded.csv"
+    np.savetxt(path, np.random.default_rng(26).uniform(-1.0, 1.0, (2, 64)), delimiter=",")
+    _plan.cache_clear()
+    releases = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.sk"
+        assert cli.run([
+            "dp", "--input", str(path), "--k", "16", "--mechanism", "gaussian",
+            "--epsilon", "1.0", "--delta", "1e-6", "--out", str(out),
+        ]) == 0
+        releases.append(out.read_bytes())
+    capsys.readouterr()
+    assert _plan.cache_info()[:2] == (1, 1)
+    assert releases[0] != releases[1]
 
 
 def test_vsrp_matches_manual_matrix():
