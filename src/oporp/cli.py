@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import stat
 import struct
@@ -33,16 +32,7 @@ import sys
 
 import numpy as np
 
-from .estimate import (
-    EstimationError,
-    cosine_hat,
-    distance_hat,
-    inner_product_hat,
-    mle_inner_product,
-    normalized_inner_product,
-    vsrp_cosine_hat,
-    vsrp_inner_product_hat,
-)
+from .estimate import _REGISTRY, EstimationError, Estimator, _estimate
 from .experiment import (
     ConvergenceError,
     area_under_pr,
@@ -77,16 +67,7 @@ from .sketch import (
     save_sketch,
     vsrp_sketch,
 )
-from .variance import (
-    VarianceReport,
-    pair_statistics,
-    var_cosine,
-    var_cosine_vsrp,
-    var_distance,
-    var_inner,
-    var_inner_vsrp,
-    var_normalized_inner,
-)
+from .variance import VarianceReport, pair_statistics
 
 _MATRIX_MAGIC = b"OPMX"
 
@@ -241,25 +222,11 @@ def _cmd_estimate(args) -> int:
             )
         return sk.stored_norm**2
 
-    name = args.estimator
-    if name == "inner":
-        value = inner_product_hat(x, y)
-    elif name == "distance":
-        value = distance_hat(x, y)
-    elif name == "cosine":
-        value = cosine_hat(x, y)
-    elif name == "normalized_inner":
-        rho = vsrp_cosine_hat(x, y) if x.flavor == "vsrp" else cosine_hat(x, y)
-        value = normalized_inner_product(
-            rho, math.sqrt(sumsq(args.sumsq_u, x, "u")), math.sqrt(sumsq(args.sumsq_v, y, "v"))
-        )
-    elif name == "mle_inner":
-        value = mle_inner_product(x, y, sumsq(args.sumsq_u, x, "u"), sumsq(args.sumsq_v, y, "v"))
-    elif name == "vsrp_inner":
-        value = vsrp_inner_product_hat(x, y)
-    else:
-        value = vsrp_cosine_hat(x, y)
-    print(f"{name} {_fmt(value)}")
+    est = Estimator(args.estimator)
+    margins = (None, None)
+    if _REGISTRY[est].margins:
+        margins = (sumsq(args.sumsq_u, x, "u"), sumsq(args.sumsq_v, y, "v"))
+    print(f"{est.value} {_fmt(_estimate(est, x, y, *margins))}")
     return 0
 
 
@@ -296,42 +263,26 @@ def _add_pair_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair-seed", type=int, default=0, help="synthetic pair seed")
 
 
-_ORACLES = {
-    "inner": lambda st, k, s, sch, m: var_inner(st, k, s, sch, m),
-    "distance": lambda st, k, s, sch, m: var_distance(st, k, s, sch),
-    "cosine": lambda st, k, s, sch, m: var_cosine(st, k, s, sch),
-    "normalized_inner": lambda st, k, s, sch, m: var_normalized_inner(st, k, s, sch),
-    "vsrp_inner": lambda st, k, s, sch, m: var_inner_vsrp(st, k, s),
-    "vsrp_cosine": lambda st, k, s, sch, m: var_cosine_vsrp(st, k, s),
-}
-
-
 def _cmd_variance(args) -> int:
     u, v = _resolve_pair(args)
     stats = pair_statistics(u, v)
     k_list = _parse_int_list(args.k_list, "--k-list")
     s_list = _parse_float_list(args.s_list, "--s-list")
     schemes = [Binning(s.strip()) for s in args.scheme_list.split(",") if s.strip()]
-    estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    for name in estimators:
-        if name not in _ORACLES:
-            raise ValueError(f"no closed-form variance for estimator {name!r}")
-        if args.m > 1 and name != "inner":
-            raise ValueError("--m > 1 is only supported for the inner estimator")
+    estimators = [Estimator(e.strip()) for e in args.estimators.split(",") if e.strip()]
+    for est in estimators:
+        if _REGISTRY[est].oracle is None:
+            raise ValueError(f"no closed-form variance for estimator {est.value!r}")
     reports: list[VarianceReport] = []
-    for name in estimators:
-        if name.startswith("vsrp_"):
+    for est in estimators:
+        entry = _REGISTRY[est]
+        # VSRP oracles have no binning scheme.
+        for scheme in [None] if entry.family == "vsrp" else schemes:
             for k in k_list:
                 for s in s_list:
-                    value = _ORACLES[name](stats, k, s, None, 1)
-                    reports.append(VarianceReport(name, "", k, s, 1, value))
-        else:
-            for scheme in schemes:
-                for k in k_list:
-                    for s in s_list:
-                        value = _ORACLES[name](stats, k, s, scheme, args.m)
-                        m = args.m if name == "inner" else 1
-                        reports.append(VarianceReport(name, scheme.value, k, s, m, value))
+                    value = entry.oracle(stats, k, s, scheme, args.m)
+                    label = "" if scheme is None else scheme.value
+                    reports.append(VarianceReport(est.value, label, k, s, args.m, value))
     lines = ["estimator,scheme,k,s,m,value"]
     lines += [
         f"{r.estimator},{r.scheme},{r.k},{_fmt(r.s)},{r.m},{_fmt(r.value)}"
@@ -457,12 +408,6 @@ def _cmd_dp(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-_ESTIMATOR_CHOICES = [
-    "inner", "distance", "cosine", "normalized_inner", "mle_inner",
-    "vsrp_inner", "vsrp_cosine",
-]
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; parsing never changes it."""
@@ -471,6 +416,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Binned random-projection sketches, estimators, and variance oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    estimators = [est.value for est in Estimator]
+    default_pair = f"{Estimator.INNER.value},{Estimator.COSINE.value}"
 
     p = sub.add_parser("sketch", help="sketch one row of a matrix file")
     p.add_argument("--input", required=True, help="CSV or binary matrix, one vector per row")
@@ -483,7 +430,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate similarity from two sketch files")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--estimator", choices=_ESTIMATOR_CHOICES, required=True)
+    p.add_argument("--estimator", choices=estimators, required=True)
     p.add_argument("--sumsq-u", type=float, default=None, help="override sum u^2")
     p.add_argument("--sumsq-v", type=float, default=None, help="override sum v^2")
     p.set_defaults(func=_cmd_estimate)
@@ -493,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True, help="comma-separated bin counts")
     p.add_argument("--s-list", default="1", help="comma-separated fourth moments")
     p.add_argument("--scheme-list", default="fixed,variable")
-    p.add_argument("--estimators", default="inner,cosine")
+    p.add_argument("--estimators", default=default_pair)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_variance)
@@ -503,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True)
     p.add_argument("--s", type=float, default=1.0)
     p.add_argument("--scheme", choices=["fixed", "variable"], default="fixed")
-    p.add_argument("--estimators", default="inner,cosine")
+    p.add_argument("--estimators", default=default_pair)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -521,8 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-max", type=float, default=1.0, help="largest point norm")
     p.add_argument("--data-seed", type=int, default=0)
     _add_sketch_params(p)
-    p.add_argument("--estimator", default="cosine",
-                   choices=["exact"] + _ESTIMATOR_CHOICES)
+    p.add_argument("--estimator", default=Estimator.COSINE.value,
+                   choices=["exact"] + estimators)
     p.add_argument("--top-n", type=int, default=10)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_retrieval)
@@ -541,8 +488,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--norm-max", type=float, default=1.0, help="largest point norm")
     p.add_argument("--data-seed", type=int, default=0)
     _add_sketch_params(p)
-    p.add_argument("--estimator", default="cosine",
-                   choices=["exact"] + _ESTIMATOR_CHOICES)
+    p.add_argument("--estimator", default=Estimator.COSINE.value,
+                   choices=["exact"] + estimators)
     p.add_argument("--neighbors", type=int, default=5, help="K in the majority vote")
     p.set_defaults(func=_cmd_knn)
 

@@ -1,18 +1,33 @@
 """Similarity estimators computed from pairs of sketches.
 
+Every estimate is a function of per-repetition pair sums: with X and Y the
+repetition blocks of two sketches, sxy, sxx and syy are the sums of X*Y,
+X*X and Y*Y over each block and sdd the sum of (X - Y)^2
+(:func:`_pair_sums`). One private registry, ``_REGISTRY``, keyed by
+:class:`Estimator`, holds each estimator's plan family ("oporp" or "vsrp"),
+the :class:`~oporp.variance.PairStatistics` field it estimates, its
+variance oracle, its kernel from pair sums to per-repetition estimates and
+the matrix form ``similarity_matrix`` scores with. The public functions
+below, ``mse_sweep``, ``similarity_matrix`` and the CLI all read it, so
+adding an estimator means adding one entry.
+
 All estimators require the two sketches to share config and flavor (same
-randomness); repetition-aware estimators compute one value per repetition
-block and average over the m repetitions.
+randomness), and the flavor must be the estimator's family. OPORP
+estimators average their kernel over the m repetitions; VSRP estimators
+pool every sample of a VSRP sketch as one repetition.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .sketch import Sketch, ZeroNormError, check_compatible
+from . import variance as var
+from .sketch import Sketch, SketchMismatchError, ZeroNormError, check_compatible, row_norms
 
 
 class Estimator(enum.Enum):
@@ -31,46 +46,26 @@ class EstimationError(RuntimeError):
     """Numerical estimation failed (diagnostic; not expected on real data)."""
 
 
-def inner_product_hat(x: Sketch, y: Sketch) -> float:
-    """Unbiased inner-product estimate: per-repetition sum of products, averaged."""
-    check_compatible(x, y)
-    per_rep = np.einsum("ij,ij->i", x.reps, y.reps)
-    return float(per_rep.mean())
+class _PairSums(NamedTuple):
+    """Sums over the last axis of two sketch arrays, one per repetition."""
+
+    xy: np.ndarray
+    xx: np.ndarray
+    yy: np.ndarray
+    dd: np.ndarray
+    n: int
 
 
-def distance_hat(x: Sketch, y: Sketch) -> float:
-    """Unbiased squared-distance estimate from the sketch difference."""
-    check_compatible(x, y)
-    diff = x.reps - y.reps
-    return float(np.einsum("ij,ij->i", diff, diff).mean())
-
-
-def _rep_cosines(x: Sketch, y: Sketch) -> np.ndarray:
-    X, Y = x.reps, y.reps
-    dots = np.einsum("ij,ij->i", X, Y)
-    sxx = np.einsum("ij,ij->i", X, X)
-    syy = np.einsum("ij,ij->i", Y, Y)
-    denom = np.sqrt(sxx * syy)
-    if np.any(denom == 0.0):
-        raise ZeroNormError("cosine estimate undefined for a zero-norm repetition")
-    return np.clip(dots / denom, -1.0, 1.0)
-
-
-def cosine_hat(x: Sketch, y: Sketch) -> float:
-    """Cosine estimate: per-repetition normalized inner product, averaged.
-
-    Each repetition's value is a true cosine of two k-vectors, so the
-    result always lies in [-1, 1] and equals 1 exactly when x is y.
-    """
-    check_compatible(x, y)
-    return float(_rep_cosines(x, y).mean())
-
-
-def normalized_inner_product(rho_hat: float, norm_u: float, norm_v: float) -> float:
-    """Rescale a cosine estimate by the known (stored) data norms."""
-    if norm_u < 0.0 or norm_v < 0.0:
-        raise ValueError("norms must be nonnegative")
-    return float(rho_hat) * float(norm_u) * float(norm_v)
+def _pair_sums(X: np.ndarray, Y: np.ndarray) -> _PairSums:
+    """Pair sums of two (..., n) arrays: sxy, sxx, syy and the difference sum sdd."""
+    diff = X - Y
+    return _PairSums(
+        np.einsum("...i,...i->...", X, Y),
+        np.einsum("...i,...i->...", X, X),
+        np.einsum("...i,...i->...", Y, Y),
+        np.einsum("...i,...i->...", diff, diff),
+        X.shape[-1],
+    )
 
 
 def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
@@ -85,7 +80,7 @@ def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
     [-sqrt(E*F), +sqrt(E*F)] whenever sxy^2 <= sxx*syy (its values at the two
     endpoints have opposite signs); among feasible real roots we keep the one
     closest to the norm-rescaled cosine estimate. Raises EstimationError if
-    any element has no feasible root.
+    any element has no feasible root. Scalar inputs give a 0-d array.
     """
     sxy, sxx, syy, E, F = (np.asarray(z, dtype=np.float64) for z in (sxy, sxx, syy, E, F))
     bound = np.sqrt(E * F)
@@ -120,9 +115,158 @@ def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
     return best * bound
 
 
-def likelihood_root(sxy: float, sxx: float, syy: float, E: float, F: float) -> float:
-    """Scalar form of :func:`likelihood_roots`."""
-    return float(likelihood_roots(sxy, sxx, syy, E, F))
+# --- kernels: pair sums (and the squared norms E, F) -> per-repetition estimates
+
+
+def _cosines(s: _PairSums, E=None, F=None) -> np.ndarray:
+    denom = np.sqrt(s.xx * s.yy)
+    if np.any(denom == 0.0):
+        raise ZeroNormError("cosine estimate undefined for a zero-norm repetition")
+    return np.clip(s.xy / denom, -1.0, 1.0)
+
+
+def _normalized_inners(s: _PairSums, E: float, F: float) -> np.ndarray:
+    return _cosines(s) * (math.sqrt(E) * math.sqrt(F))
+
+
+def _mle_inners(s: _PairSums, E: float, F: float) -> np.ndarray:
+    return likelihood_roots(s.xy, s.xx, s.yy, E, F)
+
+
+# --- similarity matrices: (queries, base) sketch matrices -> scores ------------
+# Q and B hold m repetition blocks per row (a VSRP sketch is one block); the
+# raw rows are passed for the estimators that rescale by the data norms.
+
+
+def _block_normalize(values: np.ndarray, m: int, what: str) -> np.ndarray:
+    n = values.shape[0]
+    blocks = values.reshape(n, m, values.shape[1] // m)
+    norms = np.linalg.norm(blocks, axis=2)
+    if np.any(norms == 0.0):
+        raise ZeroNormError(f"a {what} sketch repetition has zero norm")
+    return (blocks / norms[:, :, None]).reshape(n, -1)
+
+
+def _distance_scores(Q, B, m, queries, base) -> np.ndarray:
+    sq = np.einsum("ij,ij->i", Q, Q)
+    sb = np.einsum("ij,ij->i", B, B)
+    return -(sq[:, None] + sb[None, :] - 2.0 * Q @ B.T) / m
+
+
+def _cosine_scores(Q, B, m, queries, base) -> np.ndarray:
+    return (_block_normalize(Q, m, "query") @ _block_normalize(B, m, "base").T) / m
+
+
+def _normalized_scores(Q, B, m, queries, base) -> np.ndarray:
+    cosines = _cosine_scores(Q, B, m, queries, base)
+    return cosines * (row_norms(queries)[:, None] * row_norms(base)[None, :])
+
+
+# --- variance oracles: (stats, k, s, scheme, m) -> variance of the m-average --
+
+
+def _one_rep(oracle):
+    """An oracle of one repetition, called like var_inner but only with m = 1."""
+
+    def variance(stats, k, s, scheme, m=1):
+        if m != 1:
+            raise ValueError("this estimator's variance oracle covers m = 1 only")
+        return oracle(stats, k, s, scheme)
+
+    return variance
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One estimator: its plan family, truth field, kernel, oracle and matrix form.
+
+    ``kernel(sums, E, F)`` maps pair sums to per-repetition estimates; E and
+    F are the squared data norms, read only when ``margins`` is set.
+    ``oracle`` is None where no closed form exists and ``scores`` is None
+    where ``similarity_matrix`` has no matrix form.
+    """
+
+    family: str
+    truth: str
+    kernel: Callable
+    oracle: Callable | None
+    scores: Callable | None
+    margins: bool = False
+
+
+_REGISTRY = {
+    Estimator.INNER: _Entry(
+        "oporp", "a", lambda s, E, F: s.xy, var.var_inner,
+        lambda Q, B, m, queries, base: (Q @ B.T) / m,
+    ),
+    Estimator.DISTANCE: _Entry(
+        "oporp", "d", lambda s, E, F: s.dd, _one_rep(var.var_distance), _distance_scores
+    ),
+    Estimator.COSINE: _Entry(
+        "oporp", "rho", _cosines, _one_rep(var.var_cosine), _cosine_scores
+    ),
+    Estimator.NORMALIZED_INNER: _Entry(
+        "oporp", "a", _normalized_inners, _one_rep(var.var_normalized_inner),
+        _normalized_scores, margins=True,
+    ),
+    Estimator.MLE_INNER: _Entry("oporp", "a", _mle_inners, None, None, margins=True),
+    Estimator.VSRP_INNER: _Entry(
+        "vsrp", "a", lambda s, E, F: s.xy / s.n,
+        _one_rep(lambda stats, k, s, scheme: var.var_inner_vsrp(stats, k, s)),
+        lambda Q, B, m, queries, base: (Q @ B.T) / B.shape[1],
+    ),
+    Estimator.VSRP_COSINE: _Entry(
+        "vsrp", "rho", _cosines,
+        _one_rep(lambda stats, k, s, scheme: var.var_cosine_vsrp(stats, k, s)),
+        _cosine_scores,
+    ),
+}
+
+
+def _estimate(
+    est: Estimator, x: Sketch, y: Sketch, sumsq_u: float | None = None,
+    sumsq_v: float | None = None,
+) -> float:
+    """One estimate from a sketch pair: check, take the pair sums, apply the kernel, average."""
+    entry = _REGISTRY[est]
+    check_compatible(x, y)
+    if x.flavor != entry.family:
+        # A cosine of one-sample repetitions is a sign, so a VSRP sketch read
+        # as an OPORP one would give a biased estimate.
+        raise SketchMismatchError(f"{est.value} needs {entry.family} sketches, got {x.flavor}")
+    if entry.family == "vsrp":
+        X, Y = x.values[None, :], y.values[None, :]
+    else:
+        X, Y = x.reps, y.reps
+    if entry.margins and not (0.0 < sumsq_u < math.inf and 0.0 < sumsq_v < math.inf):
+        raise ValueError("squared norms must be finite and positive")
+    return float(np.mean(entry.kernel(_pair_sums(X, Y), sumsq_u, sumsq_v)))
+
+
+def inner_product_hat(x: Sketch, y: Sketch) -> float:
+    """Unbiased inner-product estimate: per-repetition sum of products, averaged."""
+    return _estimate(Estimator.INNER, x, y)
+
+
+def distance_hat(x: Sketch, y: Sketch) -> float:
+    """Unbiased squared-distance estimate from the sketch difference."""
+    return _estimate(Estimator.DISTANCE, x, y)
+
+
+def cosine_hat(x: Sketch, y: Sketch) -> float:
+    """Cosine estimate: per-repetition normalized inner product, averaged.
+
+    Each repetition's value is a true cosine of two k-vectors, so the
+    result always lies in [-1, 1] and equals 1 exactly when x is y.
+    """
+    return _estimate(Estimator.COSINE, x, y)
+
+
+def normalized_inner_product(rho_hat: float, norm_u: float, norm_v: float) -> float:
+    """Rescale a cosine estimate by the known (stored) data norms."""
+    if norm_u < 0.0 or norm_v < 0.0:
+        raise ValueError("norms must be nonnegative")
+    return float(rho_hat) * float(norm_u) * float(norm_v)
 
 
 def mle_inner_product(x: Sketch, y: Sketch, sumsq_u: float, sumsq_v: float) -> float:
@@ -132,35 +276,14 @@ def mle_inner_product(x: Sketch, y: Sketch, sumsq_u: float, sumsq_v: float) -> f
     the exact margins E = sum u^2, F = sum v^2, then averages over
     repetitions.
     """
-    check_compatible(x, y)
-    if sumsq_u <= 0.0 or sumsq_v <= 0.0:
-        raise ValueError("squared norms must be positive")
-    X, Y = x.reps, y.reps
-    dots = np.einsum("ij,ij->i", X, Y)
-    sxx = np.einsum("ij,ij->i", X, X)
-    syy = np.einsum("ij,ij->i", Y, Y)
-    return float(np.mean(likelihood_roots(dots, sxx, syy, sumsq_u, sumsq_v)))
-
-
-def _check_vsrp(x: Sketch, y: Sketch) -> None:
-    check_compatible(x, y)
-    if x.flavor != "vsrp":
-        raise ValueError("vsrp estimators need sketches built by vsrp_sketch")
+    return _estimate(Estimator.MLE_INNER, x, y, sumsq_u, sumsq_v)
 
 
 def vsrp_inner_product_hat(x: Sketch, y: Sketch) -> float:
     """Inner-product estimate from sparse-projection samples: mean of products."""
-    _check_vsrp(x, y)
-    return float(np.dot(x.values, y.values) / x.values.shape[0])
+    return _estimate(Estimator.VSRP_INNER, x, y)
 
 
 def vsrp_cosine_hat(x: Sketch, y: Sketch) -> float:
     """Cosine estimate pooled across all sparse-projection samples."""
-    _check_vsrp(x, y)
-    sxy = float(np.dot(x.values, y.values))
-    sxx = float(np.dot(x.values, x.values))
-    syy = float(np.dot(y.values, y.values))
-    denom = math.sqrt(sxx * syy)
-    if denom == 0.0:
-        raise ZeroNormError("cosine estimate undefined for a zero-norm sketch")
-    return float(np.clip(sxy / denom, -1.0, 1.0))
+    return _estimate(Estimator.VSRP_COSINE, x, y)

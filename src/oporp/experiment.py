@@ -3,15 +3,22 @@
 The sweep measures empirical MSE/bias of each estimator over many
 independent sketch trials and reports the matching closed-form variance
 next to it. Trials are drawn batch-wise from one derived counter-based
-stream per sweep cell with a fixed trial-major layout and fixed internal
-chunk sizes, so a given (inputs, seed) always produces bit-identical rows;
-the batch kernels are distribution-identical to the per-call sketch path
-(cross-checked in the test suite). VSRP cells with s > 1 draw only the
-nonzero projection entries (geometric gaps, one sign bit each), so their
-rows differ from those of the earlier dense draw; s = 1 cells still draw
-dense signs and keep their rows, and sketches and sketch files are not
-affected. The ``mle_inner`` cubic is solved in closed form for every trial
-of a chunk at once (:func:`~oporp.estimate.likelihood_roots`).
+stream per estimator family and sweep cell, with a fixed trial-major layout
+and fixed internal chunk sizes, so a given (inputs, seed) always produces
+bit-identical rows; the batch kernels are distribution-identical to the
+per-call sketch path (cross-checked in the test suite). VSRP cells with
+s > 1 draw only the nonzero projection entries (geometric gaps, one sign
+bit each), so their rows differ from those of the earlier dense draw; s = 1
+cells still draw dense signs and keep their rows, and sketches and sketch
+files are not affected.
+
+Everything estimator-specific comes from the registry in
+:mod:`oporp.estimate`: a chunk of trials is one (trials, k) array per side,
+its pair sums are taken once, and each requested estimator's kernel maps
+them to one estimate per trial (the likelihood cubic of every trial in one
+closed-form pass); the entry's truth field and oracle fill in the row.
+``similarity_matrix`` takes the plan family and matrix form from the same
+entry, scoring a VSRP sketch as one pooled repetition.
 
 A chunk's draws are its only chunk-sized arrays. The OPORP products and
 their bin sums go through the shared block kernel
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variance as var
-from .estimate import Estimator, likelihood_roots
+from .estimate import _REGISTRY, Estimator, _pair_sums
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
@@ -57,7 +64,6 @@ from .sketch import (
     _check_finite,
     _padded_dim,
     _plan,
-    row_norms,
     vsrp_config,
 )
 
@@ -72,10 +78,6 @@ _CHUNK_ELEMENTS = 4_000_000
 # Target int64 entries per block of the sweep's permutation shuffle; no
 # result depends on it.
 _SHUFFLE_ELEMENTS = 1 << 16
-
-_OPORP_ESTIMATORS = ("inner", "distance", "cosine", "normalized_inner", "mle_inner")
-_VSRP_ESTIMATORS = ("vsrp_inner", "vsrp_cosine")
-
 
 class ConvergenceError(RuntimeError):
     """An iterative search exhausted its attempt budget."""
@@ -266,32 +268,28 @@ def _vsrp_chunk(
     return sums[:, 0].reshape(c, k), sums[:, 1].reshape(c, k)
 
 
-def _normalize_names(estimators) -> list[str]:
-    names = []
-    for est in estimators:
-        name = est.value if isinstance(est, Estimator) else str(est)
-        if name not in _OPORP_ESTIMATORS and name not in _VSRP_ESTIMATORS:
-            raise ValueError(f"unknown estimator {name!r}")
-        names.append(name)
-    if not names:
-        raise ValueError("need at least one estimator")
-    return names
+def _cell_draws(family: str, u, v, k: int, s: float, dist, scheme: Binning):
+    """(trials per chunk, draw) for one family of a sweep cell.
 
-
-def _theoretical(stats: var.PairStatistics, name: str, k: int, s: float, scheme: Binning) -> float:
-    if name == "inner":
-        return var.var_inner(stats, k, s, scheme)
-    if name == "distance":
-        return var.var_distance(stats, k, s, scheme)
-    if name == "cosine":
-        return var.var_cosine(stats, k, s, scheme)
-    if name == "normalized_inner":
-        return var.var_normalized_inner(stats, k, s, scheme)
-    if name == "vsrp_inner":
-        return var.var_inner_vsrp(stats, k, s)
-    if name == "vsrp_cosine":
-        return var.var_cosine_vsrp(stats, k, s)
-    return math.nan  # mle_inner has no closed form here
+    ``draw(c, rng)`` returns c independent single-repetition sketch pairs,
+    shapes (c, k): OPORP sketches, or k-sample VSRP sketches pooled as one
+    repetition each.
+    """
+    D = u.shape[0]
+    if family == "vsrp":
+        if s == 1.0:
+            chunk = max(1, _CHUNK_ELEMENTS // (D * k))
+        else:
+            # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
+            chunk = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k))
+        return chunk, lambda c, rng: _vsrp_chunk(u, v, k, s, c, rng)
+    Dp = _padded_dim(D, k, scheme)
+    u_pad = np.zeros(Dp)
+    u_pad[:D] = u
+    v_pad = np.zeros(Dp)
+    v_pad[:D] = v
+    chunk = max(1, _CHUNK_ELEMENTS // Dp)
+    return chunk, lambda c, rng: _oporp_chunk(u_pad, v_pad, k, dist, scheme, c, rng)
 
 
 def mse_sweep(
@@ -311,126 +309,59 @@ def mse_sweep(
     sparse otherwise); the VSRP estimators always use sparse(s) columns,
     with k meaning the number of samples. Deterministic: the rows are a pure
     function of the inputs, the seed and the fixed ``_CHUNK_ELEMENTS``
-    (a cell's trials are drawn from one stream in chunks of that size, so
-    another chunk size gives other rows).
+    (a cell's trials are drawn from one stream per estimator family in
+    chunks of that size, so another chunk size gives other rows).
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     scheme = Binning(scheme) if not isinstance(scheme, Binning) else scheme
-    names = _normalize_names(estimators)
+    ests = [Estimator(est) for est in estimators]
+    if not ests:
+        raise ValueError("need at least one estimator")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     stats = var.pair_statistics(u, v)
-    D = stats.dim
     dist = distribution_for_moment(s)
-    norm_u = math.sqrt(stats.sumsq_u)
-    norm_v = math.sqrt(stats.sumsq_v)
-    oporp_names = [n for n in names if n in _OPORP_ESTIMATORS]
-    vsrp_names = [n for n in names if n in _VSRP_ESTIMATORS]
-    truths = {
-        "inner": stats.a,
-        "distance": stats.d,
-        "cosine": stats.rho,
-        "normalized_inner": stats.a,
-        "mle_inner": stats.a,
-        "vsrp_inner": stats.a,
-        "vsrp_cosine": stats.rho,
-    }
+    families = {_REGISTRY[est].family for est in ests}
 
     rows: list[SweepRow] = []
     for k in k_list:
         k = int(k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if oporp_names and scheme is Binning.FIXED and k > D:
-            raise ValueError(f"fixed-length binning needs k <= D, got k={k}, D={D}")
-        estimates: dict[str, np.ndarray] = {n: np.empty(trials) for n in names}
-
-        if oporp_names:
-            Dp = _padded_dim(D, k, scheme)
-            u_pad = np.zeros(Dp)
-            u_pad[:D] = u
-            v_pad = np.zeros(Dp)
-            v_pad[:D] = v
-            rng = generator(derive_seed(seed, _CELL, k, 0))
-            chunk = max(1, _CHUNK_ELEMENTS // Dp)
-            need_norms = any(
-                n in ("cosine", "normalized_inner", "mle_inner") for n in oporp_names
-            )
-            need_cosines = any(n in ("cosine", "normalized_inner") for n in oporp_names)
-            pos = 0
-            while pos < trials:
+        if "oporp" in families and scheme is Binning.FIXED and k > stats.dim:
+            raise ValueError(f"fixed-length binning needs k <= D, got k={k}, D={stats.dim}")
+        estimates = {est: np.empty(trials) for est in ests}
+        for stream, family in enumerate(("oporp", "vsrp")):
+            members = [est for est in estimates if _REGISTRY[est].family == family]
+            if not members:
+                continue
+            chunk, draw = _cell_draws(family, u, v, k, s, dist, scheme)
+            rng = generator(derive_seed(seed, _CELL, k, stream))
+            for pos in range(0, trials, chunk):
                 c = min(chunk, trials - pos)
-                X, Y = _oporp_chunk(u_pad, v_pad, k, dist, scheme, c, rng)
-                sl = slice(pos, pos + c)
-                dots = np.einsum("ij,ij->i", X, Y)
-                if need_norms:
-                    sxx = np.einsum("ij,ij->i", X, X)
-                    syy = np.einsum("ij,ij->i", Y, Y)
-                if need_cosines:
-                    denom = np.sqrt(sxx * syy)
-                    if np.any(denom == 0.0):
-                        raise ZeroNormError(
-                            "a trial produced a zero-norm sketch; the cosine "
-                            "estimate is undefined there"
-                        )
-                    cosines = np.clip(dots / denom, -1.0, 1.0)
-                for n in oporp_names:
-                    if n == "inner":
-                        estimates[n][sl] = dots
-                    elif n == "distance":
-                        diff = X - Y
-                        estimates[n][sl] = np.einsum("ij,ij->i", diff, diff)
-                    elif n == "cosine":
-                        estimates[n][sl] = cosines
-                    elif n == "normalized_inner":
-                        estimates[n][sl] = cosines * (norm_u * norm_v)
-                    else:
-                        estimates[n][sl] = likelihood_roots(
-                            dots, sxx, syy, stats.sumsq_u, stats.sumsq_v
-                        )
-                pos += c
+                sums = _pair_sums(*draw(c, rng))
+                for est in members:
+                    estimates[est][pos : pos + c] = _REGISTRY[est].kernel(
+                        sums, stats.sumsq_u, stats.sumsq_v
+                    )
 
-        if vsrp_names:
-            rng = generator(derive_seed(seed, _CELL, k, 1))
-            if s == 1.0:
-                chunk = max(1, _CHUNK_ELEMENTS // (D * k))
-            else:
-                # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
-                chunk = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k))
-            pos = 0
-            while pos < trials:
-                c = min(chunk, trials - pos)
-                X, Y = _vsrp_chunk(u, v, k, s, c, rng)
-                sl = slice(pos, pos + c)
-                dots = np.einsum("ij,ij->i", X, Y)
-                for n in vsrp_names:
-                    if n == "vsrp_inner":
-                        estimates[n][sl] = dots / k
-                    else:
-                        sxx = np.einsum("ij,ij->i", X, X)
-                        syy = np.einsum("ij,ij->i", Y, Y)
-                        denom = np.sqrt(sxx * syy)
-                        if np.any(denom == 0.0):
-                            raise ZeroNormError(
-                                "a trial produced a zero-norm sketch; the "
-                                "cosine estimate is undefined there"
-                            )
-                        estimates[n][sl] = np.clip(dots / denom, -1.0, 1.0)
-                pos += c
-
-        for n in names:
-            err = estimates[n] - truths[n]
+        for est in ests:
+            entry = _REGISTRY[est]
+            err = estimates[est] - getattr(stats, entry.truth)
             rows.append(
                 SweepRow(
-                    estimator=n,
-                    scheme="" if n in _VSRP_ESTIMATORS else scheme.value,
+                    estimator=est.value,
+                    scheme="" if entry.family == "vsrp" else scheme.value,
                     k=k,
                     s=float(s),
                     trials=trials,
                     empirical_mse=float(np.mean(err * err)),
                     empirical_bias=float(np.mean(err)),
-                    theoretical_var=_theoretical(stats, n, k, s, scheme),
+                    theoretical_var=(
+                        math.nan if entry.oracle is None
+                        else entry.oracle(stats, k, s, scheme, 1)
+                    ),
                 )
             )
     return rows
@@ -452,14 +383,6 @@ def _vsrp_plan(config: SketchConfig) -> SketchPlan:
         raise ValueError("vsrp estimators need a sparse or Rademacher distribution")
     samples = config.k * config.m
     return _plan(vsrp_config(config.dim, samples, config.dist.sparsity, config.seed), "vsrp")
-
-
-def _block_normalize(values: np.ndarray, m: int, k: int, what: str) -> np.ndarray:
-    blocks = values.reshape(values.shape[0], m, k)
-    norms = np.linalg.norm(blocks, axis=2)
-    if np.any(norms == 0.0):
-        raise ZeroNormError(f"a {what} sketch repetition has zero norm")
-    return (blocks / norms[:, :, None]).reshape(values.shape[0], m * k)
 
 
 def similarity_matrix(
@@ -484,29 +407,15 @@ def similarity_matrix(
         _check_finite(base)
         _check_finite(queries)
         return _unit_rows(queries, "queries") @ _unit_rows(base, "base").T
-    if name in ("vsrp_inner", "vsrp_cosine"):
-        plan = _vsrp_plan(config)
-        VB, VQ = plan.apply(base), plan.apply(queries)
-        if name == "vsrp_inner":
-            return (VQ @ VB.T) / VB.shape[1]
-        return _unit_rows(VQ, "query sketch") @ _unit_rows(VB, "base sketch").T
-    if name not in ("inner", "distance", "cosine", "normalized_inner"):
+    entry = _REGISTRY[Estimator(name)]
+    if entry.scores is None:
         raise ValueError(f"estimator {name!r} is not supported for retrieval")
-    plan = _plan(config, "oporp")
-    SB, SQ = plan.apply(base), plan.apply(queries)
-    m, k = config.m, config.k
-    if name == "inner":
-        return (SQ @ SB.T) / m
-    if name == "distance":
-        sq = np.einsum("ij,ij->i", SQ, SQ)
-        sb = np.einsum("ij,ij->i", SB, SB)
-        return -(sq[:, None] + sb[None, :] - 2.0 * SQ @ SB.T) / m
-    QN = _block_normalize(SQ, m, k, "query")
-    BN = _block_normalize(SB, m, k, "base")
-    cosines = (QN @ BN.T) / m
-    if name == "cosine":
-        return cosines
-    return cosines * (row_norms(queries)[:, None] * row_norms(base)[None, :])
+    if entry.family == "vsrp":
+        # A VSRP sketch is scored as one pooled repetition.
+        plan, m = _vsrp_plan(config), 1
+    else:
+        plan, m = _plan(config, "oporp"), config.m
+    return entry.scores(plan.apply(queries), plan.apply(base), m, queries, base)
 
 
 def _ranked(scores: np.ndarray) -> np.ndarray:

@@ -111,6 +111,10 @@ def std_normal_cdf(z):
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # e^x is a float for every x below this.
 _EXP_LIMIT = 709.0
+# The largest epsilon the Gaussian calibration accepts. The math would go
+# on (sigma ~ delta2 / sqrt(2 epsilon) is a normal float up to the float
+# maximum); the top of the float range stays refused, as it always was.
+_MAX_GAUSSIAN_EPSILON = 1e308
 
 
 def _tradeoff_gap(sigma: float, delta2: float, epsilon: float) -> float:
@@ -137,7 +141,8 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
     from 1 (sigma -> 0) to 0 (sigma -> inf), so the root is unique. The
     result is tight: unlike the classical sqrt(2 log(1.25/delta)) recipe it
     is valid for every epsilon > 0 and never larger where both apply.
-    Raises ValueError when sigma or its bisection bracket leaves the float range.
+    Raises ValueError for epsilon above 1e308, and when sigma or its
+    bisection bracket leaves the float range.
     """
     _check_positive("delta2", delta2)
     _check_positive("epsilon", epsilon)
@@ -147,7 +152,13 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
         f"cannot calibrate the noise in float range for delta2={delta2}, "
         f"epsilon={epsilon}, delta={delta}"
     )
+    if epsilon > _MAX_GAUSSIAN_EPSILON:
+        raise unrepresentable
     lo = delta2 / (10.0 * epsilon)
+    if lo == 0.0:
+        # 10 * epsilon overflowed. The root is near delta2 / sqrt(2 epsilon),
+        # far above this bound, which cannot underflow for epsilon <= 1e308.
+        lo = delta2 / (10.0 * math.sqrt(epsilon))
     hi = 10.0 * delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
     if lo == 0.0:
         raise unrepresentable

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,12 @@ def sparse(s: float) -> ProjectionDistribution:
 
 
 def check_seed(seed: int) -> int:
-    """Validate a 64-bit unsigned seed and return it as a plain int."""
-    seed = int(seed)
+    """Validate a 64-bit unsigned seed and return it as a plain int.
+
+    Integers of any kind are accepted; a float such as 5.5 raises TypeError
+    rather than being truncated to another seed.
+    """
+    seed = operator.index(seed)
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     return seed

@@ -67,8 +67,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,6 +136,10 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # Stored as plain ints: seed 5.5 would draw seed 5's randomness yet
+        # compare unequal to it, and dim 16.0 cannot be written to a file.
+        for name in ("dim", "k", "m", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.k < 1:
@@ -253,7 +258,7 @@ def row_norms(M: np.ndarray) -> np.ndarray:
 def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
     """The (k=1 bin, m=k repetitions) config a k-sample VSRP sketch is stored under."""
     return SketchConfig(
-        dim=D, k=1, binning=Binning.VARIABLE, dist=sparse(s), m=int(k), seed=seed
+        dim=D, k=1, binning=Binning.VARIABLE, dist=sparse(s), m=k, seed=seed
     )
 
 
@@ -349,13 +354,6 @@ def _plan(config: SketchConfig, flavor: str) -> SketchPlan:
     return SketchPlan(config, flavor)
 
 
-def _cached_sketch(u: np.ndarray, config: SketchConfig, flavor: str) -> Sketch:
-    sk = _plan(config, flavor).sketch(u)
-    # Equal configs can differ in field types (16 and 16.0); keep the caller's.
-    sk.config = config
-    return sk
-
-
 def _block_rows(width: int, rows: int) -> int:
     """Rows per block of a (rows, width) pass: about _BLOCK_ELEMENTS entries, at least 1."""
     return max(1, min(rows, _BLOCK_ELEMENTS // width))
@@ -402,17 +400,17 @@ def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:
     under one config draws them once. To sketch a whole matrix, apply a
     :class:`SketchPlan` to it: one call sketches every row.
     """
-    return _cached_sketch(u, config, "oporp")
+    return _plan(config, "oporp").sketch(u)
 
 
 def vsrp_sketch(u: np.ndarray, D: int, k: int, s: float, seed: int) -> Sketch:
     """Very sparse random projection: k independent samples u . r_col.
 
-    Stored under the equivalent (k=1, m=k) config so repetition-wise
-    estimators agree with the pooled VSRP ones, but computed by its own
-    direct matrix path on an independent stream.
+    Stored under the equivalent (k=1, m=k) config, but computed by its own
+    direct matrix path on an independent stream and tagged with the "vsrp"
+    flavor, which only the vsrp estimators read.
     """
-    return _cached_sketch(u, vsrp_config(D, k, s, seed), "vsrp")
+    return _plan(vsrp_config(D, k, s, seed), "vsrp").sketch(u)
 
 
 def normalize_sketch(sk: Sketch) -> Sketch:
@@ -489,16 +487,16 @@ def _unpack_header(buf: bytes) -> tuple[SketchConfig, int, str, float | None]:
     try:
         kind = _DISTS[dist]
         config = SketchConfig(
-            dim=int(dim),
-            k=int(k),
+            dim=dim,
+            k=k,
             binning=_BINNINGS[binning],
             dist=(
                 ProjectionDistribution(kind, float(sparsity))
                 if kind is ProjectionKind.SPARSE
                 else ProjectionDistribution(kind)
             ),
-            m=int(m),
-            seed=int(seed),
+            m=m,
+            seed=seed,
         )
         flavor_name = _FLAVORS[flavor]
     except (KeyError, ValueError) as exc:
@@ -557,7 +555,3 @@ def load_sign_sketch(path: str) -> tuple[np.ndarray, SketchConfig]:
         raise SketchFileError(f"expected {expected} bits, file holds {bits.shape[0]}")
     return bits.astype(np.int8), config
 
-
-def with_seed(config: SketchConfig, seed: int) -> SketchConfig:
-    """Same config, different randomness."""
-    return replace(config, seed=seed)

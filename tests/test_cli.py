@@ -123,6 +123,17 @@ def test_vsrp_sketch_and_estimate(tmp_path, capsys, matrix_file):
     assert -1.0 <= float(out.split()[-1]) <= 1.0
 
 
+def test_estimate_refuses_the_other_familys_sketches(tmp_path, capsys, matrix_file):
+    path, _ = matrix_file
+    x, y = str(tmp_path / "x.sk"), str(tmp_path / "y.sk")
+    for row, out in ((0, x), (1, y)):
+        run_ok(capsys, ["sketch", "--input", path, "--row", str(row), "--k", "64",
+                        "--vsrp", "--out", out])
+    for estimator in ("cosine", "normalized_inner", "inner"):
+        assert run(["estimate", "--x", x, "--y", y, "--estimator", estimator]) == 4
+    assert "vsrp" in capsys.readouterr().err
+
+
 def test_estimate_mismatched_sketches_is_invalid(tmp_path, capsys, matrix_file):
     path, _ = matrix_file
     x, y = str(tmp_path / "x.sk"), str(tmp_path / "y.sk")
@@ -333,6 +344,17 @@ def test_dp_beyond_exp_range(tmp_path, capsys, bounded_matrix_file, epsilon):
         value = float(out.splitlines()[0].split()[1])
         assert 0.0 < value < 0.05 if mechanism == "gaussian" else 0.0 <= value < 1e-300
         assert out_path.exists()
+
+
+def test_dp_gaussian_at_finite_huge_epsilon(tmp_path, capsys, bounded_matrix_file):
+    out_path = tmp_path / "o.sk"
+    out = run_ok(capsys, [
+        "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", "gaussian",
+        "--epsilon", "1e308", "--delta", "1e-6", "--out", str(out_path),
+    ])
+    sigma = float(out.splitlines()[0].split()[1])
+    assert sigma == pytest.approx(math.sqrt(0.5) / math.sqrt(1e308), rel=1e-12)
+    assert out_path.exists()
 
 
 def test_dp_refuses_a_noise_scale_outside_float_range(tmp_path, capsys, bounded_matrix_file):

@@ -168,6 +168,19 @@ def test_sigma_tail_form_agrees_with_direct_form(monkeypatch, eps):
     assert solve_gaussian_sigma(1.0, eps, 1e-6) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
 
+def test_sigma_at_finite_huge_epsilon():
+    # the lower bracket delta2 / (10 eps) once underflowed to 0 here
+    eps, delta = 1e308, 1e-6
+    for delta2 in (1.0, 0.25, 4.0):
+        sigma = solve_gaussian_sigma(delta2, eps, delta)
+        assert 0.0 < sigma < math.inf
+        # the root is delta2 / sqrt(2 eps) to float precision; at this eps the
+        # gap drops from 1 to 0 across a relative 1e-12 of sigma, past delta
+        assert sigma == pytest.approx(delta2 * math.sqrt(0.5) / math.sqrt(eps), rel=1e-12)
+        assert _tradeoff_gap(sigma * (1.0 - 1e-12), delta2, eps) > delta
+        assert _tradeoff_gap(sigma * (1.0 + 1e-12), delta2, eps) < delta
+
+
 def test_sigma_outside_float_range_is_refused():
     with pytest.raises(ValueError, match="float"):
         solve_gaussian_sigma(1.0, 1.7e308, 1e-6)

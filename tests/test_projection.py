@@ -57,6 +57,15 @@ def test_seed_validation():
         check_seed(2**64)
 
 
+def test_seed_must_be_an_integer():
+    # int() would truncate 5.5 to seed 5's stream
+    for seed in (5.5, 5.0, "5"):
+        with pytest.raises(TypeError):
+            check_seed(seed)
+    assert type(check_seed(np.uint64(2**64 - 1))) is int
+    assert check_seed(np.int64(5)) == 5
+
+
 def test_derive_seed_deterministic_and_path_sensitive():
     assert derive_seed(7, 1, 2) == derive_seed(7, 1, 2)
     assert 0 <= derive_seed(7, 1, 2) < 2**64

@@ -5,6 +5,8 @@ the documented per-repetition stream layout, so any change to how
 randomness is wired breaks here rather than silently shifting results.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,6 @@ from oporp.sketch import (
     save_sketch,
     vsrp_config,
     vsrp_sketch,
-    with_seed,
 )
 
 
@@ -330,13 +331,26 @@ def test_equal_configs_hit_and_others_miss():
     assert _plan.cache_info()[:2] == (1, 4)
 
 
-def test_sketch_keeps_the_callers_config():
+@pytest.mark.parametrize("field, value", [("seed", 5.5), ("dim", 16.0), ("k", 4.0), ("m", 1.0)])
+def test_config_rejects_non_integral_fields(field, value):
+    # seed 5.5 once drew seed 5's randomness, and dim 16.0 could not be saved
+    with pytest.raises(TypeError):
+        cfg(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_plain_ints(tmp_path):
+    config = cfg(dim=np.int64(16), k=np.int32(4), m=np.uint8(2), seed=np.uint64(2**63))
+    for field in ("dim", "k", "m", "seed"):
+        assert type(getattr(config, field)) is int
+    assert config == cfg(m=2, seed=2**63) and hash(config) == hash(cfg(m=2, seed=2**63))
     u = np.random.default_rng(23).standard_normal(16)
     _plan.cache_clear()
-    oporp_sketch(u, cfg(dim=16.0))
-    config = cfg()
     sk = oporp_sketch(u, config)
-    assert _plan.cache_info().hits == 1 and sk.config is config
+    assert oporp_sketch(u, cfg(m=2, seed=2**63)).config == sk.config == config
+    assert _plan.cache_info().hits == 1
+    path = str(tmp_path / "n.sk")
+    save_sketch(path, sk)
+    assert load_sketch(path).config == config
 
 
 def test_cache_never_exceeds_its_size():
@@ -452,8 +466,8 @@ def test_check_compatible():
     check_compatible(a, oporp_sketch(2 * u, cfg(seed=1)))
 
 
-def test_with_seed():
-    c = with_seed(cfg(seed=1), 99)
+def test_replace_changes_only_the_seed():
+    c = replace(cfg(seed=1), seed=99)
     assert c.seed == 99 and c.k == 4
 
 
