@@ -6,11 +6,12 @@ next to it. Trials are drawn batch-wise from one derived counter-based
 stream per estimator family and sweep cell, with a fixed trial-major layout
 and fixed internal chunk sizes, so a given (inputs, seed) always produces
 bit-identical rows; the batch kernels are distribution-identical to the
-per-call sketch path (cross-checked in the test suite). VSRP cells with
-s > 1 draw only the nonzero projection entries (geometric gaps, one sign
-bit each), so their rows differ from those of the earlier dense draw; s = 1
-cells still draw dense signs and keep their rows, and sketches and sketch
-files are not affected.
+per-call sketch path (cross-checked in the test suite). A VSRP cell with
+s below the fixed switch ``_DENSE_VSRP_BELOW`` draws one random byte per
+projection entry (the dense byte kernel); from the switch on it draws only
+the nonzero entries (geometric gaps, one sign bit each). Rows of VSRP cells
+below the switch, s = 1 included, differ from those of earlier versions;
+rows from the switch on, every OPORP row, sketches and sketch files do not.
 
 Everything estimator-specific comes from the registry in
 :mod:`oporp.estimate`: a chunk of trials is one (trials, k) array per side,
@@ -78,6 +79,11 @@ _CHUNK_ELEMENTS = 4_000_000
 # Target int64 entries per block of the sweep's permutation shuffle; no
 # result depends on it.
 _SHUFFLE_ELEMENTS = 1 << 16
+
+# VSRP sweep cells with s below this use the dense byte kernel, the others
+# the gap kernel; BENCH_sweep_vsrp.json times the dense one as faster at
+# s = 8 and the gap one from s = 10 on. Fixed, because the rows depend on it.
+_DENSE_VSRP_BELOW = 10.0
 
 class ConvergenceError(RuntimeError):
     """An iterative search exhausted its attempt budget."""
@@ -210,15 +216,82 @@ def _vsrp_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """c independent k-sample sparse-projection pairs, shapes (c, k).
 
-    For s > 1 only the nonzero entries of the flattened (c, k, D) projection
-    are drawn: geometric gaps between them by inversion, one sign bit each,
-    then one segmented sum per sample (Li, Hastie and Church, KDD 2006),
-    gathered and summed over blocks of whole samples.
+    Each sample is sqrt(s) times the sum of u (and v) over a random
+    ternary row: sign +-1 with probability 1/s per coordinate, else 0 (Li,
+    Hastie and Church, KDD 2006). Below ``_DENSE_VSRP_BELOW`` the dense
+    byte kernel draws one random byte per coordinate; from there on the
+    gap kernel draws only the nonzero entries, which is cheaper when they
+    are rare.
+    """
+    if s < _DENSE_VSRP_BELOW:
+        return _vsrp_dense(u, v, k, s, c, rng)
+    return _vsrp_gaps(u, v, k, s, c, rng)
+
+
+def _vsrp_dense(
+    u: np.ndarray, v: np.ndarray, k: int, s: float, c: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense kernel of :func:`_vsrp_chunk`: one random byte per (sample, coordinate).
+
+    The bytes are read little-endian from full-range uint64 draws. A byte
+    whose top 7 bits t are below T = floor(128/s) is a nonzero; a tie
+    t = T (1 in 128 bytes) is one when a uniform falls below 128/s - T, so
+    P(nonzero) = 1/s to double precision. The low bit is the sign. The
+    chunk draws all its bytes first, then one uniform per tie in order.
+    Each block of whole samples becomes a {-1, 0, +1} float array, and
+    every row is reduced on its own with einsum, never BLAS, whose sums
+    depend on the block shape. Needs 1 <= s < 128, so that T >= 1.
     """
     D = u.shape[0]
-    if s == 1.0:
-        R = draw_multipliers(rng, (c, k, D), rademacher())
-        return R @ u, R @ v
+    samples = c * k
+    n = samples * D
+    draws = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
+    B = draws.astype("<u8", copy=False).view(np.uint8)[:n]
+    T = int(128.0 / s)
+    tie_odds = 128.0 / s - T
+    X = np.empty(samples)
+    Y = np.empty(samples)
+    rows = _block_rows(D, samples)
+    Z = np.empty((rows, D))
+    # Byte scratch for a block; fresh temporaries per block cost more than
+    # the passes that fill them.
+    scratch = np.empty(rows * D, dtype=np.uint8)
+    flags = np.empty(rows * D, dtype=np.bool_)
+    for lo in range(0, samples, rows):
+        hi = min(lo + rows, samples)
+        b = B[lo * D : hi * D]
+        m = scratch[: b.shape[0]]
+        if T < 128:
+            f = flags[: b.shape[0]]
+            np.equal(np.bitwise_or(b, 1, out=m), 2 * T + 1, out=f)
+            ties = np.flatnonzero(f)
+            # A tie that wins keeps only its sign bit, which reads as t = 0.
+            b[ties[rng.random(ties.shape[0]) < tie_odds]] &= 1
+        np.less_equal(b, 2 * T - 1, out=m.view(np.bool_))
+        # m - 2 (b & m) is +1, -1 (255) or 0, read as int8.
+        np.bitwise_and(b, m, out=b)
+        np.add(b, b, out=b)
+        np.subtract(m, b, out=b)
+        block = Z[: hi - lo]
+        block[...] = b.view(np.int8).reshape(hi - lo, D)
+        np.einsum("ij,j->i", block, u, out=X[lo:hi])
+        np.einsum("ij,j->i", block, v, out=Y[lo:hi])
+    X *= math.sqrt(s)
+    Y *= math.sqrt(s)
+    return X.reshape(c, k), Y.reshape(c, k)
+
+
+def _vsrp_gaps(
+    u: np.ndarray, v: np.ndarray, k: int, s: float, c: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gap kernel of :func:`_vsrp_chunk`, for s > 1.
+
+    Only the nonzero entries of the flattened (c, k, D) projection are
+    drawn: geometric gaps between them by inversion, one sign bit each,
+    then one segmented sum per sample, gathered and summed over blocks of
+    whole samples.
+    """
+    D = u.shape[0]
     samples = c * k
     total = samples * D
     expected = total / s
@@ -277,7 +350,8 @@ def _cell_draws(family: str, u, v, k: int, s: float, dist, scheme: Binning):
     """
     D = u.shape[0]
     if family == "vsrp":
-        if s == 1.0:
+        if s < _DENSE_VSRP_BELOW:
+            # _CHUNK_ELEMENTS random bytes per chunk.
             chunk = max(1, _CHUNK_ELEMENTS // (D * k))
         else:
             # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
@@ -307,10 +381,12 @@ def mse_sweep(
     OPORP estimators use the multiplier distribution realizing fourth
     moment s (Rademacher for 1, Gaussian for 3, scaled uniform for 9/5,
     sparse otherwise); the VSRP estimators always use sparse(s) columns,
-    with k meaning the number of samples. Deterministic: the rows are a pure
-    function of the inputs, the seed and the fixed ``_CHUNK_ELEMENTS``
-    (a cell's trials are drawn from one stream per estimator family in
-    chunks of that size, so another chunk size gives other rows).
+    with k meaning the number of samples, drawn by the dense byte kernel
+    below ``_DENSE_VSRP_BELOW`` and by the gap kernel from there on.
+    Deterministic: the rows are a pure function of the inputs, the seed and
+    the fixed ``_CHUNK_ELEMENTS`` and ``_DENSE_VSRP_BELOW`` (a cell's trials
+    are drawn from one stream per estimator family in chunks of that size,
+    so another chunk size or switch gives other rows).
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")

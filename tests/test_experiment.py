@@ -144,11 +144,47 @@ def test_sparse_vsrp_empty_samples_are_exactly_zero():
         mse_sweep(a, b, [2], s, Binning.VARIABLE, ["vsrp_cosine"], 200, 1)
 
 
-@pytest.mark.parametrize("s", [3.0, 30.0])
-def test_sparse_vsrp_products_have_the_paper_moments(s):
+def test_dense_vsrp_entries_have_rate_one_in_s_and_balanced_signs():
+    # v = powers of three: a sample's value over sqrt(s) is a balanced-ternary
+    # number whose digits are its row of the projection (powers of two would
+    # not decode uniquely). Dropping the tie path (1 byte in 128) would move
+    # the rate by 0.67/128, about 15 standard errors at this size.
+    s, D, c, k = 3.0, 21, 12_000, 8
+    u = np.ones(D)
+    v = 3.0 ** np.arange(D)
+    X, Y = _vsrp_chunk(u, v, k, s, c, generator(derive_seed(12)))
+    x = np.rint(Y.ravel() / math.sqrt(s)).astype(np.int64)
+    digits = np.empty((x.shape[0], D), dtype=np.int64)
+    for j in range(D):
+        digits[:, j] = (x + 1) % 3 - 1
+        x = (x - digits[:, j]) // 3
+    assert np.all(x == 0)
+    # u = ones sums the same row
+    assert np.array_equal(np.rint(X.ravel() / math.sqrt(s)), digits.sum(axis=1))
+    n = digits.size
+    nonzero = int(np.count_nonzero(digits))
+    assert abs(nonzero / n - 1.0 / s) <= 5.0 * math.sqrt((1.0 / s) * (1.0 - 1.0 / s) / n)
+    positive = int(np.count_nonzero(digits > 0))
+    assert abs(positive / nonzero - 0.5) <= 5.0 * math.sqrt(0.25 / nonzero)
+
+
+def _vsrp_kernel_cases(D):
+    """(s, D) cases: s = 1 and 3 run the dense byte kernel, s = 30 the gap
+    kernel, and D - 3 (not a multiple of 8) leaves samples that straddle the
+    8-byte draws."""
+    return [
+        pytest.param(1.0, D, id="1.0"),
+        pytest.param(3.0, D, id="3.0"),
+        pytest.param(30.0, D, id="30.0"),
+        pytest.param(3.0, D - 3, id=f"3.0-D{D - 3}"),
+    ]
+
+
+@pytest.mark.parametrize("s, D", _vsrp_kernel_cases(24))
+def test_sparse_vsrp_products_have_the_paper_moments(s, D):
     """E[XY] = a and Var[XY] = |u|^2 |v|^2 + a^2 + (s - 3) sum u^2 v^2 per sample."""
     rng = np.random.default_rng(14)
-    u, v = rng.standard_normal(24), rng.standard_normal(24)
+    u, v = rng.standard_normal(D), rng.standard_normal(D)
     X, Y = _vsrp_chunk(u, v, 8, s, 25_000, generator(derive_seed(6, int(s))))
     Z = (X * Y).ravel()
     n = Z.shape[0]
@@ -159,9 +195,9 @@ def test_sparse_vsrp_products_have_the_paper_moments(s):
     assert abs(dev2.mean() - var) <= 6.0 * dev2.std() / math.sqrt(n)
 
 
-@pytest.mark.parametrize("s", [3.0, 30.0])
-def test_sparse_vsrp_rows_are_seed_deterministic(s):
-    u, v = generate_pair_with_cosine(40, 0.6, 0.01, seed=8)
+@pytest.mark.parametrize("s, D", _vsrp_kernel_cases(40))
+def test_sparse_vsrp_rows_are_seed_deterministic(s, D):
+    u, v = generate_pair_with_cosine(D, 0.6, 0.01, seed=8)
     args = (u, v, [16, 32], s, Binning.VARIABLE, ["vsrp_inner", "vsrp_cosine"], 600)
     rows = mse_sweep(*args, 9)
     assert mse_sweep(*args, 9) == rows

@@ -27,7 +27,7 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 
-GOLDEN_SHA256 = "fa6a51718bcd16ff29ed2e0770be1b0ecb115a53816cc740b1afe6421d7c3f00"
+GOLDEN_SHA256 = "eefb1730ddb873431f3639afbd9183025d88e75d379a1a0302a245d7e1aea7af"
 
 DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 SIMILARITY_ESTIMATORS = (
@@ -52,6 +52,8 @@ def _sweep_rows():
                               ["inner", "distance", "cosine", "normalized_inner", "mle_inner"],
                               600, seed=5)
         rows += mse_sweep(u, v, [16], s, "fixed", ["vsrp_inner", "vsrp_cosine"], 600, seed=5)
+    # s = 1 and 3 run the dense VSRP kernel, s = 30 the gap kernel
+    rows += mse_sweep(u, v, [16], 30.0, "fixed", ["vsrp_inner", "vsrp_cosine"], 600, seed=5)
     return rows
 
 
@@ -108,18 +110,21 @@ def test_sweep_rows_and_plans_do_not_depend_on_the_block_size(monkeypatch):
         assert np.array_equal(got, want)
 
 
-# The bench's sweep cells: D = 1024, 2000 trials (k, s, scheme, estimators).
+# The bench's sweep cells and a dense VSRP cell at s = 1: D = 1024, 2000
+# trials (k, s, scheme, estimators).
 BENCH_CELLS = {
     "fixed": (64, 1.0, "fixed", ["inner", "distance", "cosine", "normalized_inner", "mle_inner"]),
     "variable": (64, 1.0, "variable", ["inner", "cosine"]),
     "vsrp": (16, 3.0, "fixed", ["vsrp_inner", "vsrp_cosine"]),
+    "vsrp_s1": (16, 1.0, "fixed", ["vsrp_inner", "vsrp_cosine"]),
 }
 
 
 @pytest.mark.parametrize("cell", sorted(BENCH_CELLS))
 def test_sweep_cell_peak_memory(cell):
     # a chunk keeps its draws and one block buffer; whole-chunk gathers,
-    # products and int64 draws once put these cells at 49-65 MiB
+    # products and int64 draws once put these cells at 49-65 MiB, and
+    # dense int32 signs with their float copy put VSRP at s = 1 at 46 MiB
     k, s, scheme, estimators = BENCH_CELLS[cell]
     u, v = generate_pair_with_cosine(1024, 0.5, 0.01, seed=3)
     was_tracing = tracemalloc.is_tracing()
