@@ -67,7 +67,7 @@ from .sketch import (
     save_sketch,
     vsrp_sketch,
 )
-from .variance import VarianceReport, pair_statistics
+from .variance import pair_statistics
 
 _MATRIX_MAGIC = b"OPMX"
 
@@ -185,6 +185,21 @@ def _add_sketch_params(p: argparse.ArgumentParser, with_m: bool = True) -> None:
     p.add_argument("--seed", type=int, default=0, help="sketch randomness seed")
 
 
+def _add_synthetic_split(p: argparse.ArgumentParser, *sizes: tuple[str, int]) -> None:
+    """retrieval's and knn's shared flags: a synthetic cluster split, the sketch, the estimator."""
+    p.add_argument("--dim", type=int, help="synthetic data dimension")
+    p.add_argument("--clusters", type=int, default=3)
+    for flag, default in sizes:
+        p.add_argument(flag, type=int, default=default)
+    p.add_argument("--noise", type=float, default=0.6)
+    p.add_argument("--norm-min", type=float, default=1.0, help="smallest point norm")
+    p.add_argument("--norm-max", type=float, default=1.0, help="largest point norm")
+    p.add_argument("--data-seed", type=int, default=0)
+    _add_sketch_params(p)
+    p.add_argument("--estimator", default=Estimator.COSINE.value,
+                   choices=["exact"] + [est.value for est in Estimator])
+
+
 def _csv_out(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -230,24 +245,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """A comma-separated list of ``kind`` (int or float); empty parts are skipped."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"{flag} must be a comma-separated integer list") from exc
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"{flag} must be a comma-separated number list") from exc
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{flag} must be a comma-separated {noun} list") from exc
 
 
 def _resolve_pair(args) -> tuple[np.ndarray, np.ndarray]:
     if args.input is not None:
         M = load_matrix(args.input)
-        i, j = _parse_int_list(args.rows, "--rows")
+        i, j = _parse_list(args.rows, "--rows", int)
         return _row(M, i, args.input), _row(M, j, args.input)
     if args.dim is None or args.rho is None:
         raise ValueError("need either --input or both --dim and --rho")
@@ -266,28 +276,22 @@ def _add_pair_source(p: argparse.ArgumentParser) -> None:
 def _cmd_variance(args) -> int:
     u, v = _resolve_pair(args)
     stats = pair_statistics(u, v)
-    k_list = _parse_int_list(args.k_list, "--k-list")
-    s_list = _parse_float_list(args.s_list, "--s-list")
+    k_list = _parse_list(args.k_list, "--k-list", int)
+    s_list = _parse_list(args.s_list, "--s-list", float)
     schemes = [Binning(s.strip()) for s in args.scheme_list.split(",") if s.strip()]
     estimators = [Estimator(e.strip()) for e in args.estimators.split(",") if e.strip()]
-    for est in estimators:
-        if _REGISTRY[est].oracle is None:
-            raise ValueError(f"no closed-form variance for estimator {est.value!r}")
-    reports: list[VarianceReport] = []
+    lines = ["estimator,scheme,k,s,m,value"]
     for est in estimators:
         entry = _REGISTRY[est]
+        if entry.oracle is None:
+            raise ValueError(f"no closed-form variance for estimator {est.value!r}")
         # VSRP oracles have no binning scheme.
         for scheme in [None] if entry.family == "vsrp" else schemes:
+            label = "" if scheme is None else scheme.value
             for k in k_list:
                 for s in s_list:
-                    value = entry.oracle(stats, k, s, scheme, args.m)
-                    label = "" if scheme is None else scheme.value
-                    reports.append(VarianceReport(est.value, label, k, s, args.m, value))
-    lines = ["estimator,scheme,k,s,m,value"]
-    lines += [
-        f"{r.estimator},{r.scheme},{r.k},{_fmt(r.s)},{r.m},{_fmt(r.value)}"
-        for r in reports
-    ]
+                    value = entry.variance(stats, k, s, scheme, args.m)
+                    lines.append(f"{est.value},{label},{k},{_fmt(s)},{args.m},{_fmt(value)}")
     _csv_out(lines, args.out)
     return 0
 
@@ -298,7 +302,7 @@ def _cmd_simulate(args) -> int:
     rows = mse_sweep(
         u,
         v,
-        _parse_int_list(args.k_list, "--k-list"),
+        _parse_list(args.k_list, "--k-list", int),
         args.s,
         Binning(args.scheme),
         estimators,
@@ -315,19 +319,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _synthetic_split(args, first: int, second: int) -> tuple[np.ndarray, ...]:
+    """One synthetic cluster draw cut in two: first points, second points, their labels."""
+    if args.dim is None:
+        raise ValueError("synthetic data needs --dim")
+    points, labels = make_clusters(
+        args.dim, first + second, args.clusters, args.noise,
+        args.data_seed, norm_range=(args.norm_min, args.norm_max),
+    )
+    return points[:first], points[first:], labels[:first], labels[first:]
+
+
 def _cmd_retrieval(args) -> int:
     if args.base is not None:
         if args.queries is None:
             raise ValueError("--base and --queries go together")
         base, queries = load_matrix(args.base), load_matrix(args.queries)
     else:
-        if args.dim is None:
-            raise ValueError("synthetic data needs --dim")
-        points, _ = make_clusters(
-            args.dim, args.base_size + args.query_size, args.clusters, args.noise,
-            args.data_seed, norm_range=(args.norm_min, args.norm_max),
-        )
-        base, queries = points[: args.base_size], points[args.base_size :]
+        base, queries, _, _ = _synthetic_split(args, args.base_size, args.query_size)
     config = _config_from_args(args, base.shape[1])
     points_list = retrieval_eval(base, queries, config, args.estimator, args.top_n)
     print(f"aupr {_fmt(area_under_pr(points_list))}")
@@ -350,14 +359,9 @@ def _cmd_knn(args) -> int:
         train_labels = _load_labels(args.train_labels)
         test_labels = _load_labels(args.test_labels)
     else:
-        if args.dim is None:
-            raise ValueError("synthetic data needs --dim")
-        points, labels = make_clusters(
-            args.dim, args.train_size + args.test_size, args.clusters, args.noise,
-            args.data_seed, norm_range=(args.norm_min, args.norm_max),
+        train, test, train_labels, test_labels = _synthetic_split(
+            args, args.train_size, args.test_size
         )
-        train, test = points[: args.train_size], points[args.train_size :]
-        train_labels, test_labels = labels[: args.train_size], labels[args.train_size :]
     config = _config_from_args(args, train.shape[1])
     accuracy = knn_eval(
         train, train_labels, test, test_labels, args.neighbors, config, args.estimator
@@ -459,17 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("retrieval", help="precision/recall against exact-cosine gold sets")
     p.add_argument("--base", help="base matrix file")
     p.add_argument("--queries", help="query matrix file")
-    p.add_argument("--dim", type=int, help="synthetic data dimension")
-    p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--base-size", type=int, default=2000)
-    p.add_argument("--query-size", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.6)
-    p.add_argument("--norm-min", type=float, default=1.0, help="smallest point norm")
-    p.add_argument("--norm-max", type=float, default=1.0, help="largest point norm")
-    p.add_argument("--data-seed", type=int, default=0)
-    _add_sketch_params(p)
-    p.add_argument("--estimator", default=Estimator.COSINE.value,
-                   choices=["exact"] + estimators)
+    _add_synthetic_split(p, ("--base-size", 2000), ("--query-size", 200))
     p.add_argument("--top-n", type=int, default=10)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_retrieval)
@@ -479,17 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-labels", help="training label file, one int per row")
     p.add_argument("--test", help="test matrix file")
     p.add_argument("--test-labels", help="test label file")
-    p.add_argument("--dim", type=int, help="synthetic data dimension")
-    p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--train-size", type=int, default=1000)
-    p.add_argument("--test-size", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.6)
-    p.add_argument("--norm-min", type=float, default=1.0, help="smallest point norm")
-    p.add_argument("--norm-max", type=float, default=1.0, help="largest point norm")
-    p.add_argument("--data-seed", type=int, default=0)
-    _add_sketch_params(p)
-    p.add_argument("--estimator", default=Estimator.COSINE.value,
-                   choices=["exact"] + estimators)
+    _add_synthetic_split(p, ("--train-size", 1000), ("--test-size", 200))
     p.add_argument("--neighbors", type=int, default=5, help="K in the majority vote")
     p.set_defaults(func=_cmd_knn)
 

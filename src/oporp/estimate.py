@@ -162,28 +162,15 @@ def _normalized_scores(Q, B, m, queries, base) -> np.ndarray:
     return cosines * (row_norms(queries)[:, None] * row_norms(base)[None, :])
 
 
-# --- variance oracles: (stats, k, s, scheme, m) -> variance of the m-average --
-
-
-def _one_rep(oracle):
-    """An oracle of one repetition, called like var_inner but only with m = 1."""
-
-    def variance(stats, k, s, scheme, m=1):
-        if m != 1:
-            raise ValueError("this estimator's variance oracle covers m = 1 only")
-        return oracle(stats, k, s, scheme)
-
-    return variance
-
-
 @dataclass(frozen=True)
 class _Entry:
     """One estimator: its plan family, truth field, kernel, oracle and matrix form.
 
     ``kernel(sums, E, F)`` maps pair sums to per-repetition estimates; E and
     F are the squared data norms, read only when ``margins`` is set.
-    ``oracle`` is None where no closed form exists and ``scores`` is None
-    where ``similarity_matrix`` has no matrix form.
+    ``oracle(stats, k, s, scheme)`` is the variance of one repetition, None
+    where no closed form exists, and ``scores`` is None where
+    ``similarity_matrix`` has no matrix form.
     """
 
     family: str
@@ -193,6 +180,12 @@ class _Entry:
     scores: Callable | None
     margins: bool = False
 
+    def variance(self, stats, k: int, s: float, scheme, m: int) -> float:
+        """Variance of the average of m independent repetitions: the oracle's over m."""
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        return self.oracle(stats, k, s, scheme) / m
+
 
 _REGISTRY = {
     Estimator.INNER: _Entry(
@@ -200,25 +193,22 @@ _REGISTRY = {
         lambda Q, B, m, queries, base: (Q @ B.T) / m,
     ),
     Estimator.DISTANCE: _Entry(
-        "oporp", "d", lambda s, E, F: s.dd, _one_rep(var.var_distance), _distance_scores
+        "oporp", "d", lambda s, E, F: s.dd, var.var_distance, _distance_scores
     ),
-    Estimator.COSINE: _Entry(
-        "oporp", "rho", _cosines, _one_rep(var.var_cosine), _cosine_scores
-    ),
+    Estimator.COSINE: _Entry("oporp", "rho", _cosines, var.var_cosine, _cosine_scores),
     Estimator.NORMALIZED_INNER: _Entry(
-        "oporp", "a", _normalized_inners, _one_rep(var.var_normalized_inner),
-        _normalized_scores, margins=True,
+        "oporp", "a", _normalized_inners, var.var_normalized_inner, _normalized_scores,
+        margins=True,
     ),
     Estimator.MLE_INNER: _Entry("oporp", "a", _mle_inners, None, None, margins=True),
     Estimator.VSRP_INNER: _Entry(
         "vsrp", "a", lambda s, E, F: s.xy / s.n,
-        _one_rep(lambda stats, k, s, scheme: var.var_inner_vsrp(stats, k, s)),
+        lambda stats, k, s, scheme: var.var_inner_vsrp(stats, k, s),
         lambda Q, B, m, queries, base: (Q @ B.T) / B.shape[1],
     ),
     Estimator.VSRP_COSINE: _Entry(
         "vsrp", "rho", _cosines,
-        _one_rep(lambda stats, k, s, scheme: var.var_cosine_vsrp(stats, k, s)),
-        _cosine_scores,
+        lambda stats, k, s, scheme: var.var_cosine_vsrp(stats, k, s), _cosine_scores,
     ),
 }
 
@@ -260,13 +250,6 @@ def cosine_hat(x: Sketch, y: Sketch) -> float:
     result always lies in [-1, 1] and equals 1 exactly when x is y.
     """
     return _estimate(Estimator.COSINE, x, y)
-
-
-def normalized_inner_product(rho_hat: float, norm_u: float, norm_v: float) -> float:
-    """Rescale a cosine estimate by the known (stored) data norms."""
-    if norm_u < 0.0 or norm_v < 0.0:
-        raise ValueError("norms must be nonnegative")
-    return float(rho_hat) * float(norm_u) * float(norm_v)
 
 
 def mle_inner_product(x: Sketch, y: Sketch, sumsq_u: float, sumsq_v: float) -> float:

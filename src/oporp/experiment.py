@@ -436,7 +436,7 @@ def mse_sweep(
                     empirical_bias=float(np.mean(err)),
                     theoretical_var=(
                         math.nan if entry.oracle is None
-                        else entry.oracle(stats, k, s, scheme, 1)
+                        else entry.variance(stats, k, s, scheme, 1)
                     ),
                 )
             )

@@ -295,4 +295,6 @@ def sign_similarity(a, b) -> float:
         raise ValueError(
             f"sign sketches must have equal length, got {bits_a.shape} and {bits_b.shape}"
         )
+    if bits_a.size == 0:
+        raise ValueError("sign similarity of empty sketches is undefined")
     return float(np.mean(bits_a == bits_b))

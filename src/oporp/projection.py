@@ -19,11 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Type aliases for readability; a permutation is the array ``perm`` such
-# that position p of the shuffled vector holds original coordinate perm[p].
-Permutation = np.ndarray
-ProjectionVector = np.ndarray
-
 _MAX_SEED = 2**64
 
 
@@ -121,8 +116,8 @@ def _check_dim(D: int) -> int:
     return D
 
 
-def generate_permutation(D: int, seed: int) -> Permutation:
-    """Uniformly random permutation of range(D), a pure function of (D, seed)."""
+def generate_permutation(D: int, seed: int) -> np.ndarray:
+    """Uniform permutation of range(D), pure in (D, seed): position p holds coordinate perm[p]."""
     D = _check_dim(D)
     return generator(seed).permutation(D)
 
@@ -154,6 +149,6 @@ def draw_multipliers(
 
 def generate_projection_vector(
     D: int, dist: ProjectionDistribution, seed: int
-) -> ProjectionVector:
+) -> np.ndarray:
     """Draw D i.i.d. multipliers from ``dist``, a pure function of its inputs."""
     return draw_multipliers(generator(seed), _check_dim(D), dist)

@@ -136,6 +136,12 @@ class SketchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A string binning would compare unequal to both members and pick the
+        # variable-length scheme wherever the code asks "is FIXED?".
+        if not isinstance(self.binning, Binning):
+            raise TypeError(f"binning must be a Binning, got {self.binning!r}")
+        if not isinstance(self.dist, ProjectionDistribution):
+            raise TypeError(f"dist must be a ProjectionDistribution, got {self.dist!r}")
         # Stored as plain ints: seed 5.5 would draw seed 5's randomness yet
         # compare unequal to it, and dim 16.0 cannot be written to a file.
         for name in ("dim", "k", "m", "seed"):
@@ -157,13 +163,6 @@ class SketchConfig:
         """Working dimension: dim rounded up to a multiple of k for fixed bins."""
         return _padded_dim(self.dim, self.k, self.binning)
 
-    @property
-    def block_length(self) -> int:
-        """Coordinates per bin after padding (fixed-length binning only)."""
-        if self.binning is not Binning.FIXED:
-            raise ValueError("block_length is only defined for fixed-length binning")
-        return self.padded_dim // self.k
-
 
 @dataclass
 class Sketch:
@@ -182,50 +181,14 @@ class Sketch:
                 f"got shape {np.shape(self.values)}"
             )
 
-    def rep(self, t: int) -> np.ndarray:
-        """View of repetition t's k values."""
-        k = self.config.k
-        return self.values[t * k : (t + 1) * k]
-
     @property
     def reps(self) -> np.ndarray:
         """(m, k) view of the values."""
         return self.values.reshape(self.config.m, self.config.k)
 
 
-def bins_from_permutation(perm: np.ndarray, k: int) -> np.ndarray:
-    """Bin index of every original coordinate under consecutive-block binning.
-
-    ``perm`` is the shuffled index array (position p holds coordinate
-    perm[p]); coordinate i lands in bin position_of(i) // (D/k).
-    """
-    perm = np.asarray(perm)
-    D = perm.shape[0]
-    if k < 1 or D % k != 0:
-        raise ValueError(f"k must divide the (padded) dimension, got D={D}, k={k}")
-    positions = np.empty(D, dtype=np.int64)
-    positions[perm] = np.arange(D, dtype=np.int64)
-    return positions // (D // k)
-
-
 def _rep_seed(config: SketchConfig, repetition: int, purpose: int) -> int:
     return derive_seed(config.seed, repetition, purpose)
-
-
-def bin_assignment(config: SketchConfig, repetition: int) -> np.ndarray:
-    """Bin index per coordinate for one repetition (padded coords included).
-
-    Fixed-length binning derives the repetition's permutation and cuts it
-    into consecutive blocks; variable-length binning assigns each coordinate
-    independently and uniformly. Pure function of (config, repetition).
-    """
-    if not 0 <= repetition < config.m:
-        raise ValueError(f"repetition must be in [0, {config.m}), got {repetition}")
-    if config.binning is Binning.FIXED:
-        perm = generate_permutation(config.padded_dim, _rep_seed(config, repetition, _PERM))
-        return bins_from_permutation(perm, config.k)
-    rng = generator(_rep_seed(config, repetition, _BINS))
-    return rng.integers(0, config.k, size=config.dim)
 
 
 def _check_finite(x: np.ndarray) -> None:
@@ -300,7 +263,10 @@ class SketchPlan:
         if config.binning is Binning.FIXED:
             indices = (generate_permutation(Dp, _rep_seed(config, t, _PERM)) for t in reps)
         else:
-            indices = (bin_assignment(config, t) for t in reps)
+            indices = (
+                generator(_rep_seed(config, t, _BINS)).integers(0, config.k, size=config.dim)
+                for t in reps
+            )
         self._indices = tuple(_read_only(index) for index in indices)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
@@ -411,20 +377,6 @@ def vsrp_sketch(u: np.ndarray, D: int, k: int, s: float, seed: int) -> Sketch:
     flavor, which only the vsrp estimators read.
     """
     return _plan(vsrp_config(D, k, s, seed), "vsrp").sketch(u)
-
-
-def normalize_sketch(sk: Sketch) -> Sketch:
-    """Scale each repetition block to unit l2 norm.
-
-    With m=1 a plain inner product of two normalized sketches is the
-    cosine estimate; with m>1 it is m times the averaged estimate.
-    """
-    blocks = sk.reps
-    norms = np.linalg.norm(blocks, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroNormError("cannot normalize a sketch with a zero-norm repetition")
-    values = (blocks / norms[:, None]).reshape(-1)
-    return Sketch(values, sk.config, sk.flavor, stored_norm=sk.stored_norm)
 
 
 def check_compatible(x: Sketch, y: Sketch) -> None:
@@ -553,5 +505,7 @@ def load_sign_sketch(path: str) -> tuple[np.ndarray, SketchConfig]:
     expected = config.k * config.m
     if bits.shape[0] != expected:
         raise SketchFileError(f"expected {expected} bits, file holds {bits.shape[0]}")
+    if not np.all(np.abs(bits) == 1):
+        raise SketchFileError("sign file holds entries other than -1 and +1")
     return bits.astype(np.int8), config
 

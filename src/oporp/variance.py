@@ -6,7 +6,9 @@ function of the moment sums of the data pair, the number of bins k, the
 multiplier fourth moment s, and the binning scheme. Fixed-length binning
 contributes the factor (D - k) / (D - 1) through the between-coordinate
 collision moment, with D the padded working dimension; variable-length
-binning contributes factor 1.
+binning contributes factor 1. The m repetitions of a sketch are independent,
+so an m-repetition average has the single-repetition variance over m; the
+estimator registry (``oporp.estimate``) divides in that one place.
 """
 
 from __future__ import annotations
@@ -125,14 +127,10 @@ def _coupling(stats: PairStatistics, k: int, scheme: Binning) -> float:
     return k * lemma1_moments(D, k, scheme).samebin
 
 
-def var_inner(
-    stats: PairStatistics, k: int, s: float, scheme: Binning, m: int = 1
-) -> float:
-    """Variance of the inner-product estimate averaged over m repetitions."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def var_inner(stats: PairStatistics, k: int, s: float, scheme: Binning) -> float:
+    """Variance of the inner-product estimate (single repetition)."""
     collision = stats.a**2 + stats.sumsq_u * stats.sumsq_v - 2.0 * stats.sum_u2v2
-    return ((s - 1.0) * stats.sum_u2v2 + _coupling(stats, k, scheme) * collision) / m
+    return (s - 1.0) * stats.sum_u2v2 + _coupling(stats, k, scheme) * collision
 
 
 def var_inner_vsrp(stats: PairStatistics, k: int, s: float) -> float:
@@ -175,16 +173,15 @@ def var_normalized_inner(
 def variance_ratio(stats: PairStatistics, s: float, which: str) -> float:
     """Variance of a k-sample sparse projection over variable-binned OPORP.
 
-    Equals 1 at s = 1 and grows linearly in s; ``which`` selects the
-    inner-product ("inner") or cosine ("cosine") comparison.
+    The quotient of the two oracles at k = 1, where OPORP is Rademacher
+    (s = 1); k cancels. Equals 1 at s = 1 and grows linearly in s;
+    ``which`` selects the inner-product ("inner") or cosine ("cosine")
+    comparison.
     """
     if which == "inner":
-        num = stats.sumsq_u * stats.sumsq_v + stats.a**2 + (s - 3.0) * stats.sum_u2v2
-        den = stats.sumsq_u * stats.sumsq_v + stats.a**2 - 2.0 * stats.sum_u2v2
+        num, den = var_inner_vsrp(stats, 1, s), var_inner(stats, 1, 1.0, Binning.VARIABLE)
     elif which == "cosine":
-        one_minus = (1.0 - stats.rho**2) ** 2
-        num = one_minus + (s - 3.0) * stats.A
-        den = one_minus - 2.0 * stats.A
+        num, den = var_cosine_vsrp(stats, 1, s), var_cosine(stats, 1, 1.0, Binning.VARIABLE)
     else:
         raise ValueError(f"which must be 'inner' or 'cosine', got {which!r}")
     if den <= 0.0:
@@ -192,15 +189,3 @@ def variance_ratio(stats: PairStatistics, s: float, which: str) -> float:
             f"variance ratio undefined for this pair ({which} denominator {den:g})"
         )
     return num / den
-
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """One oracle evaluation, as emitted by the CLI's variance table."""
-
-    estimator: str
-    scheme: str
-    k: int
-    s: float
-    m: int
-    value: float

@@ -186,11 +186,28 @@ def test_variance_synthetic_pair_and_m(tmp_path, capsys):
     assert float(line.split(",")[5]) == pytest.approx(float(with_m1.split(",")[5]) / 4, rel=1e-12)
 
 
-def test_variance_rejects_m_for_non_inner(capsys):
+def test_variance_divides_every_estimator_by_m(capsys):
+    argv = [
+        "variance", "--dim", "16", "--rho", "0.5", "--k-list", "4",
+        "--estimators", "distance,cosine,normalized_inner,vsrp_inner,vsrp_cosine",
+    ]
+    one = run_ok(capsys, argv).strip().splitlines()[1:]
+    two = run_ok(capsys, argv + ["--m", "2"]).strip().splitlines()[1:]
+    assert len(one) == len(two) == 3 * 2 + 2
+    for a, b in zip(one, two):
+        assert b.split(",")[4] == "2"
+        assert float(b.split(",")[5]) == float(a.split(",")[5]) / 2
+
+
+@pytest.mark.parametrize("estimator", ["inner", "cosine", "vsrp_cosine"])
+def test_variance_rejects_m_below_one(capsys, estimator):
     assert run([
         "variance", "--dim", "16", "--rho", "0.5", "--k-list", "4",
-        "--estimators", "cosine", "--m", "2",
+        "--estimators", estimator, "--m", "0",
     ]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid: ")
 
 
 # --- simulate -------------------------------------------------------------------------

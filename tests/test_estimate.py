@@ -17,22 +17,22 @@ from hypothesis import strategies as st
 from oporp.estimate import (
     EstimationError,
     Estimator,
+    _estimate,
     cosine_hat,
     distance_hat,
     inner_product_hat,
     likelihood_roots,
     mle_inner_product,
-    normalized_inner_product,
     vsrp_cosine_hat,
     vsrp_inner_product_hat,
 )
 from oporp.projection import derive_seed, rademacher
 from oporp.sketch import (
     Binning,
+    Sketch,
     SketchConfig,
     SketchMismatchError,
     ZeroNormError,
-    normalize_sketch,
     oporp_sketch,
     vsrp_sketch,
 )
@@ -260,15 +260,24 @@ def test_mle_rejects_bad_margins():
 # --- normalized inner product ---------------------------------------------------
 
 
+def normalized_inner(x, y, sumsq_u, sumsq_v):
+    return _estimate(Estimator.NORMALIZED_INNER, x, y, sumsq_u, sumsq_v)
+
+
 def test_normalized_inner_from_published_margins():
     # rho = 0.9623 with squared norms 13556 and 13395 rescales to 12967.24...
-    got = normalized_inner_product(0.9623, math.sqrt(13556.0), math.sqrt(13395.0))
+    c = rademacher_config(2, 2)
+    x = Sketch(np.array([1.0, 0.0]), c)
+    y = Sketch(np.array([0.9623, math.sqrt(1.0 - 0.9623**2)]), c)
+    got = normalized_inner(x, y, 13556.0, 13395.0)
     assert got == pytest.approx(12967.24226711215, rel=1e-12)
 
 
 def test_normalized_inner_validation():
-    with pytest.raises(ValueError):
-        normalized_inner_product(0.5, -1.0, 1.0)
+    x, y = sketch_pair(np.ones(4), np.arange(4.0), rademacher_config(4, 2))
+    for margins in ((-1.0, 1.0), (1.0, 0.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            normalized_inner(x, y, *margins)
 
 
 def test_normalized_inner_recovers_inner_at_k_equals_dim():
@@ -276,8 +285,7 @@ def test_normalized_inner_recovers_inner_at_k_equals_dim():
     u = 3.0 * rng.standard_normal(32)
     v = 0.2 * rng.standard_normal(32)
     x, y = sketch_pair(u, v, rademacher_config(32, 32, seed=4))
-    rho_hat = cosine_hat(x, y)
-    got = normalized_inner_product(rho_hat, np.linalg.norm(u), np.linalg.norm(v))
+    got = normalized_inner(x, y, float(u @ u), float(v @ v))
     assert got == pytest.approx(float(u @ v), rel=1e-12)
 
 
@@ -323,7 +331,8 @@ def test_normalized_sketches_give_cosine_via_inner():
     rng = np.random.default_rng(14)
     u, v = rng.standard_normal(64), rng.standard_normal(64)
     x, y = sketch_pair(u, v, rademacher_config(64, 16, seed=6))
-    lhs = inner_product_hat(normalize_sketch(x), normalize_sketch(y))
+    unit_x, unit_y = (Sketch(sk.values / np.linalg.norm(sk.values), sk.config) for sk in (x, y))
+    lhs = inner_product_hat(unit_x, unit_y)
     assert lhs == pytest.approx(cosine_hat(x, y), rel=1e-12)
 
 

@@ -29,7 +29,6 @@ from oporp.estimate import (
     inner_product_hat,
     likelihood_roots,
     mle_inner_product,
-    normalized_inner_product,
     vsrp_cosine_hat,
     vsrp_inner_product_hat,
 )
@@ -231,9 +230,7 @@ def _library_outputs():
         out[f"{name}/inner"] = inner_product_hat(x, y)
         out[f"{name}/distance"] = distance_hat(x, y)
         out[f"{name}/cosine"] = cosine_hat(x, y)
-        out[f"{name}/normalized_inner"] = normalized_inner_product(
-            cosine_hat(x, y), math.sqrt(E), math.sqrt(F)
-        )
+        out[f"{name}/normalized_inner"] = cosine_hat(x, y) * math.sqrt(E) * math.sqrt(F)
         out[f"{name}/mle_inner"] = mle_inner_product(x, y, E, F)
     for name, (n, s, seed) in VSRP.items():
         x, y = vsrp_sketch(u, 40, n, s, seed), vsrp_sketch(v, 40, n, s, seed)

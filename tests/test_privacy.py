@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,14 @@ def test_sign_similarity_basics():
     assert sign_similarity(a, np.array([1, 1, -1, 1], dtype=np.int8)) == 0.75
     with pytest.raises(ValueError):
         sign_similarity(a, a[:3])
+
+
+def test_sign_similarity_of_empty_sketches_raises():
+    empty = np.array([], dtype=np.int8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            sign_similarity(empty, empty)
 
 
 def test_sign_similarity_accepts_released_sketches():

@@ -26,11 +26,8 @@ PUBLIC = [
     "SketchMismatchError",
     "SketchPlan",
     "SweepRow",
-    "VarianceReport",
     "ZeroNormError",
     "area_under_pr",
-    "bin_assignment",
-    "bins_from_permutation",
     "check_compatible",
     "cosine_hat",
     "derive_seed",
@@ -52,8 +49,6 @@ PUBLIC = [
     "make_clusters",
     "mle_inner_product",
     "mse_sweep",
-    "normalize_sketch",
-    "normalized_inner_product",
     "oporp_sketch",
     "pair_statistics",
     "rademacher",

@@ -37,14 +37,10 @@ from oporp.sketch import (
     SketchFileError,
     SketchMismatchError,
     SketchPlan,
-    ZeroNormError,
     _plan,
-    bin_assignment,
-    bins_from_permutation,
     check_compatible,
     load_sign_sketch,
     load_sketch,
-    normalize_sketch,
     oporp_sketch,
     save_sign_sketch,
     row_norms,
@@ -77,50 +73,54 @@ def test_config_validation():
     # variable binning is allowed to have more bins than coordinates
     c = cfg(k=32, binning=Binning.VARIABLE)
     assert c.padded_dim == 16
-    with pytest.raises(ValueError):
-        c.block_length
+
+
+@pytest.mark.parametrize("field, value", [
+    ("binning", "fixed"), ("binning", "variable"), ("dist", "rademacher"), ("dist", None),
+])
+def test_config_rejects_untyped_binning_and_dist(field, value):
+    # a string binning used to pass and sketch with the variable-length scheme
+    with pytest.raises(TypeError):
+        cfg(**{field: value})
+
+
+def bin_of_each_coordinate(c: SketchConfig) -> np.ndarray:
+    """(m, dim) bin index of every coordinate, read off the sketches of the unit vectors.
+
+    Under Rademacher multipliers coordinate i puts +-1 into its bin and 0
+    into every other one.
+    """
+    reps = SketchPlan(c).apply(np.eye(c.dim)).reshape(c.dim, c.m, c.k)
+    assert np.all(np.count_nonzero(reps, axis=2) == 1)
+    return np.argmax(np.abs(reps), axis=2).T
 
 
 def test_padded_dim_and_block_length():
+    # dim 10 pads to 12: each of the 4 bins has 3 slots, 2 of them padding
     c = SketchConfig(dim=10, k=4, binning=Binning.FIXED, dist=rademacher())
     assert c.padded_dim == 12
-    assert c.block_length == 3
-    assert cfg(dim=16, k=4).block_length == 4
-
-
-def test_bins_from_permutation_hand_example():
-    # position p holds coordinate perm[p]; blocks of length 2
-    perm = np.array([2, 0, 3, 1])
-    assert np.array_equal(bins_from_permutation(perm, 2), [0, 1, 0, 1])
-    assert np.array_equal(bins_from_permutation(np.arange(4), 2), [0, 0, 1, 1])
-
-
-def test_bins_from_permutation_rejects_non_divisor():
-    with pytest.raises(ValueError):
-        bins_from_permutation(np.arange(6), 4)
+    counts = np.bincount(bin_of_each_coordinate(c)[0], minlength=4)
+    assert counts.sum() == 10 and counts.max() <= 3
+    assert np.all(np.bincount(bin_of_each_coordinate(cfg(dim=16, k=4))[0]) == 4)
 
 
 def test_fixed_bin_assignment_is_balanced():
     for D, k, seed in [(16, 4, 0), (12, 3, 5), (64, 64, 9)]:
         c = SketchConfig(dim=D, k=k, binning=Binning.FIXED, dist=rademacher(), seed=seed)
-        bins = bin_assignment(c, 0)
-        assert np.array_equal(np.sort(np.unique(bins)), np.arange(k))
-        assert np.all(np.bincount(bins, minlength=k) == c.block_length)
+        bins = bin_of_each_coordinate(c)[0]
+        assert np.all(np.bincount(bins, minlength=k) == D // k)
 
 
 def test_variable_bin_assignment_range_and_determinism():
     c = cfg(binning=Binning.VARIABLE, k=6, dim=200, seed=3)
-    bins = bin_assignment(c, 0)
+    bins = bin_of_each_coordinate(c)[0]
     assert bins.shape == (200,)
     assert bins.min() >= 0 and bins.max() < 6
-    assert np.array_equal(bins, bin_assignment(c, 0))
-    with pytest.raises(ValueError):
-        bin_assignment(c, 1)  # m = 1, repetition out of range
+    assert np.array_equal(bins, bin_of_each_coordinate(c)[0])
 
 
 def test_bin_assignment_differs_across_repetitions():
-    c = cfg(m=3, seed=8)
-    assignments = [bin_assignment(c, t) for t in range(3)]
+    assignments = bin_of_each_coordinate(cfg(m=3, seed=8))
     assert not np.array_equal(assignments[0], assignments[1])
     assert not np.array_equal(assignments[1], assignments[2])
 
@@ -140,10 +140,9 @@ def test_oporp_matches_reconstruction_fixed():
         r = generate_projection_vector(16, gaussian(), derive_seed(21, t, _PROJ))
         positions = np.empty(16, dtype=np.int64)
         positions[perm] = np.arange(16)
-        expected = np.bincount(
-            bins_from_permutation(perm, 4), weights=u * r[positions], minlength=4
-        )
-        assert np.allclose(sk.rep(t), expected, rtol=0, atol=1e-12)
+        # consecutive blocks of Dp / k = 4 positions form the bins
+        expected = np.bincount(positions // 4, weights=u * r[positions], minlength=4)
+        assert np.allclose(sk.reps[t], expected, rtol=0, atol=1e-12)
 
 
 def test_oporp_matches_reconstruction_variable():
@@ -155,7 +154,7 @@ def test_oporp_matches_reconstruction_variable():
         bins = generator(derive_seed(5, t, _BINS)).integers(0, 7, size=30)
         r = generate_projection_vector(30, rademacher(), derive_seed(5, t, _PROJ))
         expected = np.bincount(bins, weights=u * r, minlength=7)
-        assert np.allclose(sk.rep(t), expected, rtol=0, atol=1e-12)
+        assert np.allclose(sk.reps[t], expected, rtol=0, atol=1e-12)
 
 
 def test_oporp_linearity():
@@ -193,7 +192,7 @@ def test_repetition_layout():
     assert sk.values.shape == (12,)
     assert sk.reps.shape == (3, 4)
     for t in range(3):
-        assert np.array_equal(sk.rep(t), sk.values[t * 4 : (t + 1) * 4])
+        assert np.array_equal(sk.reps[t], sk.values[t * 4 : (t + 1) * 4])
 
 
 def test_sketch_stores_data_norm():
@@ -441,18 +440,6 @@ def test_vsrp_shares_randomness_across_vectors():
     assert np.allclose(sw.values, su.values + sv.values, atol=1e-10)
 
 
-def test_normalize_sketch_unit_blocks():
-    u = np.random.default_rng(10).standard_normal(16)
-    sk = normalize_sketch(oporp_sketch(u, cfg(m=4, seed=6)))
-    assert np.allclose(np.linalg.norm(sk.reps, axis=1), 1.0, atol=1e-12)
-
-
-def test_normalize_zero_sketch_raises():
-    sk = oporp_sketch(np.zeros(16), cfg())
-    with pytest.raises(ZeroNormError):
-        normalize_sketch(sk)
-
-
 def test_check_compatible():
     u = np.random.default_rng(11).standard_normal(16)
     a = oporp_sketch(u, cfg(seed=1))
@@ -548,6 +535,16 @@ def test_non_finite_sketch_file_is_rejected(tmp_path, bad):
     save_sketch(str(path), Sketch(sk.values, sk.config, sk.flavor, float(bad)))
     with pytest.raises(SketchFileError):
         load_sketch(str(path))
+
+
+@pytest.mark.parametrize("bad", [7, 0, -128])
+def test_sign_file_with_a_non_sign_byte_is_rejected(tmp_path, bad):
+    path = tmp_path / "signs.bin"
+    save_sign_sketch(str(path), np.array([1, -1, -1, 1], dtype=np.int8), cfg(dim=8, k=4))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-1] + np.int8(bad).tobytes())
+    with pytest.raises(SketchFileError):
+        load_sign_sketch(str(path))
 
 
 def test_payload_kind_is_enforced(tmp_path):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oporp.estimate import _REGISTRY, Estimator
 from oporp.sketch import Binning
 from oporp.variance import (
     DegeneratePairError,
@@ -266,7 +267,7 @@ def test_variance_decreases_in_k_and_m():
     values = [var_inner(st, k, 1.0, FIXED) for k in (2, 4, 8, 16, 32, 64)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(0.0, abs=1e-12)  # k = D, s = 1
-    assert var_inner(st, 4, 1.0, FIXED, m=5) == pytest.approx(values[1] / 5, rel=1e-15)
+    assert _REGISTRY[Estimator.INNER].variance(st, 4, 1.0, FIXED, 5) == values[1] / 5
 
 
 def test_fixed_beats_variable_by_the_collision_factor():
@@ -296,7 +297,7 @@ def test_vsrp_inner_equals_one_bin_many_reps():
     for s in (1.0, 3.0, 10.0, 40.0):
         for k in (1, 16, 256):
             direct = var_inner_vsrp(st, k, s)
-            via_reps = var_inner(st, 1, s, VARIABLE, m=k)
+            via_reps = _REGISTRY[Estimator.INNER].variance(st, 1, s, VARIABLE, k)
             assert direct == pytest.approx(via_reps, rel=1e-14)
 
 
@@ -348,6 +349,32 @@ def test_variance_ratio_degenerate_pair():
 
 
 def test_var_inner_m_validation():
+    # the registry divides every oracle by m, and refuses m < 1 for each
     st = pair_statistics(np.ones(4), 2 * np.ones(4))
-    with pytest.raises(ValueError):
-        var_inner(st, 2, 1.0, FIXED, m=0)
+    for est, entry in _REGISTRY.items():
+        if entry.oracle is None:
+            continue
+        one = entry.variance(st, 2, 1.0, FIXED, 1)
+        assert one == entry.oracle(st, 2, 1.0, FIXED), est
+        assert entry.variance(st, 2, 1.0, FIXED, 3) == one / 3, est
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                entry.variance(st, 2, 1.0, FIXED, m)
+
+
+def test_variance_ratio_matches_its_closed_form_bit_for_bit():
+    # the ratio is a quotient of two oracles at k = 1; written out, it is
+    # (EF + a^2 + (s - 3) S) / (EF + a^2 - 2 S) for the inner product, with
+    # S = sum u^2 v^2, and ((1 - rho^2)^2 + (s - 3) A) / ((1 - rho^2)^2 - 2 A)
+    # for the cosine
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        u = rng.standard_normal(24)
+        st = pair_statistics(u, rng.uniform(-1, 1) * u + rng.standard_normal(24))
+        ef_a = st.sumsq_u * st.sumsq_v + st.a**2
+        one_minus = (1.0 - st.rho**2) ** 2
+        for s in (1.0, 1.8, 3.0, 17.5):
+            inner = (ef_a + (s - 3.0) * st.sum_u2v2) / (ef_a - 2.0 * st.sum_u2v2)
+            cosine = (one_minus + (s - 3.0) * st.A) / (one_minus - 2.0 * st.A)
+            assert variance_ratio(st, s, "inner") == inner
+            assert variance_ratio(st, s, "cosine") == cosine
