@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import variance as var
+from .projection import sparse
 from .sketch import Sketch, SketchMismatchError, ZeroNormError, check_compatible, row_norms
 
 
@@ -184,6 +185,7 @@ class _Entry:
         """Variance of the average of m independent repetitions: the oracle's over m."""
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
+        sparse(s)  # refuses an s no multiplier has, as the distribution does
         return self.oracle(stats, k, s, scheme) / m
 
 

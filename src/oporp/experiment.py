@@ -5,13 +5,13 @@ independent sketch trials and reports the matching closed-form variance
 next to it. Trials are drawn batch-wise from one derived counter-based
 stream per estimator family and sweep cell, with a fixed trial-major layout
 and fixed internal chunk sizes, so a given (inputs, seed) always produces
-bit-identical rows; the batch kernels are distribution-identical to the
-per-call sketch path (cross-checked in the test suite). A VSRP cell with
-s below the fixed switch ``_DENSE_VSRP_BELOW`` draws one random byte per
-projection entry (the dense byte kernel); from the switch on it draws only
-the nonzero entries (geometric gaps, one sign bit each). Rows of VSRP cells
-below the switch, s = 1 included, differ from those of earlier versions;
-rows from the switch on, every OPORP row, sketches and sketch files do not.
+bit-identical rows. An OPORP chunk of c trials is the draw of a sketch
+plan with m = c repetitions. A VSRP cell with s below the fixed switch
+``_DENSE_VSRP_BELOW`` draws one random byte per projection entry, by the
+package's one sparse sampler (the dense byte kernel); from the switch on it
+draws only the nonzero entries (geometric gaps, one sign bit each). Since
+sketch format 2, OPORP rows whose s picks sparse multipliers use that
+sampler too, and differ from earlier versions; other rows do not.
 
 Everything estimator-specific comes from the registry in
 :mod:`oporp.estimate`: a chunk of trials is one (trials, k) array per side,
@@ -47,8 +47,9 @@ from .estimate import _REGISTRY, Estimator, _pair_sums
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
+    _oporp_draws,
+    _sparse_signs,
     derive_seed,
-    draw_multipliers,
     gaussian,
     generator,
     rademacher,
@@ -75,10 +76,6 @@ _DATA = 2
 
 # Target entries per sweep chunk of draws; fixed, because the rows depend on it.
 _CHUNK_ELEMENTS = 4_000_000
-
-# Target int64 entries per block of the sweep's permutation shuffle; no
-# result depends on it.
-_SHUFFLE_ELEMENTS = 1 << 16
 
 # VSRP sweep cells with s below this use the dense byte kernel, the others
 # the gap kernel; BENCH_sweep_vsrp.json times the dense one as faster at
@@ -158,25 +155,6 @@ def distribution_for_moment(s: float) -> ProjectionDistribution:
     return sparse(s)
 
 
-def _permutation_rows(rng: np.random.Generator, c: int, Dp: int) -> np.ndarray:
-    """(c, Dp) int32 rows, each a permutation of range(Dp), drawn in row order.
-
-    numpy shuffles 8-byte items on a fast path, so blocks of rows are
-    shuffled as int64 and stored as int32: the same draws, and the same
-    stream position after, as shuffling one int32 tile along its rows.
-    """
-    index = np.empty((c, Dp), dtype=np.int32)
-    step = max(1, min(c, _SHUFFLE_ELEMENTS // Dp))
-    shuffle = np.empty((step, Dp), dtype=np.int64)
-    identity = np.arange(Dp)
-    for lo in range(0, c, step):
-        perms = shuffle[: min(step, c - lo)]
-        perms[:] = identity
-        rng.permuted(perms, axis=1, out=perms)
-        index[lo : lo + perms.shape[0]] = perms
-    return index
-
-
 def _oporp_chunk(
     u_pad: np.ndarray,
     v_pad: np.ndarray,
@@ -188,17 +166,13 @@ def _oporp_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """c independent single-repetition sketch pairs, shapes (c, k).
 
-    Only the draws are (c, Dp): one permutation (fixed binning) or bin-index
-    row (variable binning) and one multiplier row per trial. The sketches
-    are summed block by block through one buffer.
+    Only the draws are (c, Dp): the draw of an m = c plan, one permutation
+    (fixed binning) or bin-index row (variable binning) and one multiplier
+    row per trial. The sketches are summed block by block through one buffer.
     """
     Dp = u_pad.shape[0]
     fixed = scheme is Binning.FIXED
-    if fixed:
-        index = _permutation_rows(rng, c, Dp)
-    else:
-        index = rng.integers(0, k, size=(c, Dp), dtype=np.int32)
-    R = draw_multipliers(rng, (c, Dp), dist)
+    index, R = _oporp_draws(rng, c, Dp, k, dist, fixed)
     X = np.empty((c, k))
     Y = np.empty((c, k))
     rows = _block_rows(Dp, c)
@@ -233,49 +207,23 @@ def _vsrp_dense(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense kernel of :func:`_vsrp_chunk`: one random byte per (sample, coordinate).
 
-    The bytes are read little-endian from full-range uint64 draws. A byte
-    whose top 7 bits t are below T = floor(128/s) is a nonzero; a tie
-    t = T (1 in 128 bytes) is one when a uniform falls below 128/s - T, so
-    P(nonzero) = 1/s to double precision. The low bit is the sign. The
-    chunk draws all its bytes first, then one uniform per tie in order.
-    Each block of whole samples becomes a {-1, 0, +1} float array, and
-    every row is reduced on its own with einsum, never BLAS, whose sums
-    depend on the block shape. Needs 1 <= s < 128, so that T >= 1.
+    The chunk's {-1, 0, +1} entries come from the package's one sparse
+    sampler, :func:`~oporp.projection._sparse_signs`. Each block of whole
+    samples becomes a float array, and every row is reduced on its own with
+    einsum, never BLAS, whose sums depend on the block shape.
     """
     D = u.shape[0]
     samples = c * k
-    n = samples * D
-    draws = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
-    B = draws.astype("<u8", copy=False).view(np.uint8)[:n]
-    T = int(128.0 / s)
-    tie_odds = 128.0 / s - T
+    signs = _sparse_signs(rng, (samples, D), s)
     X = np.empty(samples)
     Y = np.empty(samples)
     rows = _block_rows(D, samples)
     Z = np.empty((rows, D))
-    # Byte scratch for a block; fresh temporaries per block cost more than
-    # the passes that fill them.
-    scratch = np.empty(rows * D, dtype=np.uint8)
-    flags = np.empty(rows * D, dtype=np.bool_)
     for lo in range(0, samples, rows):
-        hi = min(lo + rows, samples)
-        b = B[lo * D : hi * D]
-        m = scratch[: b.shape[0]]
-        if T < 128:
-            f = flags[: b.shape[0]]
-            np.equal(np.bitwise_or(b, 1, out=m), 2 * T + 1, out=f)
-            ties = np.flatnonzero(f)
-            # A tie that wins keeps only its sign bit, which reads as t = 0.
-            b[ties[rng.random(ties.shape[0]) < tie_odds]] &= 1
-        np.less_equal(b, 2 * T - 1, out=m.view(np.bool_))
-        # m - 2 (b & m) is +1, -1 (255) or 0, read as int8.
-        np.bitwise_and(b, m, out=b)
-        np.add(b, b, out=b)
-        np.subtract(m, b, out=b)
-        block = Z[: hi - lo]
-        block[...] = b.view(np.int8).reshape(hi - lo, D)
-        np.einsum("ij,j->i", block, u, out=X[lo:hi])
-        np.einsum("ij,j->i", block, v, out=Y[lo:hi])
+        block = Z[: min(rows, samples - lo)]
+        block[...] = signs[lo : lo + rows]
+        np.einsum("ij,j->i", block, u, out=X[lo : lo + rows])
+        np.einsum("ij,j->i", block, v, out=Y[lo : lo + rows])
     X *= math.sqrt(s)
     Y *= math.sqrt(s)
     return X.reshape(c, k), Y.reshape(c, k)
@@ -358,10 +306,7 @@ def _cell_draws(family: str, u, v, k: int, s: float, dist, scheme: Binning):
             chunk = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k))
         return chunk, lambda c, rng: _vsrp_chunk(u, v, k, s, c, rng)
     Dp = _padded_dim(D, k, scheme)
-    u_pad = np.zeros(Dp)
-    u_pad[:D] = u
-    v_pad = np.zeros(Dp)
-    v_pad[:D] = v
+    u_pad, v_pad = (np.pad(x, (0, Dp - D)) for x in (u, v))
     chunk = max(1, _CHUNK_ELEMENTS // Dp)
     return chunk, lambda c, rng: _oporp_chunk(u_pad, v_pad, k, dist, scheme, c, rng)
 

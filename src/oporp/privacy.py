@@ -111,10 +111,6 @@ def std_normal_cdf(z):
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # e^x is a float for every x below this.
 _EXP_LIMIT = 709.0
-# The largest epsilon the Gaussian calibration accepts. The math would go
-# on (sigma ~ delta2 / sqrt(2 epsilon) is a normal float up to the float
-# maximum); the top of the float range stays refused, as it always was.
-_MAX_GAUSSIAN_EPSILON = 1e308
 
 
 def _tradeoff_gap(sigma: float, delta2: float, epsilon: float) -> float:
@@ -141,8 +137,8 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
     from 1 (sigma -> 0) to 0 (sigma -> inf), so the root is unique. The
     result is tight: unlike the classical sqrt(2 log(1.25/delta)) recipe it
     is valid for every epsilon > 0 and never larger where both apply.
-    Raises ValueError for epsilon above 1e308, and when sigma or its
-    bisection bracket leaves the float range.
+    Raises ValueError when sigma or its bisection bracket leaves the float
+    range.
     """
     _check_positive("delta2", delta2)
     _check_positive("epsilon", epsilon)
@@ -152,12 +148,10 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
         f"cannot calibrate the noise in float range for delta2={delta2}, "
         f"epsilon={epsilon}, delta={delta}"
     )
-    if epsilon > _MAX_GAUSSIAN_EPSILON:
-        raise unrepresentable
     lo = delta2 / (10.0 * epsilon)
     if lo == 0.0:
         # 10 * epsilon overflowed. The root is near delta2 / sqrt(2 epsilon),
-        # far above this bound, which cannot underflow for epsilon <= 1e308.
+        # far above this bound.
         lo = delta2 / (10.0 * math.sqrt(epsilon))
     hi = 10.0 * delta2 * math.sqrt(2.0 * math.log(1.25 / delta)) / epsilon
     if lo == 0.0:
@@ -297,4 +291,6 @@ def sign_similarity(a, b) -> float:
         )
     if bits_a.size == 0:
         raise ValueError("sign similarity of empty sketches is undefined")
+    if not (np.isin(bits_a, (-1, 1)).all() and np.isin(bits_b, (-1, 1)).all()):
+        raise ValueError("sign sketches must hold only -1 and +1")
     return float(np.mean(bits_a == bits_b))

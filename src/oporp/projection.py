@@ -2,8 +2,8 @@
 
 All randomness in the package flows through counter-based Philox streams
 keyed by ``SeedSequence`` spawn keys, so independent sub-streams can be
-derived per (repetition, purpose, trial) without correlation and every
-result is a pure function of the user-supplied 64-bit seed.
+derived per (plan, purpose) without correlation and every result is a
+pure function of the user-supplied 64-bit seed.
 
 Multiplier distributions are standardized to E(r) = 0, E(r^2) = 1,
 E(r^3) = 0; the fourth moment E(r^4) = s is the single parameter the
@@ -109,19 +109,6 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
-def _check_dim(D: int) -> int:
-    D = int(D)
-    if D < 1:
-        raise ValueError(f"dimension must be >= 1, got {D}")
-    return D
-
-
-def generate_permutation(D: int, seed: int) -> np.ndarray:
-    """Uniform permutation of range(D), pure in (D, seed): position p holds coordinate perm[p]."""
-    D = _check_dim(D)
-    return generator(seed).permutation(D)
-
-
 def draw_multipliers(
     rng: np.random.Generator, shape, dist: ProjectionDistribution
 ) -> np.ndarray:
@@ -137,18 +124,68 @@ def draw_multipliers(
         return rng.standard_normal(shape)
     if dist.kind is ProjectionKind.SCALED_UNIFORM:
         return np.sqrt(3.0) * rng.uniform(-1.0, 1.0, size=shape)
-    s = dist.sparsity
-    u = rng.random(shape)
-    half = 0.5 / s
-    values = np.zeros(shape)
-    root = math.sqrt(s)
-    values[u < half] = -root
-    values[u >= 1.0 - half] = root
-    return values
+    return math.sqrt(dist.sparsity) * _sparse_signs(rng, shape, dist.sparsity)
 
 
-def generate_projection_vector(
-    D: int, dist: ProjectionDistribution, seed: int
-) -> np.ndarray:
-    """Draw D i.i.d. multipliers from ``dist``, a pure function of its inputs."""
-    return draw_multipliers(generator(seed), _check_dim(D), dist)
+def _sparse_signs(rng: np.random.Generator, shape, s: float) -> np.ndarray:
+    """An int8 array of the given shape, each entry -1 or +1 w.p. 1/(2s), else 0.
+
+    One random byte per entry, read little-endian from full-range uint64
+    draws. A byte whose top 7 bits t are below T = floor(128/s) is a
+    nonzero; a tie t = T (1 byte in 128) is one when a uniform falls below
+    128/s - T, so P(nonzero) = 1/s to double precision for every s >= 1
+    (for s > 128, T = 0 and every nonzero comes from a tie). The low bit is
+    the sign. All bytes are drawn first, then one uniform per tie in order.
+    """
+    n = math.prod(np.broadcast_shapes(shape))  # refuses negative dimensions
+    draws = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
+    b = draws.astype("<u8", copy=False).view(np.uint8)[:n]
+    T = int(128.0 / s)
+    t = np.right_shift(b, 1)
+    ties = np.flatnonzero(t == T)  # none at s = 1, where T = 128
+    nonzero = np.less(t, T, out=t.view(np.bool_)).view(np.uint8)
+    nonzero[ties[rng.random(ties.shape[0]) < 128.0 / s - T]] = 1
+    # nonzero - 2 (b & nonzero) is +1, -1 (255) or 0, read as int8.
+    np.bitwise_and(b, nonzero, out=b)
+    np.add(b, b, out=b)
+    np.subtract(nonzero, b, out=b)
+    return b.view(np.int8).reshape(shape)
+
+
+# Target int64 entries per block of the permutation shuffle; no result
+# depends on it.
+_SHUFFLE_ELEMENTS = 1 << 16
+
+
+def _permutation_rows(rng: np.random.Generator, c: int, Dp: int) -> np.ndarray:
+    """(c, Dp) int32 rows, each a permutation of range(Dp), drawn in row order.
+
+    numpy shuffles 8-byte items on a fast path, so blocks of rows are
+    shuffled as int64 and stored as int32: the same draws, and the same
+    stream position after, as shuffling one int32 tile along its rows.
+    """
+    index = np.empty((c, Dp), dtype=np.int32)
+    step = max(1, min(c, _SHUFFLE_ELEMENTS // Dp))
+    shuffle = np.empty((step, Dp), dtype=np.int64)
+    identity = np.arange(Dp)
+    for lo in range(0, c, step):
+        perms = shuffle[: min(step, c - lo)]
+        perms[:] = identity
+        rng.permuted(perms, axis=1, out=perms)
+        index[lo : lo + perms.shape[0]] = perms
+    return index
+
+
+def _oporp_draws(
+    rng: np.random.Generator, c: int, Dp: int, k: int, dist: ProjectionDistribution, fixed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """c OPORP draws, a plan's m repetitions or a sweep chunk's trials.
+
+    (c, Dp) int32 index rows (permutations of range(Dp) for fixed binning,
+    bin indices in [0, k) for variable binning), then (c, Dp) multipliers.
+    """
+    if fixed:
+        index = _permutation_rows(rng, c, Dp)
+    else:
+        index = rng.integers(0, k, size=(c, Dp), dtype=np.int32)
+    return index, draw_multipliers(rng, (c, Dp), dist)

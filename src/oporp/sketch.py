@@ -19,20 +19,21 @@ equivalent config, but it is computed by an independent code path and
 tagged with its own flavor so the two stream layouts cannot be mixed.
 
 All rows sketched under one config share one draw of the randomness. A
-:class:`SketchPlan` draws it once (the m permutations or bin-index arrays
-and the m multiplier vectors, or the VSRP projection matrix) and sketches
-an (N, dim) matrix in row blocks; ``oporp_sketch`` and ``vsrp_sketch`` are
-its N = 1 case, so a row sketched in a batch is bit-identical to the same
-vector sketched alone. Inputs holding inf or NaN are rejected.
+:class:`SketchPlan` draws it once from one generator (an OPORP plan's m
+repetitions are the sweep's draw of m trials) and sketches an (N, dim)
+matrix in row blocks; ``oporp_sketch`` and ``vsrp_sketch`` are its N = 1
+case, so a row sketched in a batch is bit-identical to the same vector
+sketched alone. Inputs holding inf or NaN are rejected.
 
 The draws are a pure function of the frozen config and the flavor, so the
 package keeps the plans of the last ``_PLAN_CACHE_SIZE`` = 2 (config, flavor)
 pairs it used (:func:`_plan`, an LRU cache): ``oporp_sketch``,
 ``vsrp_sketch``, the DP releases and ``similarity_matrix`` all go through
 it, and sketching many vectors one call at a time draws each config once.
-A kept plan holds m*padded_dim permutation or bin indices and as many
-multipliers (16 bytes per entry), or the dim x m VSRP matrix (8 bytes per
-entry). Every plan's arrays are read-only, whether cached or built
+An OPORP plan holds m*padded_dim int32 indices and float64 multipliers
+(12 bytes per entry), a VSRP plan the dim x m float64 matrix (8 bytes per
+entry). A plan above ``_PLAN_CACHE_BYTES`` = 16 MiB is drawn for its call
+and not kept. Every plan's arrays are read-only, whether cached or built
 directly, so a shared draw cannot be changed by a caller.
 
 The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
@@ -41,11 +42,13 @@ buffer of about ``_BLOCK_ELEMENTS`` entries; every row is reduced on its
 own, so the block size decides only where temporaries live and never
 changes a result.
 
-Sketch file layout (little-endian, 64-byte header):
+Sketch file layout (little-endian, 64-byte header). Version 1 files drew
+each repetition from its own streams; mixed with version 2 sketches they
+would give silently wrong estimates, so loading refuses them:
 
     offset  size  field
     0       4     magic b"OPRP"
-    4       2     u16 format version (1)
+    4       2     u16 format version (2)
     6       1     u8 payload kind (0 = float64 values, 1 = int8 sign bits)
     7       1     u8 flavor (0 = oporp, 1 = vsrp)
     8       1     u8 binning (0 = fixed, 1 = variable)
@@ -76,24 +79,24 @@ import numpy as np
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
+    _oporp_draws,
     check_seed,
     derive_seed,
     draw_multipliers,
-    generate_permutation,
-    generate_projection_vector,
     generator,
     sparse,
 )
 
-# Stream tags: every random draw is keyed by (seed, repetition, purpose).
-_PERM = 0
-_PROJ = 1
-_BINS = 2
-_VSRP = 3
+# Stream tag per flavor: a plan draws from generator(derive_seed(seed, tag)).
+# Tags 0-2 key the experiment module's own streams.
+_STREAMS = {"vsrp": 3, "oporp": 4}
 
 # Plans kept by _plan. Two, because loops that sketch pairs under one OPORP
 # and one VSRP config (and retrieval_eval over both kinds) alternate them.
 _PLAN_CACHE_SIZE = 2
+
+# A plan whose arrays exceed this many bytes is not kept: the cache holds at most twice this.
+_PLAN_CACHE_BYTES = 16 << 20
 
 # Target float64 entries per block buffer of the bin-sum kernel. Blocks
 # decide only where temporaries live: no result depends on this size.
@@ -187,10 +190,6 @@ class Sketch:
         return self.values.reshape(self.config.m, self.config.k)
 
 
-def _rep_seed(config: SketchConfig, repetition: int, purpose: int) -> int:
-    return derive_seed(config.seed, repetition, purpose)
-
-
 def _check_finite(x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise ValueError("input holds inf or NaN entries")
@@ -228,46 +227,35 @@ def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
 class SketchPlan:
     """A config's randomness, drawn once and applied to any number of rows.
 
-    An ``"oporp"`` plan holds the m repetitions' permutations (fixed
-    binning) or bin-index arrays (variable binning) and their multiplier
-    vectors; a ``"vsrp"`` plan, built on a :func:`vsrp_config`, holds the
-    dim x m sparse projection matrix. Every draw comes from the same
-    ``(seed, repetition, purpose)`` stream the single-vector functions use,
-    so all rows sketched under one config share one draw of the randomness
-    and ``plan.apply(M)[i]`` equals the sketch of ``M[i]`` bit for bit. The
-    drawn arrays are read-only. A plan constructed directly is not cached;
-    ``oporp_sketch``, ``vsrp_sketch`` and ``similarity_matrix`` share the
-    cached plans of :func:`_plan`.
+    An ``"oporp"`` plan holds two (m, padded_dim) arrays: the repetitions'
+    permutations (fixed binning) or bin indices (variable binning), and
+    their multipliers. A ``"vsrp"`` plan, built on a :func:`vsrp_config`,
+    holds the dim x m sparse projection matrix. Each plan draws from one
+    generator keyed by its seed and flavor, the stream the single-vector
+    functions use, so all rows sketched under one config share one draw of
+    the randomness and ``plan.apply(M)[i]`` equals the sketch of ``M[i]``
+    bit for bit. The drawn arrays are read-only. A plan constructed
+    directly is not cached; ``oporp_sketch``, ``vsrp_sketch`` and
+    ``similarity_matrix`` share the cached plans of :func:`_plan`.
     """
 
     def __init__(self, config: SketchConfig, flavor: str = "oporp") -> None:
         self.config = config
         self.flavor = flavor
+        if flavor not in _STREAMS:
+            raise ValueError(f"unknown sketch flavor {flavor!r}")
+        rng = generator(derive_seed(config.seed, _STREAMS[flavor]))
         if flavor == "vsrp":
             shape = (config.k, config.binning, config.dist.kind)
             if shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):
                 raise ValueError("a vsrp plan needs the config made by vsrp_config")
-            rng = generator(derive_seed(config.seed, _VSRP))
             self._projection = _read_only(
                 draw_multipliers(rng, (config.dim, config.m), config.dist)
             )
             return
-        if flavor != "oporp":
-            raise ValueError(f"unknown sketch flavor {flavor!r}")
-        Dp = config.padded_dim
-        reps = range(config.m)
-        self._multipliers = tuple(
-            _read_only(generate_projection_vector(Dp, config.dist, _rep_seed(config, t, _PROJ)))
-            for t in reps
-        )
-        if config.binning is Binning.FIXED:
-            indices = (generate_permutation(Dp, _rep_seed(config, t, _PERM)) for t in reps)
-        else:
-            indices = (
-                generator(_rep_seed(config, t, _BINS)).integers(0, config.k, size=config.dim)
-                for t in reps
-            )
-        self._indices = tuple(_read_only(index) for index in indices)
+        fixed = config.binning is Binning.FIXED
+        draws = _oporp_draws(rng, config.m, config.padded_dim, config.k, config.dist, fixed)
+        self._indices, self._multipliers = map(_read_only, draws)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """(N, k*m) sketch values of the rows of an (N, dim) matrix, each repetition-major."""
@@ -298,10 +286,9 @@ class SketchPlan:
             if padded is not None:
                 padded[:c, :dim] = W
                 W = padded[:c]
+            reps = out[start : start + c].reshape(c, m, k)
             for t, (index, r) in enumerate(zip(self._indices, self._multipliers)):
-                out[start : start + c, t * k : (t + 1) * k] = _bin_sums(
-                    buf[:c], W, r, index, k, fixed
-                )
+                reps[:, t] = _bin_sums(buf[:c], W, r, index, k, fixed)
         return out
 
 
@@ -310,13 +297,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(config: SketchConfig, flavor: str) -> SketchPlan:
     """The plan of (config, flavor), shared with every other call that asks for it.
 
-    A hit returns the arrays a miss would draw: the draws are a pure function
-    of the key. Always pass ``flavor`` positionally, so one pair has one key.
+    A plan whose arrays would exceed ``_PLAN_CACHE_BYTES`` is drawn for this
+    call only. A hit returns the arrays a miss would draw: the draws are a
+    pure function of the key.
     """
+    per_entry = 8 if flavor == "vsrp" else 12  # float64, or int32 index + float64
+    if config.m * config.padded_dim * per_entry > _PLAN_CACHE_BYTES:
+        return SketchPlan(config, flavor)
+    return _cached_plan(config, flavor)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _cached_plan(config: SketchConfig, flavor: str) -> SketchPlan:
+    # flavor is always passed positionally, so one pair has one key.
     return SketchPlan(config, flavor)
 
 
@@ -392,7 +388,7 @@ def check_compatible(x: Sketch, y: Sketch) -> None:
 # --- file format ------------------------------------------------------------
 
 _MAGIC = b"OPRP"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _HEADER = struct.Struct("<4sHBBBBB5xQQQQdd")
 _PAYLOAD_VALUES = 0
 _PAYLOAD_SIGNS = 1
@@ -427,7 +423,9 @@ def _pack_header(config: SketchConfig, payload: int, flavor: str, norm: float | 
     )
 
 
-def _unpack_header(buf: bytes) -> tuple[SketchConfig, int, str, float | None]:
+def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, str, float | None]:
+    with open(path, "rb") as fh:
+        buf = fh.read()
     if len(buf) < _HEADER.size:
         raise SketchFileError("sketch file shorter than its header")
     (magic, version, payload, flavor, binning, dist, has_norm,
@@ -455,7 +453,7 @@ def _unpack_header(buf: bytes) -> tuple[SketchConfig, int, str, float | None]:
         raise SketchFileError(f"bad sketch header field: {exc}") from exc
     if has_norm and not math.isfinite(norm):
         raise SketchFileError(f"stored norm {norm} is not finite")
-    return config, payload, flavor_name, (float(norm) if has_norm else None)
+    return buf, config, payload, flavor_name, (float(norm) if has_norm else None)
 
 
 def save_sketch(path: str, sk: Sketch) -> None:
@@ -468,9 +466,7 @@ def save_sketch(path: str, sk: Sketch) -> None:
 
 def load_sketch(path: str) -> Sketch:
     """Read back a float-valued sketch written by :func:`save_sketch`."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    config, payload, flavor, norm = _unpack_header(buf)
+    buf, config, payload, flavor, norm = _read_sketch_file(path)
     if payload != _PAYLOAD_VALUES:
         raise SketchFileError("file holds sign bits, not sketch values")
     expected = config.k * config.m
@@ -496,9 +492,7 @@ def save_sign_sketch(path: str, bits: np.ndarray, config: SketchConfig) -> None:
 
 def load_sign_sketch(path: str) -> tuple[np.ndarray, SketchConfig]:
     """Read back sign bits and the config they were sketched under."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    config, payload, _, _ = _unpack_header(buf)
+    buf, config, payload, _, _ = _read_sketch_file(path)
     if payload != _PAYLOAD_SIGNS:
         raise SketchFileError("file holds sketch values, not sign bits")
     bits = np.frombuffer(buf, dtype=np.int8, offset=_HEADER.size)

@@ -142,6 +142,17 @@ def test_estimate_mismatched_sketches_is_invalid(tmp_path, capsys, matrix_file):
     assert run(["estimate", "--x", x, "--y", y, "--estimator", "inner"]) == 4
 
 
+def test_estimate_refuses_version_1_files(tmp_path, capsys, matrix_file):
+    path, _ = matrix_file
+    x, y = tmp_path / "x.sk", tmp_path / "y.sk"
+    for row, out in ((0, x), (1, y)):
+        run_ok(capsys, ["sketch", "--input", path, "--row", str(row), "--k", "4", "--out", str(out)])
+    raw = x.read_bytes()
+    x.write_bytes(raw[:4] + (1).to_bytes(2, "little") + raw[6:])
+    assert run(["estimate", "--x", str(x), "--y", str(y), "--estimator", "inner"]) == 3
+    assert "version 1" in capsys.readouterr().err
+
+
 # --- variance tables -----------------------------------------------------------------
 
 
@@ -208,6 +219,18 @@ def test_variance_rejects_m_below_one(capsys, estimator):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: invalid: ")
+
+
+@pytest.mark.parametrize("s", ["0.5", "nan", "inf"])
+@pytest.mark.parametrize("estimator", ["inner", "cosine", "vsrp_cosine"])
+def test_variance_rejects_impossible_s(capsys, estimator, s):
+    # --s-list 0.5,nan used to print values for s = 0.5 and rows of nan
+    assert run([
+        "variance", "--dim", "16", "--rho", "0.5", "--k-list", "4",
+        "--estimators", estimator, "--s-list", f"1,{s}",
+    ]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid: sparse parameter must be finite and >= 1")
 
 
 # --- simulate -------------------------------------------------------------------------
@@ -374,11 +397,21 @@ def test_dp_gaussian_at_finite_huge_epsilon(tmp_path, capsys, bounded_matrix_fil
     assert out_path.exists()
 
 
-def test_dp_refuses_a_noise_scale_outside_float_range(tmp_path, capsys, bounded_matrix_file):
+def test_dp_gaussian_at_the_top_of_the_float_range(tmp_path, capsys, bounded_matrix_file):
+    # epsilon = 1.7e308 used to exit 4, though sigma is a normal float
     out_path = tmp_path / "o.sk"
-    code = run([
+    out = run_ok(capsys, [
         "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", "gaussian",
         "--epsilon", "1.7e308", "--delta", "1e-6", "--out", str(out_path),
+    ])
+    sigma = float(out.splitlines()[0].split()[1])
+    assert sigma == pytest.approx(math.sqrt(0.5) / math.sqrt(1.7e308), rel=1e-12)
+    assert out_path.exists()
+    # a noise scale below the float range is still refused
+    out_path.unlink()
+    code = run([
+        "dp", "--input", bounded_matrix_file, "--k", "16", "--mechanism", "gaussian",
+        "--epsilon", "1.7e308", "--delta", "1e-6", "--beta", "5e-324", "--out", str(out_path),
     ])
     err = capsys.readouterr().err.splitlines()
     assert code == 4

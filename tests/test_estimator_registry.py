@@ -6,7 +6,7 @@ two sketches, cosine-type values in [-1, 1], exact recovery at k = D with
 fixed binning and Rademacher multipliers, and positive-scale equivariance.
 Scales are powers of two, so a scaled sketch is exact and the equivariance
 holds bit for bit. The pinned outputs are frozen-seed estimates recorded
-before the estimators shared one kernel.
+under sketch format version 2, one generator per plan.
 """
 
 import contextlib
@@ -163,7 +163,7 @@ def test_estimates_are_positive_scale_equivariant(est, case, a, b):
     assert scaled == base * factor
 
 
-# --- outputs pinned before the estimators shared one kernel ---------------------------
+# --- outputs pinned under format version 2 ---------------------------------------------
 
 CONFIGS = {
     "fixed_m1": SketchConfig(dim=40, k=8, binning=Binning.FIXED, dist=rademacher(), m=1, seed=3),
@@ -175,43 +175,35 @@ CONFIGS = {
 VSRP = {"vsrp16_s1": (16, 1.0, 6), "vsrp200_s3": (200, 3.0, 7)}
 
 PINNED = {
-    "fixed_m1/inner": "0x1.d776fd39f68f6p+3",
-    "fixed_m1/distance": "0x1.e71fa25352e0ep+3",
-    "fixed_m1/cosine": "0x1.5e342e9e1c660p-1",
-    "fixed_m1/normalized_inner": "0x1.c19d017925184p+4",
-    "fixed_m1/mle_inner": "0x1.fb2cea0d562ffp+4",
-    "fixed_m3/inner": "0x1.04fc3d2ac8a1fp+4",
-    "fixed_m3/distance": "0x1.b60eca345db3dp+3",
-    "fixed_m3/cosine": "0x1.5f64f819f9ba1p-1",
-    "fixed_m3/normalized_inner": "0x1.c3244f67f1270p+4",
-    "fixed_m3/mle_inner": "0x1.099e83d286b01p+5",
-    "variable_m2/inner": "0x1.f0ae03926a4f6p+4",
-    "variable_m2/distance": "0x1.3b2b744269cd9p+5",
-    "variable_m2/cosine": "0x1.364983512174ep-1",
-    "variable_m2/normalized_inner": "0x1.8e5da5c221f96p+4",
-    "variable_m2/mle_inner": "0x1.61257fc1cd752p+4",
-    "vsrp16_s1/vsrp_inner": "0x1.ec9b1025a48c8p+4",
-    "vsrp16_s1/vsrp_cosine": "0x1.ad74ef395aed7p-1",
-    "vsrp200_s3/vsrp_inner": "0x1.76942e4202944p+4",
-    "vsrp200_s3/vsrp_cosine": "0x1.3aae0889eaea1p-1",
+    "fixed_m1/inner": "0x1.7db997218943ep+4",
+    "fixed_m1/distance": "0x1.fa28903d0461ap+4",
+    "fixed_m1/cosine": "0x1.36b9dbc5949a0p-1",
+    "fixed_m1/normalized_inner": "0x1.8eede234ab3dbp+4",
+    "fixed_m1/mle_inner": "0x1.96fd95534fac6p+4",
+    "fixed_m3/inner": "0x1.b0d7da433d1f3p+4",
+    "fixed_m3/distance": "0x1.202361d5336a3p+5",
+    "fixed_m3/cosine": "0x1.f2875eff9bcb5p-2",
+    "fixed_m3/normalized_inner": "0x1.4005618fc77e0p+4",
+    "fixed_m3/mle_inner": "0x1.768fcb5c8c299p+4",
+    "variable_m2/inner": "0x1.5a4aff95576e9p+5",
+    "variable_m2/distance": "0x1.022e784bc97aep+4",
+    "variable_m2/cosine": "0x1.da7f9c4e7d7f4p-1",
+    "variable_m2/normalized_inner": "0x1.3098604b21b1dp+5",
+    "variable_m2/mle_inner": "0x1.1702efedb9ed5p+5",
+    "vsrp16_s1/vsrp_inner": "0x1.9b96338028d7dp+4",
+    "vsrp16_s1/vsrp_cosine": "0x1.7ab4001d5f9b7p-1",
+    "vsrp200_s3/vsrp_inner": "0x1.91aa3a16e93eep+4",
+    "vsrp200_s3/vsrp_cosine": "0x1.346deda19415fp-1",
     "roots/0": "0x1.63f4cbf330b72p+0",
     "roots/1": "-0x1.20b424baec644p+1",
     "roots/2": "0x1.3495f9674809cp+1",
-    "cli/inner": "0x1.173338591aed0p+4",
-    "cli/distance": "0x1.ef4eaf900b06fp+4",
-    "cli/cosine": "0x1.12486adc11c47p-1",
-    "cli/normalized_inner": "0x1.60242bd78d81dp+4",
-    "cli/mle_inner": "0x1.7e83ba8b535fbp+4",
-    "cli/vsrp_inner": "0x1.76942e4202944p+4",
-    "cli/vsrp_cosine": "0x1.3aae0889eaea1p-1",
-}
-
-# Pooled VSRP sums were BLAS dot products and are now the shared einsum
-# kernel's; the CLI's normalized_inner was (rho * |u|) * |v| and is now
-# rho * (|u| * |v|), as in the sweep. These may move in the last bits.
-REORDERED = {
-    "vsrp16_s1/vsrp_inner", "vsrp16_s1/vsrp_cosine", "vsrp200_s3/vsrp_inner",
-    "vsrp200_s3/vsrp_cosine", "cli/normalized_inner", "cli/vsrp_inner", "cli/vsrp_cosine",
+    "cli/inner": "0x1.1fdd16f117f6fp+5",
+    "cli/distance": "0x1.73ff13275657bp+4",
+    "cli/cosine": "0x1.875823c45a74bp-1",
+    "cli/normalized_inner": "0x1.f66e9545be9c7p+4",
+    "cli/mle_inner": "0x1.d96abbe2af9dbp+4",
+    "cli/vsrp_inner": "0x1.91aa3a16e93eep+4",
+    "cli/vsrp_cosine": "0x1.346deda19415fp-1",
 }
 
 
@@ -273,11 +265,7 @@ def test_estimates_match_the_pinned_outputs(tmp_path):
     got = {**_library_outputs(), **_cli_outputs(tmp_path)}
     assert set(got) == set(PINNED)
     for key, want in PINNED.items():
-        want = float.fromhex(want)
-        if key in REORDERED:
-            np.testing.assert_array_max_ulp(np.float64(got[key]), np.float64(want), maxulp=4)
-        else:
-            assert got[key] == want, key
+        assert got[key] == float.fromhex(want), key
 
 
 def test_vsrp_kernel_matches_the_sweep_layout():

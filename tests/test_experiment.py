@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 from oporp.estimate import inner_product_hat
-import oporp.experiment
 from oporp.experiment import (
     ConvergenceError,
-    _permutation_rows,
     _vsrp_chunk,
     PRPoint,
     area_under_pr,
@@ -27,7 +25,15 @@ from oporp.experiment import (
     retrieval_eval,
     similarity_matrix,
 )
-from oporp.projection import ProjectionKind, derive_seed, generator, rademacher, sparse
+import oporp.projection
+from oporp.projection import (
+    ProjectionKind,
+    _permutation_rows,
+    derive_seed,
+    generator,
+    rademacher,
+    sparse,
+)
 from oporp.sketch import Binning, SketchConfig, ZeroNormError, oporp_sketch, vsrp_sketch
 from oporp.variance import pair_statistics, var_inner
 
@@ -226,7 +232,7 @@ def test_sweep_validation():
 @pytest.mark.parametrize("block", (1 << 16, 50))
 def test_permutation_rows_match_one_shuffled_int32_tile(monkeypatch, Dp, c, block):
     # a 50-entry block holds at most one row: every row is its own block
-    monkeypatch.setattr(oporp.experiment, "_SHUFFLE_ELEMENTS", block)
+    monkeypatch.setattr(oporp.projection, "_SHUFFLE_ELEMENTS", block)
     rng, ref_rng = generator(5), generator(5)
     rows = _permutation_rows(rng, c, Dp)
     ref = np.tile(np.arange(Dp, dtype=np.int32), (c, 1))

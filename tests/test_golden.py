@@ -27,7 +27,7 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 
-GOLDEN_SHA256 = "eefb1730ddb873431f3639afbd9183025d88e75d379a1a0302a245d7e1aea7af"
+GOLDEN_SHA256 = "5d3e485e9aeee44e0898c26e8d60209b44ddc38734554a98a6befb855574f7b9"
 
 DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 SIMILARITY_ESTIMATORS = (

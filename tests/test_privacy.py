@@ -182,9 +182,15 @@ def test_sigma_at_finite_huge_epsilon():
         assert _tradeoff_gap(sigma * (1.0 + 1e-12), delta2, eps) < delta
 
 
-def test_sigma_outside_float_range_is_refused():
+def test_sigma_at_the_top_of_the_float_range():
+    # epsilon above 1e308 used to be refused, though sigma is a normal float
+    for eps in (1.7e308, sys.float_info.max):
+        for delta2 in (1.0, 0.25, 4.0):
+            sigma = solve_gaussian_sigma(delta2, eps, 1e-6)
+            assert sigma == pytest.approx(delta2 * math.sqrt(0.5) / math.sqrt(eps), rel=1e-12)
+    # a sigma below the float range is still refused
     with pytest.raises(ValueError, match="float"):
-        solve_gaussian_sigma(1.0, 1.7e308, 1e-6)
+        solve_gaussian_sigma(5e-324, 1.7e308, 1e-6)
 
 
 def test_sigma_never_exceeds_classical_recipe():
@@ -417,6 +423,15 @@ def test_sign_similarity_basics():
     assert sign_similarity(a, np.array([1, 1, -1, 1], dtype=np.int8)) == 0.75
     with pytest.raises(ValueError):
         sign_similarity(a, a[:3])
+
+
+@pytest.mark.parametrize("bad", [[0, 2, 5], [1, -1, 0], [1, 2, -1], [-1.5, 1, 1]])
+def test_sign_similarity_refuses_non_signs(bad):
+    # [0, 2, 5] against itself used to score 1.0
+    signs = np.array([1, -1, 1], dtype=np.int8)
+    for a, b in ((bad, bad), (bad, signs), (signs, bad)):
+        with pytest.raises(ValueError, match="-1 and \\+1"):
+            sign_similarity(a, b)
 
 
 def test_sign_similarity_of_empty_sketches_raises():

@@ -2,7 +2,9 @@
 
 The distribution checks are seeded Monte Carlo with generous z-score
 bounds (no flakes at the frozen seeds); the permutation uniformity test
-is exhaustive over all 5! = 120 permutations.
+is exhaustive over all 5! = 120 permutations. Permutations and
+multipliers are drawn through the samplers a plan and a sweep chunk share:
+``_oporp_draws``, its ``_permutation_rows``, and ``draw_multipliers``.
 """
 
 import math
@@ -14,17 +16,18 @@ from scipy import stats
 from oporp.projection import (
     ProjectionDistribution,
     ProjectionKind,
+    _oporp_draws,
+    _permutation_rows,
     check_seed,
     derive_seed,
     draw_multipliers,
     gaussian,
-    generate_permutation,
-    generate_projection_vector,
     generator,
     rademacher,
     scaled_uniform,
     sparse,
 )
+from oporp.sketch import Binning, SketchConfig
 
 
 def test_fourth_moments_exact():
@@ -89,32 +92,51 @@ def test_generator_reproducible():
 @pytest.mark.parametrize("D", [1, 2, 5, 33, 256])
 def test_permutation_is_bijective(D):
     for seed in range(5):
-        perm = generate_permutation(D, seed)
-        assert np.array_equal(np.sort(perm), np.arange(D))
+        index, _ = _oporp_draws(generator(seed), 3, D, 1, rademacher(), fixed=True)
+        assert index.dtype == np.int32
+        assert np.array_equal(np.sort(index, axis=1), np.tile(np.arange(D), (3, 1)))
 
 
 def test_permutation_deterministic():
-    assert np.array_equal(generate_permutation(64, 11), generate_permutation(64, 11))
-    assert not np.array_equal(generate_permutation(64, 11), generate_permutation(64, 12))
+    def rows(seed):
+        return _permutation_rows(generator(seed), 4, 64)
+
+    assert np.array_equal(rows(11), rows(11))
+    assert not np.array_equal(rows(11), rows(12))
+    # the rows of one draw are independent, not copies
+    assert not np.array_equal(rows(11)[0], rows(11)[1])
 
 
 def test_permutation_uniform_over_all_120():
     """Chi-square against the uniform law on S_5, counting every permutation."""
     D, n = 5, 120_000
     counts = {}
-    for seed in range(n):
-        key = tuple(generate_permutation(D, derive_seed(91, seed)))
+    for row in _permutation_rows(generator(derive_seed(91)), n, D):
+        key = tuple(row)
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 120
     _, p = stats.chisquare(list(counts.values()))
     assert p > 0.001, f"permutation frequencies non-uniform (p={p:.2e})"
 
 
+def test_variable_bins_are_int32_rows_in_range():
+    index, _ = _oporp_draws(generator(6), 4, 200, 7, gaussian(), fixed=False)
+    assert index.dtype == np.int32 and index.shape == (4, 200)
+    assert index.min() == 0 and index.max() == 6
+    # the index rows come first on the stream, then the multiplier rows
+    rng = generator(6)
+    assert np.array_equal(index, rng.integers(0, 7, size=(4, 200), dtype=np.int32))
+    assert np.array_equal(_, draw_multipliers(rng, (4, 200), gaussian()))
+
+
 def test_dimension_validation():
+    # a plan's dimension is checked by its config; the samplers refuse
+    # negative shapes themselves
     with pytest.raises(ValueError):
-        generate_permutation(0, 0)
-    with pytest.raises(ValueError):
-        generate_projection_vector(-3, rademacher(), 0)
+        SketchConfig(dim=0, k=1, binning=Binning.FIXED, dist=rademacher())
+    for dist in DISTS + [sparse(200.0)]:
+        with pytest.raises(ValueError):
+            draw_multipliers(generator(0), -3, dist)
 
 
 DISTS = [rademacher(), gaussian(), scaled_uniform(), sparse(5.0)]
@@ -123,9 +145,20 @@ DISTS = [rademacher(), gaussian(), scaled_uniform(), sparse(5.0)]
 @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.kind.value)
 def test_multiplier_moments(dist):
     """Sample moments match E(r)=0, E(r^2)=1, E(r^3)=0, E(r^4)=s."""
-    n = 400_000
-    r = generate_projection_vector(n, dist, 2024)
-    s = dist.fourth_moment
+    check_moments(draw_multipliers(generator(2024), 400_000, dist), dist.fourth_moment)
+
+
+# s = 1 has no zeros, s = 200 (above 128) draws every nonzero from a tie
+SPARSE_S = (1.0, 3.0, 30.0, 200.0)
+
+
+@pytest.mark.parametrize("s", SPARSE_S)
+def test_sparse_multiplier_moments(s):
+    check_moments(draw_multipliers(generator(2025), 400_000, sparse(s)), s)
+
+
+def check_moments(r, s):
+    n = r.shape[0]
     # standard errors from the next even moment of each family; 5 sigma bounds
     se1 = 1.0 / np.sqrt(n)
     se2 = np.sqrt(max(s - 1.0, 0.0) / n) + 1e-9
@@ -136,7 +169,7 @@ def test_multiplier_moments(dist):
 
 
 def test_rademacher_support():
-    r = generate_projection_vector(10_000, rademacher(), 3)
+    r = draw_multipliers(generator(3), 10_000, rademacher())
     assert set(np.unique(r)) == {-1.0, 1.0}
 
 
@@ -153,27 +186,29 @@ def test_rademacher_draw_keeps_the_int64_stream(shape):
 
 
 def test_sparse_support_and_zero_fraction():
-    s = 10.0
-    r = generate_projection_vector(200_000, sparse(s), 4)
-    root = np.sqrt(s)
-    assert set(np.unique(r)) == {-root, 0.0, root}
-    zero_frac = np.mean(r == 0.0)
-    # P(zero) = 1 - 1/s; binomial 5-sigma band
-    assert abs(zero_frac - 0.9) < 5 * np.sqrt(0.9 * 0.1 / 200_000)
-    # signs split evenly among the nonzeros
-    nz = r[r != 0.0]
-    assert abs(np.mean(nz > 0) - 0.5) < 5 * np.sqrt(0.25 / nz.size)
+    n = 200_000
+    for s in (10.0, *SPARSE_S):
+        r = draw_multipliers(generator(4), n, sparse(s))
+        root = np.sqrt(s)
+        assert set(np.unique(r)) == ({-root, root} if s == 1.0 else {-root, 0.0, root})
+        zero_frac = np.mean(r == 0.0)
+        # P(zero) = 1 - 1/s; binomial 5-sigma band
+        p = 1.0 - 1.0 / s
+        assert abs(zero_frac - p) <= 5 * np.sqrt(p * (1.0 - p) / n)
+        # signs split evenly among the nonzeros
+        nz = r[r != 0.0]
+        assert abs(np.mean(nz > 0) - 0.5) < 5 * np.sqrt(0.25 / nz.size)
 
 
 def test_scaled_uniform_range():
-    r = generate_projection_vector(50_000, scaled_uniform(), 5)
+    r = draw_multipliers(generator(5), 50_000, scaled_uniform())
     assert np.all(np.abs(r) <= np.sqrt(3.0) + 1e-12)
 
 
 def test_projection_vector_deterministic():
     for dist in DISTS:
-        a = generate_projection_vector(100, dist, 42)
-        b = generate_projection_vector(100, dist, 42)
+        a = draw_multipliers(generator(42), 100, dist)
+        b = draw_multipliers(generator(42), 100, dist)
         assert np.array_equal(a, b)
 
 

@@ -38,8 +38,6 @@ PUBLIC = [
     "dp_sign_oporp_rr_smooth",
     "gaussian",
     "generate_pair_with_cosine",
-    "generate_permutation",
-    "generate_projection_vector",
     "inner_product_hat",
     "knn_eval",
     "lemma1_moments",

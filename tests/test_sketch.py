@@ -1,10 +1,13 @@
 """Sketch construction, binning structure, and the file format.
 
-The reconstruction tests rebuild sketches from the public primitives and
-the documented per-repetition stream layout, so any change to how
-randomness is wired breaks here rather than silently shifting results.
+The reconstruction tests rebuild sketches from the plan's one draw on its
+documented stream, so any change to how randomness is wired breaks here
+rather than silently shifting results. The VSRP tests rebuild the
+projection matrix from their own byte-by-byte copy of the sparse rule.
 """
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,31 +15,28 @@ import pytest
 
 import oporp.sketch
 from oporp import cli
-from oporp.experiment import similarity_matrix
+from oporp.experiment import _oporp_chunk, similarity_matrix
 from oporp.privacy import PrivacySpec, dp_oporp, dp_sign_oporp_rr, dp_sign_oporp_rr_smooth
 from oporp.projection import (
     ProjectionDistribution,
     ProjectionKind,
+    _oporp_draws,
     derive_seed,
     gaussian,
-    generate_permutation,
-    generate_projection_vector,
     generator,
     rademacher,
     scaled_uniform,
     sparse,
 )
 from oporp.sketch import (
-    _BINS,
-    _PERM,
-    _PROJ,
-    _VSRP,
+    _STREAMS,
     Binning,
     Sketch,
     SketchConfig,
     SketchFileError,
     SketchMismatchError,
     SketchPlan,
+    _cached_plan,
     _plan,
     check_compatible,
     load_sign_sketch,
@@ -48,6 +48,11 @@ from oporp.sketch import (
     vsrp_config,
     vsrp_sketch,
 )
+
+
+def plan_rng(seed, flavor="oporp"):
+    """The one generator a plan of this seed and flavor draws from."""
+    return generator(derive_seed(seed, _STREAMS[flavor]))
 
 
 def cfg(**kw):
@@ -135,9 +140,8 @@ def test_oporp_matches_reconstruction_fixed():
     u = rng.standard_normal(16)
     c = cfg(m=3, seed=21, dist=gaussian())
     sk = oporp_sketch(u, c)
-    for t in range(3):
-        perm = generate_permutation(16, derive_seed(21, t, _PERM))
-        r = generate_projection_vector(16, gaussian(), derive_seed(21, t, _PROJ))
+    perms, R = _oporp_draws(plan_rng(21), 3, 16, 4, gaussian(), True)
+    for t, (perm, r) in enumerate(zip(perms, R)):
         positions = np.empty(16, dtype=np.int64)
         positions[perm] = np.arange(16)
         # consecutive blocks of Dp / k = 4 positions form the bins
@@ -150,10 +154,9 @@ def test_oporp_matches_reconstruction_variable():
     u = rng.standard_normal(30)
     c = SketchConfig(dim=30, k=7, binning=Binning.VARIABLE, dist=rademacher(), m=2, seed=5)
     sk = oporp_sketch(u, c)
-    for t in range(2):
-        bins = generator(derive_seed(5, t, _BINS)).integers(0, 7, size=30)
-        r = generate_projection_vector(30, rademacher(), derive_seed(5, t, _PROJ))
-        expected = np.bincount(bins, weights=u * r, minlength=7)
+    bins, R = _oporp_draws(plan_rng(5), 2, 30, 7, rademacher(), False)
+    for t, (index, r) in enumerate(zip(bins, R)):
+        expected = np.bincount(index, weights=u * r, minlength=7)
         assert np.allclose(sk.reps[t], expected, rtol=0, atol=1e-12)
 
 
@@ -255,6 +258,40 @@ def test_plan_is_bit_identical_to_per_row_sketches(monkeypatch, dim, k, binning,
     assert np.array_equal(row_norms(M), [np.linalg.norm(u) for u in M])
 
 
+@pytest.mark.parametrize("dist", PLAN_DISTS, ids=lambda d: d.kind.value)
+@pytest.mark.parametrize("binning", list(Binning), ids=lambda b: b.value)
+def test_plan_repetitions_are_one_sweep_chunk(binning, dist):
+    # a plan's m repetitions are the sweep's draw of c = m trials on the
+    # plan's generator, so its sketch rows equal the chunk's X bit for bit
+    dim, k, m, seed = 23, 6, 5, 44
+    config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=seed)
+    u = np.random.default_rng(17).standard_normal(dim)
+    u_pad = np.pad(u, (0, config.padded_dim - dim))
+    X, _ = _oporp_chunk(u_pad, u_pad, k, dist, binning, m, plan_rng(seed))
+    assert np.array_equal(SketchPlan(config).sketch(u).reps, X)
+
+
+def sparse_matrix_reference(seed, D, k, s):
+    """The D x k VSRP matrix of ``seed``, one byte at a time by the documented rule.
+
+    Byte j of the little-endian uint64 draws is entry j in row-major order.
+    Its top 7 bits t make a nonzero when t < T = floor(128/s); a tie t = T
+    is one when the next of the uniforms drawn after all bytes falls below
+    128/s - T. An odd byte is negative.
+    """
+    rng = plan_rng(seed, "vsrp")
+    n = D * k
+    words = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
+    data = [(int(w) >> (8 * j)) & 0xFF for w in words for j in range(8)][:n]
+    T = math.floor(128 / s)
+    nonzero = [b >> 1 < T for b in data]
+    ties = [j for j, b in enumerate(data) if b >> 1 == T]
+    for j, x in zip(ties, rng.random(len(ties))):
+        nonzero[j] = x < 128 / s - T
+    values = [(-1.0 if b & 1 else 1.0) if nz else 0.0 for b, nz in zip(data, nonzero)]
+    return math.sqrt(s) * np.array(values).reshape(D, k)
+
+
 @pytest.mark.parametrize("s", (1.0, 3.0))
 def test_vsrp_plan_is_bit_identical_to_per_row_sketches(s):
     M = np.random.default_rng(16).standard_normal((9, 40))
@@ -263,10 +300,7 @@ def test_vsrp_plan_is_bit_identical_to_per_row_sketches(s):
     assert np.array_equal(plan.apply(M), np.stack([sk.values for sk in rows]))
     assert np.array_equal(row_norms(M), [sk.stored_norm for sk in rows])
     # the one-vector path is the plain matrix product u @ R on the vsrp stream
-    R = np.zeros((40, 12))
-    draws = generator(derive_seed(8, _VSRP)).random((40, 12))
-    R[draws < 0.5 / s] = -np.sqrt(s)
-    R[draws >= 1.0 - 0.5 / s] = np.sqrt(s)
+    R = sparse_matrix_reference(8, 40, 12, s)
     assert np.array_equal(np.stack([u @ R for u in M]), plan.apply(M))
 
 
@@ -288,7 +322,7 @@ def test_plan_validation():
 def plan_arrays(plan):
     if plan.flavor == "vsrp":
         return [plan._projection]
-    return [*plan._indices, *plan._multipliers]
+    return [plan._indices, plan._multipliers]
 
 
 CACHE_CASES = [
@@ -307,27 +341,27 @@ def sketch_through_cache(u, config, flavor):
 @pytest.mark.parametrize("config, flavor", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
 def test_warm_cache_sketch_equals_cold_one(config, flavor):
     u = np.random.default_rng(21).standard_normal(config.dim)
-    _plan.cache_clear()
+    _cached_plan.cache_clear()
     cold = sketch_through_cache(u, config, flavor)
     warm = sketch_through_cache(u, config, flavor)
-    assert _plan.cache_info()[:2] == (1, 1)
+    assert _cached_plan.cache_info()[:2] == (1, 1)
     assert np.array_equal(cold.values, warm.values)
     assert np.array_equal(warm.values, SketchPlan(config, flavor).sketch(u).values)
 
 
 def test_equal_configs_hit_and_others_miss():
     u = np.random.default_rng(22).standard_normal(16)
-    _plan.cache_clear()
+    _cached_plan.cache_clear()
     a = oporp_sketch(u, cfg(dist=sparse(3)))
     b = oporp_sketch(u, cfg(dist=ProjectionDistribution(ProjectionKind.SPARSE, 3)))
-    assert _plan.cache_info()[:2] == (1, 1)
+    assert _cached_plan.cache_info()[:2] == (1, 1)
     assert np.array_equal(a.values, b.values)
     oporp_sketch(u, cfg(dist=sparse(3.0), seed=1))
-    assert _plan.cache_info()[:2] == (1, 2)
+    assert _cached_plan.cache_info()[:2] == (1, 2)
     # the same config as another flavor is another plan
     config = vsrp_config(16, 4, 3.0, 0)
     assert _plan(config, "oporp") is not _plan(config, "vsrp")
-    assert _plan.cache_info()[:2] == (1, 4)
+    assert _cached_plan.cache_info()[:2] == (1, 4)
 
 
 @pytest.mark.parametrize("field, value", [("seed", 5.5), ("dim", 16.0), ("k", 4.0), ("m", 1.0)])
@@ -343,22 +377,56 @@ def test_config_stores_numpy_integers_as_plain_ints(tmp_path):
         assert type(getattr(config, field)) is int
     assert config == cfg(m=2, seed=2**63) and hash(config) == hash(cfg(m=2, seed=2**63))
     u = np.random.default_rng(23).standard_normal(16)
-    _plan.cache_clear()
+    _cached_plan.cache_clear()
     sk = oporp_sketch(u, config)
     assert oporp_sketch(u, cfg(m=2, seed=2**63)).config == sk.config == config
-    assert _plan.cache_info().hits == 1
+    assert _cached_plan.cache_info().hits == 1
     path = str(tmp_path / "n.sk")
     save_sketch(path, sk)
     assert load_sketch(path).config == config
 
 
 def test_cache_never_exceeds_its_size():
-    assert _plan.cache_info().maxsize == oporp.sketch._PLAN_CACHE_SIZE == 2
+    assert _cached_plan.cache_info().maxsize == oporp.sketch._PLAN_CACHE_SIZE == 2
     u = np.ones(16)
     for seed in range(5):
         oporp_sketch(u, cfg(seed=seed))
         vsrp_sketch(u, 16, 4, 1.0, seed)
-        assert _plan.cache_info().currsize <= 2
+        assert _cached_plan.cache_info().currsize <= 2
+
+
+def test_plans_above_the_byte_bound_are_not_kept(monkeypatch):
+    u = np.ones(16)
+    # cfg(m=2): 2 x 16 entries of int32 index and float64 multiplier, 384 bytes;
+    # vsrp_config(16, 4, ...): a 16 x 4 float64 matrix, 512 bytes
+    cases = ((cfg(m=2), "oporp", 384), (vsrp_config(16, 4, 3.0, 0), "vsrp", 512))
+    for config, flavor, size in cases:
+        for bound, kept in ((size - 1, 0), (size, 1)):
+            monkeypatch.setattr(oporp.sketch, "_PLAN_CACHE_BYTES", bound)
+            _cached_plan.cache_clear()
+            a = sketch_through_cache(u, config, flavor)
+            assert _cached_plan.cache_info().currsize == kept
+            assert np.array_equal(a.values, SketchPlan(config, flavor).sketch(u).values)
+
+
+def test_a_large_plan_leaves_nothing_held():
+    # D = 2^18, k = 256, m = 16 draws 48 MiB, which used to stay cached
+    config = SketchConfig(dim=1 << 18, k=256, binning=Binning.FIXED, dist=rademacher(), m=16)
+    u = np.random.default_rng(27).standard_normal(config.dim)
+    _cached_plan.cache_clear()
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sk = oporp_sketch(u, config)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert _cached_plan.cache_info().currsize == 0
+    # only the 4096 sketch values (32 KiB) and small objects remain
+    assert held < 2**20, f"{held / 2**20:.1f} MiB held"
+    assert sk.values.shape == (4096,)
 
 
 @pytest.mark.parametrize("config, flavor", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
@@ -371,7 +439,7 @@ def test_plan_arrays_are_read_only(config, flavor):
 
 def test_sketches_from_one_cached_plan_do_not_alias():
     u = np.random.default_rng(24).standard_normal(16)
-    _plan.cache_clear()
+    _cached_plan.cache_clear()
     a = oporp_sketch(u, cfg(m=2))
     b = oporp_sketch(u, cfg(m=2))
     assert not np.shares_memory(a.values, b.values)
@@ -383,19 +451,19 @@ def test_sketches_from_one_cached_plan_do_not_alias():
 def test_every_entry_point_shares_the_cached_plan():
     u = np.random.default_rng(25).uniform(-1.0, 1.0, 16)
     config = cfg()
-    _plan.cache_clear()
+    _cached_plan.cache_clear()
     oporp_sketch(u, config)
     dp_oporp(u, config, PrivacySpec(1.0, 1e-6, 1.0))
     dp_sign_oporp_rr(u, config, 1.0)
     dp_sign_oporp_rr_smooth(u, config, 1.0, 0.5)
     similarity_matrix(u[None, :], u[None, :], config, "cosine")
-    assert _plan.cache_info()[:2] == (4, 1)
+    assert _cached_plan.cache_info()[:2] == (4, 1)
 
 
 def test_default_dp_noise_is_fresh_on_a_cached_plan(tmp_path, capsys):
     path = tmp_path / "bounded.csv"
     np.savetxt(path, np.random.default_rng(26).uniform(-1.0, 1.0, (2, 64)), delimiter=",")
-    _plan.cache_clear()
+    _cached_plan.cache_clear()
     releases = []
     for name in ("a", "b"):
         out = tmp_path / f"{name}.sk"
@@ -405,7 +473,7 @@ def test_default_dp_noise_is_fresh_on_a_cached_plan(tmp_path, capsys):
         ]) == 0
         releases.append(out.read_bytes())
     capsys.readouterr()
-    assert _plan.cache_info()[:2] == (1, 1)
+    assert _cached_plan.cache_info()[:2] == (1, 1)
     assert releases[0] != releases[1]
 
 
@@ -415,10 +483,7 @@ def test_vsrp_matches_manual_matrix():
     sk = vsrp_sketch(u, 24, k, s, seed)
     assert sk.flavor == "vsrp"
     assert sk.config.k == 1 and sk.config.m == k
-    draws = generator(derive_seed(seed, _VSRP)).random((24, k))
-    R = np.zeros((24, k))
-    R[draws < 0.5 / s] = -np.sqrt(s)
-    R[draws >= 1.0 - 0.5 / s] = np.sqrt(s)
+    R = sparse_matrix_reference(seed, 24, k, s)
     assert np.allclose(sk.values, u @ R, atol=1e-12)
 
 
@@ -520,6 +585,21 @@ def test_file_error_cases(tmp_path):
     bad_version.write_bytes(raw[:4] + b"\x63\x00" + raw[6:])
     with pytest.raises(SketchFileError):
         load_sketch(str(bad_version))
+
+
+def test_version_1_files_are_refused(tmp_path):
+    # v1 files hold sketches of the per-repetition streams, which this
+    # version cannot rebuild; comparing them with v2 sketches would be wrong
+    u = np.random.default_rng(28).standard_normal(16)
+    vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"
+    save_sketch(str(vpath), oporp_sketch(u, cfg(seed=6)))
+    save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), cfg(seed=6))
+    assert vpath.read_bytes()[4:6] == b"\x02\x00"
+    for path, load in ((vpath, load_sketch), (spath, load_sign_sketch)):
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + b"\x01\x00" + raw[6:])
+        with pytest.raises(SketchFileError, match="version 1"):
+            load(str(path))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

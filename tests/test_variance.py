@@ -362,6 +362,17 @@ def test_var_inner_m_validation():
                 entry.variance(st, 2, 1.0, FIXED, m)
 
 
+@pytest.mark.parametrize("s", [0.5, math.nan, math.inf])
+def test_every_oracle_refuses_an_impossible_s(s):
+    # no multiplier has E(r^4) < 1, and s = inf or NaN has none to draw
+    st = pair_statistics(np.ones(4), 2 * np.ones(4))
+    for est, entry in _REGISTRY.items():
+        if entry.oracle is None:
+            continue
+        with pytest.raises(ValueError, match="sparse parameter must be finite and >= 1"):
+            entry.variance(st, 2, s, FIXED, 1)
+
+
 def test_variance_ratio_matches_its_closed_form_bit_for_bit():
     # the ratio is a quotient of two oracles at k = 1; written out, it is
     # (EF + a^2 + (s - 3) S) / (EF + a^2 - 2 S) for the inner product, with
