@@ -2,16 +2,17 @@
 
 The sweep measures empirical MSE/bias of each estimator over many
 independent sketch trials and reports the matching closed-form variance
-next to it. Trials are drawn batch-wise from one derived counter-based
-stream per estimator family and sweep cell, with a fixed trial-major layout
-and fixed internal chunk sizes, so a given (inputs, seed) always produces
-bit-identical rows. An OPORP chunk of c trials is the draw of a sketch
-plan with m = c repetitions. A VSRP cell with s below the fixed switch
-``_DENSE_VSRP_BELOW`` draws one random byte per projection entry, by the
-package's one sparse sampler (the dense byte kernel); from the switch on it
-draws only the nonzero entries (geometric gaps, one sign bit each). Since
-sketch format 2, OPORP rows whose s picks sparse multipliers use that
-sampler too, and differ from earlier versions; other rows do not.
+next to it. Trials are drawn batch-wise from one derived SFC64 stream
+(:func:`~oporp.projection.generator`) per estimator family and sweep cell,
+with a fixed trial-major layout and fixed internal chunk sizes, so a given
+(inputs, seed) always produces bit-identical rows. An OPORP chunk of c
+trials is the draw of a sketch plan with m = c repetitions. A VSRP cell
+with s below the fixed switch ``_DENSE_VSRP_BELOW`` draws one random byte
+per projection entry, by the package's one sparse sampler (the dense byte
+kernel); from the switch on it draws only the nonzero entries (geometric
+gaps, one sign bit each). OPORP rows whose s picks sparse multipliers
+use that sampler too. Every row changed with sketch format 3, whose
+streams are SFC64 and whose Rademacher signs take one bit each.
 
 Everything estimator-specific comes from the registry in
 :mod:`oporp.estimate`: a chunk of trials is one (trials, k) array per side,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import ProjectionKind, check_seed
-from .sketch import Sketch, SketchConfig, oporp_sketch
+from .sketch import Sketch, SketchConfig, _are_signs, oporp_sketch
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -291,6 +291,6 @@ def sign_similarity(a, b) -> float:
         )
     if bits_a.size == 0:
         raise ValueError("sign similarity of empty sketches is undefined")
-    if not (np.isin(bits_a, (-1, 1)).all() and np.isin(bits_b, (-1, 1)).all()):
+    if not (_are_signs(bits_a) and _are_signs(bits_b)):
         raise ValueError("sign sketches must hold only -1 and +1")
     return float(np.mean(bits_a == bits_b))

@@ -1,9 +1,13 @@
 """Random permutations and projection multipliers with deterministic seeding.
 
-All randomness in the package flows through counter-based Philox streams
-keyed by ``SeedSequence`` spawn keys, so independent sub-streams can be
-derived per (plan, purpose) without correlation and every result is a
-pure function of the user-supplied 64-bit seed.
+All randomness of sketches and sweeps flows through SFC64 streams whose
+seeds come from ``SeedSequence`` spawn keys (:func:`derive_seed`), so
+independent sub-streams can be derived per (plan, purpose) without
+correlation and every result is a pure function of the user-supplied
+64-bit seed. The spawn keys, not the bit generator, make the streams
+independent; no stream is ever jumped ahead, so a counter-based generator
+such as Philox would buy nothing, and SFC64 draws raw words more than
+twice as fast.
 
 Multiplier distributions are standardized to E(r) = 0, E(r^2) = 1,
 E(r^3) = 0; the fourth moment E(r^4) = s is the single parameter the
@@ -105,8 +109,8 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Philox generator for ``seed`` (counter-based, stream-stable)."""
-    return np.random.Generator(np.random.Philox(check_seed(seed)))
+    """SFC64 generator for ``seed``: a fast stream, never jumped, keyed by :func:`derive_seed`."""
+    return np.random.Generator(np.random.SFC64(check_seed(seed)))
 
 
 def draw_multipliers(
@@ -114,12 +118,13 @@ def draw_multipliers(
 ) -> np.ndarray:
     """An array of the given shape of i.i.d. multipliers from ``dist``, drawn from ``rng``."""
     if dist.kind is ProjectionKind.RADEMACHER:
-        # int32 draws take the same values and stream positions as int64 ones;
-        # converting in place keeps one float array alive, not three.
-        signs = rng.integers(0, 2, size=shape, dtype=np.int32).astype(np.float64)
-        signs *= 2.0
-        signs -= 1.0
-        return signs
+        # One bit per sign: entry j is 1 - 2 * (bit j of the random bytes),
+        # formed on uint8 (255 is -1 as int8) and converted once.
+        n = math.prod(np.broadcast_shapes(shape))
+        bits = np.unpackbits(_random_bytes(rng, -(-n // 8)), count=n, bitorder="little")
+        np.left_shift(bits, 1, out=bits)
+        np.subtract(1, bits, out=bits)
+        return bits.view(np.int8).astype(np.float64).reshape(shape)
     if dist.kind is ProjectionKind.GAUSSIAN:
         return rng.standard_normal(shape)
     if dist.kind is ProjectionKind.SCALED_UNIFORM:
@@ -127,29 +132,56 @@ def draw_multipliers(
     return math.sqrt(dist.sparsity) * _sparse_signs(rng, shape, dist.sparsity)
 
 
+def _random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n random bytes: the little-endian bytes of ceil(n/8) full-range uint64 draws."""
+    words = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
+    return words.astype("<u8", copy=False).view(np.uint8)[:n]
+
+
+# Bytes per block of the sparse sampler's pass, sized to stay in L2; no
+# result depends on it.
+_SIGN_BLOCK = 1 << 18
+
+
 def _sparse_signs(rng: np.random.Generator, shape, s: float) -> np.ndarray:
     """An int8 array of the given shape, each entry -1 or +1 w.p. 1/(2s), else 0.
 
-    One random byte per entry, read little-endian from full-range uint64
-    draws. A byte whose top 7 bits t are below T = floor(128/s) is a
-    nonzero; a tie t = T (1 byte in 128) is one when a uniform falls below
-    128/s - T, so P(nonzero) = 1/s to double precision for every s >= 1
-    (for s > 128, T = 0 and every nonzero comes from a tie). The low bit is
-    the sign. All bytes are drawn first, then one uniform per tie in order.
+    One random byte per entry (:func:`_random_bytes`). A byte whose top 7
+    bits t are below T = floor(128/s) is a nonzero; a tie t = T (1 byte in
+    128) is one when a uniform falls below 128/s - T, so P(nonzero) = 1/s
+    to double precision for every s >= 1 (for s > 128, T = 0 and every
+    nonzero comes from a tie). The low bit is the sign. All bytes are drawn
+    first, then one uniform per tie in order. The bytes become signs in
+    place, one ``_SIGN_BLOCK`` at a time, each block's ties set aside with
+    their bytes until the uniforms settle them.
     """
     n = math.prod(np.broadcast_shapes(shape))  # refuses negative dimensions
-    draws = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
-    b = draws.astype("<u8", copy=False).view(np.uint8)[:n]
+    b = _random_bytes(rng, n)
     T = int(128.0 / s)
-    t = np.right_shift(b, 1)
-    ties = np.flatnonzero(t == T)  # none at s = 1, where T = 128
-    nonzero = np.less(t, T, out=t.view(np.bool_)).view(np.uint8)
-    nonzero[ties[rng.random(ties.shape[0]) < 128.0 / s - T]] = 1
+    scratch = np.empty(min(n, _SIGN_BLOCK), dtype=np.uint8)
+    at, ties = [], []
+    for lo in range(0, n, _SIGN_BLOCK):
+        x = b[lo : lo + _SIGN_BLOCK]
+        t = np.right_shift(x, 1, out=scratch[: x.shape[0]])
+        if T < 128:  # at s = 1, T = 128 and no byte ties
+            j = np.flatnonzero(t == T)
+            at.append(lo + j)
+            ties.append(x[j])
+        _to_signs(x, np.less(t, T, out=t.view(np.bool_)))
+    if at:
+        at, ties = np.concatenate(at), np.concatenate(ties)
+        _to_signs(ties, rng.random(at.shape[0]) < 128.0 / s - T)
+        b[at] = ties
+    return b.view(np.int8).reshape(shape)
+
+
+def _to_signs(b: np.ndarray, nonzero: np.ndarray) -> None:
+    """Turn random bytes into signs in place: 0 where not ``nonzero``, else +-1 by the low bit."""
     # nonzero - 2 (b & nonzero) is +1, -1 (255) or 0, read as int8.
+    nonzero = nonzero.view(np.uint8)
     np.bitwise_and(b, nonzero, out=b)
     np.add(b, b, out=b)
     np.subtract(nonzero, b, out=b)
-    return b.view(np.int8).reshape(shape)
 
 
 # Target int64 entries per block of the permutation shuffle; no result

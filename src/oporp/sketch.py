@@ -42,13 +42,17 @@ buffer of about ``_BLOCK_ELEMENTS`` entries; every row is reduced on its
 own, so the block size decides only where temporaries live and never
 changes a result.
 
-Sketch file layout (little-endian, 64-byte header). Version 1 files drew
-each repetition from its own streams; mixed with version 2 sketches they
-would give silently wrong estimates, so loading refuses them:
+Sketch file layout (little-endian, 64-byte header). The version names the
+stream the sketch was drawn from: version 1 drew each repetition from its
+own Philox streams, version 2 a plan's repetitions from one Philox stream
+with one int32 draw per Rademacher sign, and version 3 draws from SFC64
+streams with one random bit per sign. A sketch of another version shares
+no randomness with this version's sketches, so an estimate from the pair
+would be silently wrong, and loading refuses it:
 
     offset  size  field
     0       4     magic b"OPRP"
-    4       2     u16 format version (2)
+    4       2     u16 format version (3)
     6       1     u8 payload kind (0 = float64 values, 1 = int8 sign bits)
     7       1     u8 flavor (0 = oporp, 1 = vsrp)
     8       1     u8 binning (0 = fixed, 1 = variable)
@@ -388,7 +392,7 @@ def check_compatible(x: Sketch, y: Sketch) -> None:
 # --- file format ------------------------------------------------------------
 
 _MAGIC = b"OPRP"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sHBBBBB5xQQQQdd")
 _PAYLOAD_VALUES = 0
 _PAYLOAD_SIGNS = 1
@@ -480,10 +484,21 @@ def load_sketch(path: str) -> Sketch:
     return Sketch(values.astype(np.float64), config, flavor, stored_norm=norm)
 
 
+def _are_signs(bits: np.ndarray) -> bool:
+    """Whether every entry is -1 or +1. Booleans are not signs, though True == 1."""
+    return bits.dtype != np.bool_ and bool(np.isin(bits, (-1, 1)).all())
+
+
 def save_sign_sketch(path: str, bits: np.ndarray, config: SketchConfig) -> None:
-    """Write +-1 sign bits under the same header as value sketches."""
+    """Write k*m +-1 sign bits under the same header as value sketches."""
     bits = np.asarray(bits)
-    if not np.all(np.isin(bits, (-1, 1))):
+    expected = config.k * config.m
+    if bits.ndim != 1 or bits.shape[0] != expected:
+        raise ValueError(
+            f"a k={config.k}, m={config.m} sign sketch needs {expected} bits, "
+            f"got shape {bits.shape}"
+        )
+    if not _are_signs(bits):
         raise ValueError("sign bits must all be -1 or +1")
     with open(path, "wb") as fh:
         fh.write(_pack_header(config, _PAYLOAD_SIGNS, "oporp", None))

@@ -142,15 +142,30 @@ def test_estimate_mismatched_sketches_is_invalid(tmp_path, capsys, matrix_file):
     assert run(["estimate", "--x", x, "--y", y, "--estimator", "inner"]) == 4
 
 
-def test_estimate_refuses_version_1_files(tmp_path, capsys, matrix_file):
+def _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, version):
     path, _ = matrix_file
-    x, y = tmp_path / "x.sk", tmp_path / "y.sk"
+    x, y, signs = tmp_path / "x.sk", tmp_path / "y.sk", tmp_path / "signs.sk"
     for row, out in ((0, x), (1, y)):
         run_ok(capsys, ["sketch", "--input", path, "--row", str(row), "--k", "4", "--out", str(out)])
-    raw = x.read_bytes()
-    x.write_bytes(raw[:4] + (1).to_bytes(2, "little") + raw[6:])
-    assert run(["estimate", "--x", str(x), "--y", str(y), "--estimator", "inner"]) == 3
-    assert "version 1" in capsys.readouterr().err
+    run_ok(capsys, [
+        "dp", "--input", bounded_matrix_file, "--k", "4", "--mechanism", "rr",
+        "--epsilon", "1.0", "--noise-seed", "2", "--out", str(signs),
+    ])
+    for old in (x, signs):
+        raw = old.read_bytes()
+        assert raw[4:6] == (3).to_bytes(2, "little")
+        old.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
+        assert run(["estimate", "--x", str(old), "--y", str(y), "--estimator", "inner"]) == 3
+        assert f"version {version}" in capsys.readouterr().err
+
+
+def test_estimate_refuses_version_1_files(tmp_path, capsys, matrix_file, bounded_matrix_file):
+    _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, 1)
+
+
+def test_estimate_refuses_version_2_files(tmp_path, capsys, matrix_file, bounded_matrix_file):
+    # version 2 files were drawn from Philox streams; version 3 draws SFC64
+    _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, 2)
 
 
 # --- variance tables -----------------------------------------------------------------

@@ -6,7 +6,7 @@ two sketches, cosine-type values in [-1, 1], exact recovery at k = D with
 fixed binning and Rademacher multipliers, and positive-scale equivariance.
 Scales are powers of two, so a scaled sketch is exact and the equivariance
 holds bit for bit. The pinned outputs are frozen-seed estimates recorded
-under sketch format version 2, one generator per plan.
+under sketch format version 3, one SFC64 generator per plan.
 """
 
 import contextlib
@@ -163,7 +163,7 @@ def test_estimates_are_positive_scale_equivariant(est, case, a, b):
     assert scaled == base * factor
 
 
-# --- outputs pinned under format version 2 ---------------------------------------------
+# --- outputs pinned under format version 3 ---------------------------------------------
 
 CONFIGS = {
     "fixed_m1": SketchConfig(dim=40, k=8, binning=Binning.FIXED, dist=rademacher(), m=1, seed=3),
@@ -175,35 +175,35 @@ CONFIGS = {
 VSRP = {"vsrp16_s1": (16, 1.0, 6), "vsrp200_s3": (200, 3.0, 7)}
 
 PINNED = {
-    "fixed_m1/inner": "0x1.7db997218943ep+4",
-    "fixed_m1/distance": "0x1.fa28903d0461ap+4",
-    "fixed_m1/cosine": "0x1.36b9dbc5949a0p-1",
-    "fixed_m1/normalized_inner": "0x1.8eede234ab3dbp+4",
-    "fixed_m1/mle_inner": "0x1.96fd95534fac6p+4",
-    "fixed_m3/inner": "0x1.b0d7da433d1f3p+4",
-    "fixed_m3/distance": "0x1.202361d5336a3p+5",
-    "fixed_m3/cosine": "0x1.f2875eff9bcb5p-2",
-    "fixed_m3/normalized_inner": "0x1.4005618fc77e0p+4",
-    "fixed_m3/mle_inner": "0x1.768fcb5c8c299p+4",
-    "variable_m2/inner": "0x1.5a4aff95576e9p+5",
-    "variable_m2/distance": "0x1.022e784bc97aep+4",
-    "variable_m2/cosine": "0x1.da7f9c4e7d7f4p-1",
-    "variable_m2/normalized_inner": "0x1.3098604b21b1dp+5",
-    "variable_m2/mle_inner": "0x1.1702efedb9ed5p+5",
-    "vsrp16_s1/vsrp_inner": "0x1.9b96338028d7dp+4",
-    "vsrp16_s1/vsrp_cosine": "0x1.7ab4001d5f9b7p-1",
-    "vsrp200_s3/vsrp_inner": "0x1.91aa3a16e93eep+4",
-    "vsrp200_s3/vsrp_cosine": "0x1.346deda19415fp-1",
+    "fixed_m1/inner": "0x1.c103fc3eda406p+4",
+    "fixed_m1/distance": "0x1.595b98c6fea76p+4",
+    "fixed_m1/cosine": "0x1.724c30105ea43p-1",
+    "fixed_m1/normalized_inner": "0x1.db6932a01db27p+4",
+    "fixed_m1/mle_inner": "0x1.e0a2f53f832f1p+4",
+    "fixed_m3/inner": "0x1.13e7175d1d3d1p+4",
+    "fixed_m3/distance": "0x1.797cfb55fdb50p+5",
+    "fixed_m3/cosine": "0x1.08a26b611176ep-1",
+    "fixed_m3/normalized_inner": "0x1.53c1090f11af3p+4",
+    "fixed_m3/mle_inner": "0x1.60211574f906bp+4",
+    "variable_m2/inner": "0x1.c6663019462acp+3",
+    "variable_m2/distance": "0x1.33e65dba3a9abp+5",
+    "variable_m2/cosine": "0x1.42a82d433365bp-1",
+    "variable_m2/normalized_inner": "0x1.9e3f34be352d5p+4",
+    "variable_m2/mle_inner": "0x1.76a4fe8062b89p+4",
+    "vsrp16_s1/vsrp_inner": "0x1.c47135a6a5528p+3",
+    "vsrp16_s1/vsrp_cosine": "0x1.02e9a78511c2dp-1",
+    "vsrp200_s3/vsrp_inner": "0x1.a4e3d409c024fp+4",
+    "vsrp200_s3/vsrp_cosine": "0x1.516fee74c21b4p-1",
     "roots/0": "0x1.63f4cbf330b72p+0",
     "roots/1": "-0x1.20b424baec644p+1",
     "roots/2": "0x1.3495f9674809cp+1",
-    "cli/inner": "0x1.1fdd16f117f6fp+5",
-    "cli/distance": "0x1.73ff13275657bp+4",
-    "cli/cosine": "0x1.875823c45a74bp-1",
-    "cli/normalized_inner": "0x1.f66e9545be9c7p+4",
-    "cli/mle_inner": "0x1.d96abbe2af9dbp+4",
-    "cli/vsrp_inner": "0x1.91aa3a16e93eep+4",
-    "cli/vsrp_cosine": "0x1.346deda19415fp-1",
+    "cli/inner": "0x1.1ca184c34a109p+4",
+    "cli/distance": "0x1.2a348ca07fb91p+5",
+    "cli/cosine": "0x1.1a5752ea020afp-1",
+    "cli/normalized_inner": "0x1.6a7ca86d85cfcp+4",
+    "cli/mle_inner": "0x1.749f493459d95p+4",
+    "cli/vsrp_inner": "0x1.a4e3d409c024fp+4",
+    "cli/vsrp_cosine": "0x1.516fee74c21b4p-1",
 }
 
 

@@ -27,7 +27,7 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 
-GOLDEN_SHA256 = "5d3e485e9aeee44e0898c26e8d60209b44ddc38734554a98a6befb855574f7b9"
+GOLDEN_SHA256 = "3dd0657ae5c54e317935e92cb04993a1d6daa435adb8d3e49a6f7c39d098d6f6"
 
 DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 SIMILARITY_ESTIMATORS = (

@@ -434,6 +434,15 @@ def test_sign_similarity_refuses_non_signs(bad):
             sign_similarity(a, b)
 
 
+def test_sign_similarity_refuses_booleans():
+    # True == 1, so all-True arrays used to score 1.0 as all +1 signs
+    signs = np.array([1, -1, 1], dtype=np.int8)
+    for bad in ([True, True, True], np.array([True, False, True])):
+        for a, b in ((bad, bad), (bad, signs), (signs, bad)):
+            with pytest.raises(ValueError, match="-1 and \\+1"):
+                sign_similarity(a, b)
+
+
 def test_sign_similarity_of_empty_sketches_raises():
     empty = np.array([], dtype=np.int8)
     with warnings.catch_warnings():

@@ -173,15 +173,19 @@ def test_rademacher_support():
     assert set(np.unique(r)) == {-1.0, 1.0}
 
 
-@pytest.mark.parametrize("shape", [1, 7, 1001, (3, 5), (9, 3, 7)])
+@pytest.mark.parametrize("shape", [1, 7, 1001, (3, 5), (9, 3, 7), 63, 64, 65])
 def test_rademacher_draw_keeps_the_int64_stream(shape):
-    # the draw is made as int32; values and the stream position after it
-    # must equal those of the plain int64 draw 2*integers(0, 2) - 1
+    # pins the stream: one bit per sign, entry j is 1 - 2 * (bit j of the
+    # raw 64-bit words read little-endian), and the draw takes ceil(n/64)
+    # whole words, so the generator after it is where the raw words leave it
     a, b = generator(77), generator(77)
     got = draw_multipliers(a, shape, rademacher())
-    want = 2 * b.integers(0, 2, size=shape) - 1
+    n = math.prod(np.shape(got))
+    words = b.bit_generator.random_raw(-(-n // 64))
+    bits = [(int(words[j // 64]) >> (j % 64)) & 1 for j in range(n)]
     assert got.dtype == np.float64
-    assert np.array_equal(got, want)
+    assert got.shape == np.empty(shape).shape
+    assert np.array_equal(got.ravel(), 1.0 - 2.0 * np.array(bits))
     assert a.random() == b.random()
 
 

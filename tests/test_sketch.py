@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oporp.projection
 import oporp.sketch
 from oporp import cli
 from oporp.experiment import _oporp_chunk, similarity_matrix
@@ -21,6 +22,7 @@ from oporp.projection import (
     ProjectionDistribution,
     ProjectionKind,
     _oporp_draws,
+    _sparse_signs,
     derive_seed,
     gaussian,
     generator,
@@ -292,6 +294,30 @@ def sparse_matrix_reference(seed, D, k, s):
     return math.sqrt(s) * np.array(values).reshape(D, k)
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_sparse_signs_do_not_depend_on_the_block_size(monkeypatch, block):
+    # the sampler's pass runs over blocks of bytes; the signs, the ties'
+    # uniforms and the stream position after the draw must not see them
+    shapes = [(40, 12), 1, 9, 1000]
+
+    def draw_all():
+        out = []
+        for s in (1.0, 1.5, 3.0, 30.0, 128.0, 200.0):
+            for seed, shape in enumerate(shapes):
+                rng = generator(seed)
+                out.append((_sparse_signs(rng, shape, s), rng.random()))
+        return out
+    want = draw_all()
+    monkeypatch.setattr(oporp.projection, "_SIGN_BLOCK", block)
+    for (a, x), (b, y) in zip(want, draw_all()):
+        assert a.dtype == b.dtype == np.int8
+        assert np.array_equal(a, b)
+        assert x == y
+    for s in (1.0, 3.0, 200.0):
+        plan = SketchPlan(vsrp_config(40, 12, s, 8), "vsrp")
+        assert np.array_equal(plan._projection, sparse_matrix_reference(8, 40, 12, s))
+
+
 @pytest.mark.parametrize("s", (1.0, 3.0))
 def test_vsrp_plan_is_bit_identical_to_per_row_sketches(s):
     M = np.random.default_rng(16).standard_normal((9, 40))
@@ -560,6 +586,28 @@ def test_sign_save_rejects_non_sign_values(tmp_path):
         save_sign_sketch(str(tmp_path / "x"), np.array([1, 0, -1]), cfg(dim=8, k=3))
 
 
+@pytest.mark.parametrize("bits, k, m", [
+    (np.ones(5, np.int8), 8, 1),
+    (np.ones(9, np.int8), 8, 1),
+    (np.ones((2, 4), np.int8), 8, 1),
+    (np.ones(0), 8, 1),
+    (np.ones(4, np.int8), 4, 2),
+])
+def test_sign_save_needs_k_times_m_bits(tmp_path, bits, k, m):
+    # 5 bits under k = 8 used to be written, and then refused on loading
+    path = tmp_path / "x"
+    with pytest.raises(ValueError, match=f"needs {k * m} bits"):
+        save_sign_sketch(str(path), bits, cfg(dim=8, k=k, m=m))
+    assert not path.exists()
+
+
+def test_sign_save_refuses_booleans(tmp_path):
+    # True == 1, so an all-True array used to pass as all +1 signs
+    for bits in (np.ones(4, bool), np.array([True, False, True, False])):
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            save_sign_sketch(str(tmp_path / "x"), bits, cfg(dim=8, k=4))
+
+
 def test_file_error_cases(tmp_path):
     u = np.random.default_rng(13).standard_normal(16)
     good = tmp_path / "good.bin"
@@ -587,19 +635,29 @@ def test_file_error_cases(tmp_path):
         load_sketch(str(bad_version))
 
 
-def test_version_1_files_are_refused(tmp_path):
-    # v1 files hold sketches of the per-repetition streams, which this
-    # version cannot rebuild; comparing them with v2 sketches would be wrong
+def _refuses_version(tmp_path, version):
     u = np.random.default_rng(28).standard_normal(16)
     vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"
     save_sketch(str(vpath), oporp_sketch(u, cfg(seed=6)))
     save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), cfg(seed=6))
-    assert vpath.read_bytes()[4:6] == b"\x02\x00"
+    assert vpath.read_bytes()[4:6] == b"\x03\x00"
     for path, load in ((vpath, load_sketch), (spath, load_sign_sketch)):
         raw = path.read_bytes()
-        path.write_bytes(raw[:4] + b"\x01\x00" + raw[6:])
-        with pytest.raises(SketchFileError, match="version 1"):
+        path.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
+        with pytest.raises(SketchFileError, match=f"version {version}"):
             load(str(path))
+
+
+def test_version_1_files_are_refused(tmp_path):
+    # v1 files hold sketches of the per-repetition streams, which this
+    # version cannot rebuild; comparing them with v3 sketches would be wrong
+    _refuses_version(tmp_path, 1)
+
+
+def test_version_2_files_are_refused(tmp_path):
+    # v2 files hold sketches of Philox streams with one int32 draw per
+    # Rademacher sign; v3 draws SFC64 streams with one bit per sign
+    _refuses_version(tmp_path, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
