@@ -171,7 +171,7 @@ def _config_from_args(args, dim: int) -> SketchConfig:
     )
 
 
-def _add_sketch_params(p: argparse.ArgumentParser, with_m: bool = True) -> None:
+def _add_sketch_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="number of bins (samples for --vsrp)")
     p.add_argument("--scheme", choices=["fixed", "variable"], default="fixed")
     p.add_argument(
@@ -180,8 +180,7 @@ def _add_sketch_params(p: argparse.ArgumentParser, with_m: bool = True) -> None:
         default="rademacher",
     )
     p.add_argument("--s", type=float, default=1.0, help="sparse distribution parameter")
-    if with_m:
-        p.add_argument("--m", type=int, default=1, help="independent repetitions")
+    p.add_argument("--m", type=int, default=1, help="independent repetitions")
     p.add_argument("--seed", type=int, default=0, help="sketch randomness seed")
 
 
@@ -396,13 +395,13 @@ def _cmd_dp(args) -> int:
         print(f"sigma {_fmt(noisy.sigma)}")
     elif args.mechanism == "rr":
         released = dp_sign_oporp_rr(u, config, args.epsilon, noise_seed=args.noise_seed)
-        save_sign_sketch(args.out, released.bits, config)
+        save_sign_sketch(args.out, released, config)
         print(f"flip_prob {_fmt(flip_probability(args.epsilon))}")
     else:
         released = dp_sign_oporp_rr_smooth(
             u, config, args.epsilon, args.beta, noise_seed=args.noise_seed
         )
-        save_sign_sketch(args.out, released.bits, config)
+        save_sign_sketch(args.out, released, config)
         # The ceiling of the per-bin probabilities; they follow the data.
         print(f"max_flip_prob {_fmt(flip_probability(args.epsilon))}")
     print(f"wrote {args.out}")

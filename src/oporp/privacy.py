@@ -12,14 +12,19 @@ Three mechanisms:
 * ``dp_oporp``: add i.i.d. Gaussian noise with the *minimal* sigma that
   satisfies (epsilon, delta)-DP, found by bisecting the exact Gaussian
   trade-off equation Phi(d/(2s) - es/d) - e^e * Phi(-d/(2s) - es/d) = delta.
-* ``dp_sign_oporp_rr``: release sketch signs through randomized response
-  with flip probability 1/(e^eps + 1) (:func:`flip_probability`).
-* ``dp_sign_oporp_rr_smooth``: randomized response where a bin whose
-  magnitude is L*beta away from zero flips with the smaller probability
-  1/(e^(L*eps) + 1), since L adjacent steps are needed to change its sign.
+* ``dp_sign_oporp_rr`` and ``dp_sign_oporp_rr_smooth``: randomized response
+  on the sketch signs. Both follow one rule: a bin's bit starts at +1 where
+  its value is positive and at -1 elsewhere, and flips with probability
+  ``flip_probability(L * eps)`` = 1/(e^(L*eps) + 1). The level L is 0 at an
+  empty bin (exact zero), whose bit is then a fair coin, since
+  ``flip_probability(0)`` is exactly 0.5. Elsewhere L is 1 under ``rr``,
+  and ceil(|x|/beta) under ``rr-smooth``, since L adjacent steps are needed
+  to change the sign of a bin L*beta away from zero.
 
-Empty bins (exact zero) have no sign; their output bit is a fair coin drawn
-as the final output bit, recorded with flip probability 0.5.
+Sign releases return only the int8 +-1 signs. The per-bit probabilities
+follow the private vector (they reveal the empty bins and, under
+``rr-smooth``, each bin's magnitude band), so they are never returned;
+:func:`flip_probability` of epsilon is the value that may be published.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import ProjectionKind, check_seed
-from .sketch import Sketch, SketchConfig, _are_signs, oporp_sketch
+from .sketch import SketchConfig, _are_signs, oporp_sketch
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -67,45 +72,21 @@ class NoisySketch:
     sigma: float
 
 
-@dataclass
-class SignSketch:
-    """Randomized-response sign bits and the per-bit flip probability used.
-
-    ``flip_probs`` depends on the private vector: an empty bin flips with
-    probability 0.5, and under ``rr-smooth`` every bin's probability follows
-    its magnitude. It is for local checks only and must not be published;
-    :func:`flip_probability` gives the value that epsilon alone determines.
-    """
-
-    bits: np.ndarray
-    flip_probs: np.ndarray
-
-
 _SQRT_HALF = math.sqrt(0.5)
 
 
 def _ndtr(z: float) -> float:
-    """Phi(z), split as cephes ndtr: erf near 0, erfc in the tails."""
-    x = z * _SQRT_HALF
-    if abs(x) < _SQRT_HALF:
-        return 0.5 + 0.5 * math.erf(x)
-    tail = 0.5 * math.erfc(abs(x))
-    return 1.0 - tail if x > 0.0 else tail
-
-
-_ndtr_array = np.vectorize(_ndtr, otypes=[np.float64])
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF: a float for a scalar, an array for an array.
+    """Phi(z), split as cephes ndtr: erf near 0, erfc in the tails.
 
     Absolute error ~1e-16 over the real line; in the lower tail the erfc
     branch keeps the relative error near 1e-13 down to the underflow of
     Phi (z ~ -37).
     """
-    if np.ndim(z) == 0:
-        return _ndtr(float(z))
-    return _ndtr_array(np.asarray(z, dtype=np.float64))
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0.0 else tail
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -185,7 +166,7 @@ def flip_probability(epsilon):
 
     Written as e^-eps / (1 + e^-eps), so no finite epsilon overflows; takes
     and returns a scalar or an array. It depends on epsilon alone, so unlike
-    :attr:`SignSketch.flip_probs` it may be published.
+    the per-bit probabilities of a sign release it may be published.
     """
     t = np.exp(-np.asarray(epsilon, dtype=np.float64))
     return t / (1.0 + t)
@@ -229,21 +210,34 @@ def dp_oporp(
     return NoisySketch(x.values + noise, sigma)
 
 
-def _sign_release(x: Sketch, flip_probs: np.ndarray, rng: np.random.Generator) -> SignSketch:
-    """Flip sketch signs per-bit; empty bins become fair coins.
+def _flip_probs(values: np.ndarray, epsilon: float, beta: float | None = None) -> np.ndarray:
+    """Per-bit flip probabilities flip_probability(L * eps) of a sign release.
 
-    One uniform per bit drives both branches: it decides the flip for a
-    signed bin and doubles as the fair coin for an empty one.
+    L is 0 at an empty bin, 1 elsewhere under ``rr`` (``beta`` None), and
+    ceil(|x|/beta) under ``rr-smooth``, which is 0 at an empty bin too.
     """
-    values = x.values
-    draws = rng.random(values.shape[0])
-    bits = np.where(values < 0.0, -1, 1).astype(np.int8)
-    bits[draws < flip_probs] *= -1
-    empty = values == 0.0
-    bits[empty] = np.where(draws[empty] < 0.5, 1, -1)
-    probs = flip_probs.copy()
-    probs[empty] = 0.5
-    return SignSketch(bits, probs)
+    if beta is None:
+        levels = values != 0.0
+    else:
+        levels = np.ceil(np.abs(values) / beta)
+    return flip_probability(levels * epsilon)
+
+
+def _sign_release(
+    u: np.ndarray,
+    config: SketchConfig,
+    epsilon: float,
+    beta: float | None,
+    noise_seed: int | None,
+) -> np.ndarray:
+    """The sketch's signs (-1 at an empty bin), each flipped w.p. :func:`_flip_probs`."""
+    u = _check_private_input(u, config)
+    _check_positive("epsilon", epsilon)
+    values = oporp_sketch(u, config).values
+    draws = _noise_rng(noise_seed).random(values.shape[0])
+    signs = np.where(values > 0.0, 1, -1).astype(np.int8)
+    signs[draws < _flip_probs(values, epsilon, beta)] *= -1
+    return signs
 
 
 def dp_sign_oporp_rr(
@@ -251,13 +245,9 @@ def dp_sign_oporp_rr(
     config: SketchConfig,
     epsilon: float,
     noise_seed: int | None = None,
-) -> SignSketch:
-    """Release sketch signs through epsilon-DP randomized response."""
-    u = _check_private_input(u, config)
-    _check_positive("epsilon", epsilon)
-    x = oporp_sketch(u, config)
-    p = flip_probability(epsilon)
-    return _sign_release(x, np.full(x.values.shape[0], p), _noise_rng(noise_seed))
+) -> np.ndarray:
+    """Release the k int8 +-1 sketch signs through epsilon-DP randomized response."""
+    return _sign_release(u, config, epsilon, None, noise_seed)
 
 
 def dp_sign_oporp_rr_smooth(
@@ -266,25 +256,22 @@ def dp_sign_oporp_rr_smooth(
     epsilon: float,
     beta: float,
     noise_seed: int | None = None,
-) -> SignSketch:
+) -> np.ndarray:
     """Randomized response with per-bit flip probabilities scaled by magnitude.
 
     A bin at distance L*beta from zero cannot change sign in fewer than L
     adjacent steps, so it may use the larger budget L*epsilon; its flip
-    probability 1/(e^(L*eps) + 1) never exceeds the plain RR one.
+    probability 1/(e^(L*eps) + 1) never exceeds the plain RR one. Returns
+    the k int8 +-1 signs.
     """
-    u = _check_private_input(u, config)
-    _check_positive("epsilon", epsilon)
     _check_positive("beta", beta)
-    x = oporp_sketch(u, config)
-    levels = np.ceil(np.abs(x.values) / beta)
-    return _sign_release(x, flip_probability(levels * epsilon), _noise_rng(noise_seed))
+    return _sign_release(u, config, epsilon, beta, noise_seed)
 
 
 def sign_similarity(a, b) -> float:
     """Fraction of agreeing sign bits (raw agreement, no cosine calibration)."""
-    bits_a = np.asarray(a.bits if isinstance(a, SignSketch) else a)
-    bits_b = np.asarray(b.bits if isinstance(b, SignSketch) else b)
+    bits_a = np.asarray(a)
+    bits_b = np.asarray(b)
     if bits_a.shape != bits_b.shape:
         raise ValueError(
             f"sign sketches must have equal length, got {bits_a.shape} and {bits_b.shape}"

@@ -41,8 +41,9 @@ class ProjectionDistribution:
 
     ``sparsity`` is only free for the sparse family, where entries are
     sqrt(s) * {-1 w.p. 1/(2s), 0 w.p. 1 - 1/s, +1 w.p. 1/(2s)}; the other
-    kinds pin it to their fourth moment so ``fourth_moment`` is uniform to
-    query across kinds.
+    kinds refuse any value but 1.0, since a second value would draw the
+    same multipliers yet compare unequal. ``fourth_moment`` gives E(r^4)
+    for every kind.
     """
 
     kind: ProjectionKind
@@ -53,6 +54,8 @@ class ProjectionDistribution:
             # E(r^4) >= E(r^2)^2 = 1 by Cauchy-Schwarz; s < 1 is unrealizable,
             # and s = inf or NaN has no nonzero entries to draw.
             raise ValueError(f"sparse parameter must be finite and >= 1, got {self.sparsity}")
+        if self.kind is not ProjectionKind.SPARSE and self.sparsity != 1.0:
+            raise ValueError(f"{self.kind} takes no sparse parameter, got {self.sparsity}")
 
     @property
     def fourth_moment(self) -> float:

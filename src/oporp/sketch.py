@@ -396,6 +396,8 @@ _FORMAT_VERSION = 3
 _HEADER = struct.Struct("<4sHBBBBB5xQQQQdd")
 _PAYLOAD_VALUES = 0
 _PAYLOAD_SIGNS = 1
+# Bytes per payload entry: float64 values, int8 signs.
+_PAYLOAD_ITEMSIZE = {_PAYLOAD_VALUES: 8, _PAYLOAD_SIGNS: 1}
 _FLAVOR_CODES = {"oporp": 0, "vsrp": 1}
 _BINNING_CODES = {Binning.FIXED: 0, Binning.VARIABLE: 1}
 _DIST_CODES = {
@@ -439,24 +441,26 @@ def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, str, float |
     if version != _FORMAT_VERSION:
         raise SketchFileError(f"unsupported sketch format version {version}")
     try:
-        kind = _DISTS[dist]
         config = SketchConfig(
             dim=dim,
             k=k,
             binning=_BINNINGS[binning],
-            dist=(
-                ProjectionDistribution(kind, float(sparsity))
-                if kind is ProjectionKind.SPARSE
-                else ProjectionDistribution(kind)
-            ),
+            dist=ProjectionDistribution(_DISTS[dist], sparsity),
             m=m,
             seed=seed,
         )
         flavor_name = _FLAVORS[flavor]
+        itemsize = _PAYLOAD_ITEMSIZE[payload]
     except (KeyError, ValueError) as exc:
         raise SketchFileError(f"bad sketch header field: {exc}") from exc
-    if has_norm and not math.isfinite(norm):
-        raise SketchFileError(f"stored norm {norm} is not finite")
+    # Checked before any frombuffer, which refuses a ragged buffer with its own error.
+    expected = itemsize * k * m
+    if len(buf) - _HEADER.size != expected:
+        raise SketchFileError(
+            f"expected a {expected}-byte payload, file holds {len(buf) - _HEADER.size}"
+        )
+    if has_norm and not 0.0 <= norm < math.inf:
+        raise SketchFileError(f"stored norm {norm} is not finite and >= 0")
     return buf, config, payload, flavor_name, (float(norm) if has_norm else None)
 
 
@@ -473,12 +477,7 @@ def load_sketch(path: str) -> Sketch:
     buf, config, payload, flavor, norm = _read_sketch_file(path)
     if payload != _PAYLOAD_VALUES:
         raise SketchFileError("file holds sign bits, not sketch values")
-    expected = config.k * config.m
     values = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size)
-    if values.shape[0] != expected:
-        raise SketchFileError(
-            f"expected {expected} values, file holds {values.shape[0]}"
-        )
     if not np.isfinite(values).all():
         raise SketchFileError("sketch file holds inf or NaN values")
     return Sketch(values.astype(np.float64), config, flavor, stored_norm=norm)
@@ -511,9 +510,6 @@ def load_sign_sketch(path: str) -> tuple[np.ndarray, SketchConfig]:
     if payload != _PAYLOAD_SIGNS:
         raise SketchFileError("file holds sketch values, not sign bits")
     bits = np.frombuffer(buf, dtype=np.int8, offset=_HEADER.size)
-    expected = config.k * config.m
-    if bits.shape[0] != expected:
-        raise SketchFileError(f"expected {expected} bits, file holds {bits.shape[0]}")
     if not np.all(np.abs(bits) == 1):
         raise SketchFileError("sign file holds entries other than -1 and +1")
     return bits.astype(np.int8), config

@@ -16,6 +16,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from oporp.estimate import (
     cosine_hat,
@@ -33,10 +34,9 @@ from oporp.experiment import (
     retrieval_eval,
 )
 from oporp.privacy import (
+    _flip_probs,
     dp_sign_oporp_rr,
-    dp_sign_oporp_rr_smooth,
     solve_gaussian_sigma,
-    std_normal_cdf,
 )
 from oporp.projection import derive_seed, generator, rademacher, sparse
 from oporp.sketch import Binning, SketchConfig, oporp_sketch, vsrp_sketch
@@ -349,7 +349,8 @@ def test_criterion_09_privacy_calibration_and_flip_rates():
     for eps in (0.1, 0.5, 1.0, 2.0, 5.0):
         for delta in (1e-8, 1e-6, 1e-4):
             sigma = solve_gaussian_sigma(1.0, eps, delta)
-            gap = std_normal_cdf(0.5 / sigma - eps * sigma) - math.exp(eps) * std_normal_cdf(
+            # scipy's ndtr is independent of the solver's own normal CDF
+            gap = ndtr(0.5 / sigma - eps * sigma) - math.exp(eps) * ndtr(
                 -0.5 / sigma - eps * sigma
             )
             worst = max(worst, abs(gap - delta))
@@ -364,7 +365,7 @@ def test_criterion_09_privacy_calibration_and_flip_rates():
     config = SketchConfig(dim=n, k=n, binning=Binning.FIXED, dist=rademacher(), seed=3)
     true_signs = np.sign(oporp_sketch(u, config).values)
     released = dp_sign_oporp_rr(u, config, math.log(3.0), noise_seed=17)
-    flip_rate = float(np.mean(released.bits != true_signs))
+    flip_rate = float(np.mean(released != true_signs))
     ok = ok and abs(flip_rate - 0.25) <= 0.002
 
     # smoothing never flips more than plain randomized response on loud bins
@@ -372,10 +373,11 @@ def test_criterion_09_privacy_calibration_and_flip_rates():
     u2 = rng2.uniform(-1.0, 1.0, 4096)
     config2 = SketchConfig(dim=4096, k=256, binning=Binning.FIXED, dist=rademacher(), seed=5)
     beta = 0.25
-    loud = np.abs(oporp_sketch(u2, config2).values) >= beta
-    smooth = dp_sign_oporp_rr_smooth(u2, config2, 1.0, beta, noise_seed=9)
-    plain = dp_sign_oporp_rr(u2, config2, 1.0, noise_seed=9)
-    ok = ok and bool(np.all(smooth.flip_probs[loud] <= plain.flip_probs[loud]))
+    values2 = oporp_sketch(u2, config2).values
+    loud = np.abs(values2) >= beta
+    smooth = _flip_probs(values2, 1.0, beta)
+    plain = _flip_probs(values2, 1.0)
+    ok = ok and bool(np.all(smooth[loud] <= plain[loud]))
     report(
         9,
         ok,

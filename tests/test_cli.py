@@ -6,6 +6,7 @@ be asserted directly.
 
 import math
 import os
+import struct
 import threading
 
 import numpy as np
@@ -530,6 +531,39 @@ def test_estimate_on_non_finite_sketch_file_exits_three(tmp_path, capsys, matrix
     sk.values[0] = np.nan
     save_sketch(y, sk)
     assert run(["estimate", "--x", x, "--y", y, "--estimator", "cosine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: file: ")
+
+
+def _sketch_pair(tmp_path, capsys, matrix_file):
+    path, _ = matrix_file
+    x, y = tmp_path / "x.sk", tmp_path / "y.sk"
+    for out, row in ((x, "0"), (y, "1")):
+        run_ok(capsys, ["sketch", "--input", path, "--row", row, "--k", "4", "--out", str(out)])
+    return x, y
+
+
+@pytest.mark.parametrize("cut", range(1, 8))
+def test_estimate_on_a_value_file_cut_inside_an_entry_exits_three(tmp_path, capsys, matrix_file,
+                                                                   cut):
+    # used to escape as numpy's ValueError and exit 4
+    x, y = _sketch_pair(tmp_path, capsys, matrix_file)
+    y.write_bytes(y.read_bytes()[:-cut])
+    assert run(["estimate", "--x", str(x), "--y", str(y), "--estimator", "inner"]) == 3
+    assert capsys.readouterr().err.startswith("error: file: ")
+
+
+@pytest.mark.parametrize("offset, value", [(56, -2.0), (48, 3.0)])
+def test_estimate_on_a_header_no_save_writes_exits_three(tmp_path, capsys, matrix_file,
+                                                         offset, value):
+    # a stored norm of -2 (offset 56) used to give mle_inner 4.0 with exit 0;
+    # a Rademacher sketch with sparsity 3 (offset 48) used to load as sparsity 1
+    x, y = _sketch_pair(tmp_path, capsys, matrix_file)
+    raw = bytearray(y.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    y.write_bytes(bytes(raw))
+    assert run(["estimate", "--x", str(x), "--y", str(y), "--estimator", "mle_inner"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: file: ")

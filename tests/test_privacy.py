@@ -23,7 +23,8 @@ from oporp import privacy
 from oporp.privacy import (
     NoisySketch,
     PrivacySpec,
-    SignSketch,
+    _flip_probs,
+    _ndtr,
     _tradeoff_gap,
     dp_oporp,
     dp_sign_oporp_rr,
@@ -31,7 +32,6 @@ from oporp.privacy import (
     flip_probability,
     sign_similarity,
     solve_gaussian_sigma,
-    std_normal_cdf,
 )
 from oporp.projection import gaussian, rademacher
 from oporp.sketch import Binning, SketchConfig, oporp_sketch
@@ -51,19 +51,19 @@ def normal_density(t):
 def test_cdf_against_quadrature():
     for z in (-4.0, -1.5, -0.3, 0.0, 0.5, 1.96, 3.7):
         want, err = quad(normal_density, 0.0, z, epsabs=1e-14)
-        assert std_normal_cdf(z) == pytest.approx(0.5 + want, abs=1e-12 + 10 * err)
+        assert _ndtr(z) == pytest.approx(0.5 + want, abs=1e-12 + 10 * err)
 
 
 def test_cdf_frozen_table_value():
-    assert std_normal_cdf(1.96) == pytest.approx(0.9750021048517796, abs=1e-14)
-    assert std_normal_cdf(0.0) == 0.5
+    assert _ndtr(1.96) == pytest.approx(0.9750021048517796, abs=1e-14)
+    assert _ndtr(0.0) == 0.5
 
 
-def test_cdf_symmetry_and_vector_input():
+def test_cdf_symmetry_and_monotonicity():
     z = np.linspace(-6, 6, 41)
-    out = std_normal_cdf(z)
-    assert out.shape == z.shape
-    assert np.allclose(out + std_normal_cdf(-z), 1.0, atol=1e-15)
+    out = np.array([_ndtr(float(t)) for t in z])
+    mirrored = np.array([_ndtr(float(-t)) for t in z])
+    assert np.allclose(out + mirrored, 1.0, atol=1e-15)
     assert np.all(np.diff(out) > 0)
 
 
@@ -71,11 +71,8 @@ def test_cdf_matches_scipy_ndtr():
     # down to z = -37, where Phi(z) is about 6e-300, just above underflow
     z = np.linspace(-37.0, 9.0, 4601)
     want = ndtr(z)
-    out = std_normal_cdf(z)
-    assert isinstance(out, np.ndarray) and out.shape == z.shape
-    assert np.all(np.abs(out - want) <= 1e-12 * want)
-    for t, w in zip(z[::7], want[::7]):
-        got = std_normal_cdf(float(t))
+    for t, w in zip(z, want):
+        got = _ndtr(float(t))
         assert isinstance(got, float)
         assert abs(got - w) <= 1e-12 * w
 
@@ -330,13 +327,14 @@ def test_flip_probability_is_overflow_free():
 def test_rr_beyond_exp_range_releases_the_signs(eps):
     u = np.random.default_rng(8).uniform(0.1, 1.0, 64)
     config = private_config(64, 64, seed=6)
-    clean = np.where(oporp_sketch(u, config).values < 0, -1, 1)
-    for released in (
-        dp_sign_oporp_rr(u, config, eps, noise_seed=1),
-        dp_sign_oporp_rr_smooth(u, config, eps, 0.5, noise_seed=1),
+    values = oporp_sketch(u, config).values
+    clean = np.where(values < 0, -1, 1)
+    for released, probs in (
+        (dp_sign_oporp_rr(u, config, eps, noise_seed=1), _flip_probs(values, eps)),
+        (dp_sign_oporp_rr_smooth(u, config, eps, 0.5, noise_seed=1), _flip_probs(values, eps, 0.5)),
     ):
-        assert np.all(released.flip_probs < 1e-300)
-        assert np.array_equal(released.bits, clean)
+        assert np.all(probs < 1e-300)
+        assert np.array_equal(released, clean)
 
 
 def test_rr_flip_rate_at_ln3():
@@ -346,11 +344,12 @@ def test_rr_flip_rate_at_ln3():
     u = rng.uniform(0.1, 1.0, D) * rng.choice([-1.0, 1.0], D)
     config = private_config(D, D, seed=9)
     released = dp_sign_oporp_rr(u, config, math.log(3.0), noise_seed=11)
-    clean_signs = np.where(oporp_sketch(u, config).values < 0, -1, 1)
-    flip_rate = np.mean(released.bits != clean_signs)
-    assert np.all(released.flip_probs == 0.25)
+    values = oporp_sketch(u, config).values
+    clean_signs = np.where(values < 0, -1, 1)
+    flip_rate = np.mean(released != clean_signs)
+    assert np.all(_flip_probs(values, math.log(3.0)) == 0.25)
     assert flip_rate == pytest.approx(0.25, abs=0.005)
-    assert set(np.unique(released.bits)) == {-1, 1}
+    assert set(np.unique(released)) == {-1, 1}
 
 
 def test_rr_deterministic_and_seed_sensitive():
@@ -359,8 +358,8 @@ def test_rr_deterministic_and_seed_sensitive():
     a = dp_sign_oporp_rr(u, config, 1.0, noise_seed=5)
     b = dp_sign_oporp_rr(u, config, 1.0, noise_seed=5)
     c = dp_sign_oporp_rr(u, config, 1.0, noise_seed=6)
-    assert np.array_equal(a.bits, b.bits)
-    assert not np.array_equal(a.bits, c.bits)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_smooth_flip_probs_never_exceed_plain_rr():
@@ -368,14 +367,14 @@ def test_smooth_flip_probs_never_exceed_plain_rr():
     u = rng.uniform(-1, 1, 4096)
     config = private_config(4096, 256, seed=2)
     eps, beta = 1.0, 0.25
-    plain = dp_sign_oporp_rr(u, config, eps, noise_seed=7)
-    smooth = dp_sign_oporp_rr_smooth(u, config, eps, beta, noise_seed=7)
     values = oporp_sketch(u, config).values
+    plain = _flip_probs(values, eps)
+    smooth = _flip_probs(values, eps, beta)
     occupied = np.abs(values) >= beta
-    assert np.all(smooth.flip_probs[occupied] <= plain.flip_probs[occupied])
+    assert np.all(smooth[occupied] <= plain[occupied])
     # larger magnitudes never flip more often
     order = np.argsort(np.abs(values))
-    assert np.all(np.diff(smooth.flip_probs[order]) <= 1e-15)
+    assert np.all(np.diff(smooth[order]) <= 1e-15)
 
 
 def test_smooth_equals_rr_in_the_first_band():
@@ -383,8 +382,8 @@ def test_smooth_equals_rr_in_the_first_band():
     u = np.full(64, 0.01)
     config = private_config(64, 64, seed=3)
     eps = 2.0
-    smooth = dp_sign_oporp_rr_smooth(u, config, eps, beta=1.0, noise_seed=9)
-    assert np.allclose(smooth.flip_probs, 1.0 / (math.exp(eps) + 1.0), atol=1e-15)
+    smooth = _flip_probs(oporp_sketch(u, config).values, eps, beta=1.0)
+    assert np.allclose(smooth, 1.0 / (math.exp(eps) + 1.0), atol=1e-15)
 
 
 def test_empty_bins_release_fair_coins():
@@ -397,10 +396,12 @@ def test_empty_bins_release_fair_coins():
     values = oporp_sketch(u, config).values
     empty = values == 0.0
     assert empty.sum() == D // 2
-    assert np.all(released.flip_probs[empty] == 0.5)
-    coin_mean = released.bits[empty].mean()
+    # level 0 under both rules: flip_probability(0) is exactly one half
+    assert np.all(_flip_probs(values, 1.0)[empty] == 0.5)
+    assert np.all(_flip_probs(values, 1.0, 0.5)[empty] == 0.5)
+    coin_mean = released[empty].mean()
     assert abs(coin_mean) < 4.0 / math.sqrt(empty.sum())
-    assert isinstance(released, SignSketch)
+    assert released.dtype == np.int8
 
 
 def test_smooth_large_magnitude_probs_underflow_to_zero():
@@ -408,9 +409,13 @@ def test_smooth_large_magnitude_probs_underflow_to_zero():
     # probability must saturate at exactly 0 instead of warning or NaN
     u = np.ones(16)
     config = private_config(16, 2, seed=8)
-    smooth = dp_sign_oporp_rr_smooth(u, config, 5.0, beta=1e-3, noise_seed=15)
-    assert np.all(np.isfinite(smooth.flip_probs))
-    assert smooth.flip_probs.min() >= 0.0
+    values = oporp_sketch(u, config).values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smooth = _flip_probs(values, 5.0, beta=1e-3)
+        dp_sign_oporp_rr_smooth(u, config, 5.0, beta=1e-3, noise_seed=15)
+    assert np.all(np.isfinite(smooth))
+    assert smooth.min() >= 0.0
 
 
 # --- sign similarity -----------------------------------------------------------------

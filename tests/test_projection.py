@@ -219,3 +219,15 @@ def test_projection_vector_deterministic():
 def test_distribution_equality_and_kinds():
     assert sparse(4.0) == ProjectionDistribution(ProjectionKind.SPARSE, 4.0)
     assert rademacher() != gaussian()
+
+
+@pytest.mark.parametrize("kind", [
+    ProjectionKind.RADEMACHER, ProjectionKind.GAUSSIAN, ProjectionKind.SCALED_UNIFORM,
+])
+def test_dense_kinds_refuse_a_sparse_parameter(kind):
+    # (GAUSSIAN, 3.0) used to draw exactly as gaussian() yet compare unequal to it
+    with pytest.raises(ValueError, match="sparse parameter"):
+        ProjectionDistribution(kind, 3.0)
+    with pytest.raises(ValueError, match="sparse parameter"):
+        ProjectionDistribution(kind, math.nan)
+    assert ProjectionDistribution(kind, 1.0) == ProjectionDistribution(kind)

@@ -19,7 +19,6 @@ PUBLIC = [
     "PrivacySpec",
     "ProjectionDistribution",
     "ProjectionKind",
-    "SignSketch",
     "Sketch",
     "SketchConfig",
     "SketchFileError",
@@ -59,7 +58,6 @@ PUBLIC = [
     "similarity_matrix",
     "solve_gaussian_sigma",
     "sparse",
-    "std_normal_cdf",
     "var_cosine",
     "var_cosine_vsrp",
     "var_distance",

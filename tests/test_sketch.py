@@ -7,11 +7,14 @@ projection matrix from their own byte-by-byte copy of the sparse rule.
 """
 
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oporp.projection
 import oporp.sketch
@@ -694,3 +697,117 @@ def test_payload_kind_is_enforced(tmp_path):
         load_sign_sketch(str(vpath))
     with pytest.raises(SketchFileError):
         load_sketch(str(spath))
+
+
+@pytest.mark.parametrize("cut", range(1, 8))
+def test_value_file_cut_inside_an_entry_is_a_file_error(tmp_path, cut):
+    # numpy's frombuffer used to refuse the ragged payload with a bare ValueError
+    path = tmp_path / "v.bin"
+    save_sketch(str(path), oporp_sketch(np.ones(16), cfg(seed=4)))
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(SketchFileError, match="payload"):
+        load_sketch(str(path))
+
+
+@pytest.mark.parametrize("extra", [b"\x01", b"\x01" * 8])
+def test_payload_longer_than_the_header_says_is_a_file_error(tmp_path, extra):
+    vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"
+    save_sketch(str(vpath), oporp_sketch(np.ones(16), cfg(seed=4)))
+    save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), cfg(seed=4))
+    for path, load in ((vpath, load_sketch), (spath, load_sign_sketch)):
+        path.write_bytes(path.read_bytes() + extra)
+        with pytest.raises(SketchFileError, match="payload"):
+            load(str(path))
+
+
+def _patch_f64(path, offset, value):
+    """Overwrite one float64 header field (48 = sparsity, 56 = stored norm)."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, offset, value)
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("norm", [-2.0, -5e-324, -math.inf])
+def test_negative_stored_norm_is_a_file_error(tmp_path, norm):
+    # a norm of -2 used to load, and mle_inner then used its square
+    sk = oporp_sketch(np.ones(16), cfg(seed=4))
+    path = tmp_path / "v.bin"
+    save_sketch(str(path), Sketch(sk.values, sk.config, sk.flavor, 2.0))
+    _patch_f64(path, 56, norm)
+    with pytest.raises(SketchFileError, match="norm"):
+        load_sketch(str(path))
+
+
+@pytest.mark.parametrize("dist", [rademacher(), gaussian(), scaled_uniform()])
+@pytest.mark.parametrize("sparsity", [3.0, 0.0, math.nan])
+def test_stray_sparsity_under_a_dense_kind_is_a_file_error(tmp_path, dist, sparsity):
+    # used to load as sparsity 1, so no stored sparsity was ever checked
+    vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"
+    save_sketch(str(vpath), oporp_sketch(np.ones(16), cfg(dist=dist, seed=4)))
+    save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), cfg(dist=dist, seed=4))
+    for path, load in ((vpath, load_sketch), (spath, load_sign_sketch)):
+        _patch_f64(path, 48, sparsity)
+        with pytest.raises(SketchFileError, match="sparse parameter"):
+            load(str(path))
+
+
+def _fuzz_seeds():
+    """Well-formed files of every payload, flavor, binning and distribution."""
+    u = np.random.default_rng(29).uniform(-1.0, 1.0, 16)
+    sparse_cfg = cfg(dist=sparse(3.0), binning=Binning.VARIABLE, k=5, m=2, seed=7)
+    files = []
+    for sk in (
+        oporp_sketch(u, cfg(seed=4)),
+        oporp_sketch(u, cfg(dist=gaussian(), m=2, seed=5)),
+        oporp_sketch(u, sparse_cfg),
+        vsrp_sketch(u, 16, 6, 4.0, seed=8),
+    ):
+        files.append(oporp.sketch._pack_header(sk.config, 0, sk.flavor, sk.stored_norm)
+                     + sk.values.astype("<f8").tobytes())
+    signs = np.where(np.arange(10) % 3 == 0, 1, -1).astype(np.int8)
+    files.append(oporp.sketch._pack_header(sparse_cfg, 1, "oporp", None) + signs.tobytes())
+    return files
+
+
+_FUZZ_SEEDS = _fuzz_seeds()
+# Header fields by (offset, struct format), and values at or beyond their edges.
+_FUZZ_FIELDS = [(4, "<H"), (6, "B"), (7, "B"), (8, "B"), (9, "B"), (10, "B"),
+                (16, "<Q"), (24, "<Q"), (32, "<Q"), (40, "<Q"), (48, "<d"), (56, "<d")]
+_EXTREME_INTS = [0, 1, 2, 3, 4, 255, 2**16 - 1, 2**32, 2**63, 2**64 - 1]
+_EXTREME_FLOATS = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e308, -1e308, 5e-324, -5e-324,
+                   math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _mutated_files(draw):
+    raw = bytearray(draw(st.sampled_from(_FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        offset, fmt = draw(st.sampled_from(_FUZZ_FIELDS))
+        if fmt == "<d":
+            value = draw(st.sampled_from(_EXTREME_FLOATS) | st.floats())
+        else:
+            top = 2 ** (8 * struct.calcsize(fmt))
+            value = draw(st.sampled_from([v for v in _EXTREME_INTS if v < top])
+                         | st.integers(0, top - 1))
+        struct.pack_into(fmt, raw, offset, value)
+    for _ in range(draw(st.integers(0, 3))):
+        raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+    tail = draw(st.sampled_from(["keep", "cut", "append"]))
+    if tail == "cut":
+        return bytes(raw[: draw(st.integers(0, len(raw) - 1))])
+    if tail == "append":
+        return bytes(raw) + draw(st.binary(min_size=1, max_size=9))
+    return bytes(raw)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_mutated_files())
+def test_fuzzed_files_load_or_raise_file_errors(tmp_path, data):
+    path = tmp_path / "fuzz.bin"
+    path.write_bytes(data)
+    for load in (load_sketch, load_sign_sketch):
+        try:
+            load(str(path))
+        except SketchFileError:
+            pass
