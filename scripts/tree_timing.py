@@ -4,9 +4,10 @@ The ``bench_*`` scripts that compare checkouts call :func:`main` with their
 own worker. ``--tree NAME=PATH`` names a checkout whose ``src/oporp`` is
 timed; without the flag this checkout alone is timed. A round runs one
 fresh worker interpreter per tree, the trees alternating which goes first
-from round to round. The worker prints one JSON object of {cell: ms}; the
-file holds, per tree and cell, the median over the rounds and every
-round's value, plus the core count and the numpy version.
+from round to round. The worker prints one JSON object of {cell: value},
+in ms unless ``units`` names another unit for the cell; the file holds, per
+tree and cell, the median over the rounds and every round's value, plus
+the core count and the numpy version.
 """
 
 from __future__ import annotations
@@ -32,8 +33,13 @@ def _run(script: Path, path: Path) -> dict:
 
 
 def main(doc: str, worker: Callable[[], None], out: Path, rounds: int, what: str,
-         shapes: dict) -> None:
-    """Parse the command line; run ``worker`` (``--worker``) or time every tree into ``out``."""
+         shapes: dict, units: dict | None = None) -> None:
+    """Parse the command line; run ``worker`` (``--worker``) or time every tree into ``out``.
+
+    ``units`` maps a cell to the unit its values are in (default ms), which
+    names its ``median_<unit>`` and ``runs_<unit>`` fields.
+    """
+    units = units or {}
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--tree", action="append", default=[], help="NAME=PATH of a checkout")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -52,11 +58,13 @@ def main(doc: str, worker: Callable[[], None], out: Path, rounds: int, what: str
         print(f"round {r + 1}/{rounds} done", flush=True)
     cells = {}
     for name, results in runs.items():
-        cells[name] = {
-            cell: {"median_ms": round(statistics.median(r[cell] for r in results), 4),
-                   "runs_ms": [round(r[cell], 4) for r in results]}
-            for cell in results[0]
-        }
+        cells[name] = {}
+        for cell in results[0]:
+            unit = units.get(cell, "ms")
+            cells[name][cell] = {
+                f"median_{unit}": round(statistics.median(r[cell] for r in results), 4),
+                f"runs_{unit}": [round(r[cell], 4) for r in results],
+            }
     result = {
         "what": what,
         "shapes": shapes,
@@ -69,5 +77,7 @@ def main(doc: str, worker: Callable[[], None], out: Path, rounds: int, what: str
     }
     out.write_text(json.dumps(result, indent=2) + "\n")
     for cell in next(iter(cells.values())):
-        print(cell, "  ".join(f"{name} {cells[name][cell]['median_ms']:.3f} ms" for name in cells))
+        unit = units.get(cell, "ms")
+        print(cell, "  ".join(f"{name} {cells[name][cell][f'median_{unit}']:.3f} {unit}"
+                              for name in cells))
     print(f"wrote {out}")

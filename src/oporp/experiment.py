@@ -181,8 +181,7 @@ def _oporp_chunk(
     for lo in range(0, c, rows):
         b = slice(lo, lo + rows)
         block = buf[: min(rows, c - lo)]
-        X[b] = _bin_sums(block, u_pad, R[b], index[b], k, fixed)
-        Y[b] = _bin_sums(block, v_pad, R[b], index[b], k, fixed)
+        X[b], Y[b] = _bin_sums(block, (u_pad, v_pad), R[b], index[b], k, fixed)
     return X, Y
 
 
@@ -441,8 +440,19 @@ def similarity_matrix(
 
 
 def _ranked(scores: np.ndarray) -> np.ndarray:
-    """Candidate indices per query, best first, ties broken by smaller index."""
-    return np.argsort(-scores, axis=1, kind="stable")
+    """Candidate indices per query, best first, ties broken by smaller index.
+
+    A row whose sorted keys strictly increase has one sorted order, so
+    numpy's default sort finds it; only the other rows (ties, +-0.0, NaN)
+    are sorted again with the stable sort, which keeps ties in index order.
+    """
+    keys = -scores
+    order = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, order, axis=1)
+    redo = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    if redo.any():
+        order[redo] = np.argsort(keys[redo], axis=1, kind="stable")
+    return order
 
 
 def retrieval_eval(

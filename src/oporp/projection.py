@@ -12,6 +12,12 @@ twice as fast.
 Multiplier distributions are standardized to E(r) = 0, E(r^2) = 1,
 E(r^3) = 0; the fourth moment E(r^4) = s is the single parameter the
 variance formulas depend on.
+
+Draws are stored compactly: Rademacher signs as int8, the other
+multipliers as float64, and index rows (permutations of range(Dp), or bin
+indices in [0, k)) as uint16 up to 2**16 values, else int32. Multiplying
+by +-1 is exact in any dtype, and gathers and bin counts widen indices to
+intp, so no result depends on the storage.
 """
 
 from __future__ import annotations
@@ -119,20 +125,34 @@ def generator(seed: int) -> np.random.Generator:
 def draw_multipliers(
     rng: np.random.Generator, shape, dist: ProjectionDistribution
 ) -> np.ndarray:
-    """An array of the given shape of i.i.d. multipliers from ``dist``, drawn from ``rng``."""
+    """An array of the given shape of i.i.d. multipliers from ``dist``, drawn from ``rng``.
+
+    Rademacher signs come back as an int8 array of -1 and +1, every other
+    kind as float64 (:func:`_multiplier_itemsize`).
+    """
     if dist.kind is ProjectionKind.RADEMACHER:
         # One bit per sign: entry j is 1 - 2 * (bit j of the random bytes),
-        # formed on uint8 (255 is -1 as int8) and converted once.
+        # formed on uint8 (255 is -1 as int8).
         n = math.prod(np.broadcast_shapes(shape))
         bits = np.unpackbits(_random_bytes(rng, -(-n // 8)), count=n, bitorder="little")
         np.left_shift(bits, 1, out=bits)
         np.subtract(1, bits, out=bits)
-        return bits.view(np.int8).astype(np.float64).reshape(shape)
+        return bits.view(np.int8).reshape(shape)
     if dist.kind is ProjectionKind.GAUSSIAN:
         return rng.standard_normal(shape)
     if dist.kind is ProjectionKind.SCALED_UNIFORM:
         return np.sqrt(3.0) * rng.uniform(-1.0, 1.0, size=shape)
     return math.sqrt(dist.sparsity) * _sparse_signs(rng, shape, dist.sparsity)
+
+
+def _multiplier_itemsize(dist: ProjectionDistribution) -> int:
+    """Bytes per entry of :func:`draw_multipliers`: 1 for int8 signs, 8 for float64."""
+    return 1 if dist.kind is ProjectionKind.RADEMACHER else 8
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """The dtype an index row with values in [0, n) is stored in: uint16 up to n = 2**16."""
+    return np.dtype(np.uint16 if n <= 1 << 16 else np.int32)
 
 
 def _random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -187,20 +207,26 @@ def _to_signs(b: np.ndarray, nonzero: np.ndarray) -> None:
     np.subtract(nonzero, b, out=b)
 
 
-# Target int64 entries per block of the permutation shuffle; no result
-# depends on it.
-_SHUFFLE_ELEMENTS = 1 << 16
+# Target entries per row block of the index draws (the permutation shuffle
+# and the bin-index draw); no result depends on it.
+_INDEX_BLOCK_ELEMENTS = 1 << 16
+
+
+def _index_block_rows(c: int, Dp: int) -> int:
+    """Rows per block of an index draw: about _INDEX_BLOCK_ELEMENTS entries, at least 1."""
+    return max(1, min(c, _INDEX_BLOCK_ELEMENTS // Dp))
 
 
 def _permutation_rows(rng: np.random.Generator, c: int, Dp: int) -> np.ndarray:
-    """(c, Dp) int32 rows, each a permutation of range(Dp), drawn in row order.
+    """(c, Dp) rows, each a permutation of range(Dp), drawn in row order.
 
     numpy shuffles 8-byte items on a fast path, so blocks of rows are
-    shuffled as int64 and stored as int32: the same draws, and the same
-    stream position after, as shuffling one int32 tile along its rows.
+    shuffled as int64 and stored as ``_index_dtype(Dp)``: the same draws,
+    and the same stream position after, as shuffling one int32 tile along
+    its rows.
     """
-    index = np.empty((c, Dp), dtype=np.int32)
-    step = max(1, min(c, _SHUFFLE_ELEMENTS // Dp))
+    index = np.empty((c, Dp), dtype=_index_dtype(Dp))
+    step = _index_block_rows(c, Dp)
     shuffle = np.empty((step, Dp), dtype=np.int64)
     identity = np.arange(Dp)
     for lo in range(0, c, step):
@@ -211,16 +237,28 @@ def _permutation_rows(rng: np.random.Generator, c: int, Dp: int) -> np.ndarray:
     return index
 
 
+def _bin_rows(rng: np.random.Generator, c: int, Dp: int, k: int) -> np.ndarray:
+    """(c, Dp) bin indices in [0, k): numpy's int32 bounded draw of that shape.
+
+    Blocks of rows are drawn as int32 and stored as ``_index_dtype(k)``:
+    the bounded int32 draw keeps its state in the generator, so the blocks
+    draw what one call would, and leave the stream where it would.
+    """
+    index = np.empty((c, Dp), dtype=_index_dtype(k))
+    step = _index_block_rows(c, Dp)
+    for lo in range(0, c, step):
+        rows = min(step, c - lo)
+        index[lo : lo + rows] = rng.integers(0, k, size=(rows, Dp), dtype=np.int32)
+    return index
+
+
 def _oporp_draws(
     rng: np.random.Generator, c: int, Dp: int, k: int, dist: ProjectionDistribution, fixed: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """c OPORP draws, a plan's m repetitions or a sweep chunk's trials.
 
-    (c, Dp) int32 index rows (permutations of range(Dp) for fixed binning,
-    bin indices in [0, k) for variable binning), then (c, Dp) multipliers.
+    (c, Dp) index rows (permutations of range(Dp) for fixed binning, bin
+    indices in [0, k) for variable binning), then (c, Dp) multipliers.
     """
-    if fixed:
-        index = _permutation_rows(rng, c, Dp)
-    else:
-        index = rng.integers(0, k, size=(c, Dp), dtype=np.int32)
+    index = _permutation_rows(rng, c, Dp) if fixed else _bin_rows(rng, c, Dp, k)
     return index, draw_multipliers(rng, (c, Dp), dist)

@@ -30,11 +30,16 @@ package keeps the plans of the last ``_PLAN_CACHE_SIZE`` = 2 (config, flavor)
 pairs it used (:func:`_plan`, an LRU cache): ``oporp_sketch``,
 ``vsrp_sketch``, the DP releases and ``similarity_matrix`` all go through
 it, and sketching many vectors one call at a time draws each config once.
-An OPORP plan holds m*padded_dim int32 indices and float64 multipliers
-(12 bytes per entry), a VSRP plan the dim x m float64 matrix (8 bytes per
-entry). A plan above ``_PLAN_CACHE_BYTES`` = 16 MiB is drawn for its call
-and not kept. Every plan's arrays are read-only, whether cached or built
-directly, so a shared draw cannot be changed by a caller.
+Draws are stored compactly (see :mod:`oporp.projection`). An OPORP plan
+holds m*padded_dim indices, uint16 while they take at most 65536 values
+(padded_dim positions for fixed binning, k bins for variable binning) and
+int32 beyond, and as many multipliers, int8 for Rademacher signs and
+float64 otherwise: 3 bytes per entry for a Rademacher plan (5 with int32
+indices), 10 for any other (12). A VSRP plan holds the dim x m float64
+matrix (8 bytes per entry). A plan above ``_PLAN_CACHE_BYTES`` = 16 MiB
+(:func:`_plan_bytes`) is drawn for its call and not kept. Every plan's
+arrays are read-only, whether cached or built directly, so a shared draw
+cannot be changed by a caller.
 
 The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
 shared by the plan and the Monte-Carlo sweep. It runs on one reused block
@@ -83,6 +88,8 @@ import numpy as np
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
+    _index_dtype,
+    _multiplier_itemsize,
     _oporp_draws,
     check_seed,
     derive_seed,
@@ -103,8 +110,10 @@ _PLAN_CACHE_SIZE = 2
 _PLAN_CACHE_BYTES = 16 << 20
 
 # Target float64 entries per block buffer of the bin-sum kernel. Blocks
-# decide only where temporaries live: no result depends on this size.
-_BLOCK_ELEMENTS = 1 << 18
+# decide only where temporaries live: no result depends on this size. At
+# 2**16 a block's buffer and index temporary (512 KiB each) stay in a
+# 2 MiB L2 cache.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class Binning(enum.Enum):
@@ -187,6 +196,9 @@ class Sketch:
                 f"a k={self.config.k}, m={self.config.m} sketch needs {expected} values, "
                 f"got shape {np.shape(self.values)}"
             )
+        # The bound load_sketch enforces, so that every saved norm loads back.
+        if self.stored_norm is not None and not 0.0 <= self.stored_norm < math.inf:
+            raise ValueError(f"stored norm {self.stored_norm} is not finite and >= 0")
 
     @property
     def reps(self) -> np.ndarray:
@@ -292,7 +304,7 @@ class SketchPlan:
                 W = padded[:c]
             reps = out[start : start + c].reshape(c, m, k)
             for t, (index, r) in enumerate(zip(self._indices, self._multipliers)):
-                reps[:, t] = _bin_sums(buf[:c], W, r, index, k, fixed)
+                reps[:, t], = _bin_sums(buf[:c], (W,), r, index, k, fixed)
         return out
 
 
@@ -308,10 +320,20 @@ def _plan(config: SketchConfig, flavor: str) -> SketchPlan:
     call only. A hit returns the arrays a miss would draw: the draws are a
     pure function of the key.
     """
-    per_entry = 8 if flavor == "vsrp" else 12  # float64, or int32 index + float64
-    if config.m * config.padded_dim * per_entry > _PLAN_CACHE_BYTES:
+    if _plan_bytes(config, flavor) > _PLAN_CACHE_BYTES:
         return SketchPlan(config, flavor)
     return _cached_plan(config, flavor)
+
+
+def _plan_bytes(config: SketchConfig, flavor: str) -> int:
+    """The bytes of the arrays a plan of (config, flavor) draws, known before it draws them."""
+    # The vsrp matrix is dim x m multipliers (padded_dim is dim under its
+    # variable binning); an oporp plan holds an index per multiplier too.
+    per_entry = _multiplier_itemsize(config.dist)
+    if flavor == "oporp":
+        fixed = config.binning is Binning.FIXED
+        per_entry += _index_dtype(config.padded_dim if fixed else config.k).itemsize
+    return config.m * config.padded_dim * per_entry
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -326,34 +348,45 @@ def _block_rows(width: int, rows: int) -> int:
 
 
 def _bin_sums(
-    buf: np.ndarray, src: np.ndarray, r: np.ndarray, index: np.ndarray, k: int, fixed: bool
-) -> np.ndarray:
-    """(rows, k) bin sums of one block: the gather x multiply -> bin sum kernel.
+    buf: np.ndarray, sources: tuple, r: np.ndarray, index: np.ndarray, k: int, fixed: bool
+) -> list[np.ndarray]:
+    """(rows, k) bin sums of one block per source: the gather x multiply -> bin sum kernel.
 
-    ``buf`` is the (rows, Dp) scratch the block's products are written to.
-    Fixed binning gathers ``src`` by the permutation ``index``, multiplies by
-    ``r`` and sums consecutive runs of Dp/k entries; variable binning
-    multiplies ``src`` by ``r`` and sums by the bin indices ``index``. Each
-    of src, r and index is one row shared by the block or one row per block
-    row. Every row is reduced on its own, so the block's row count never
+    ``buf`` is the (rows, Dp) float64 scratch the block's products are
+    written to. Fixed binning gathers a source by the permutation ``index``,
+    multiplies by ``r`` and sums consecutive runs of Dp/k entries; variable
+    binning multiplies a source by ``r`` and sums by the bin indices
+    ``index``. Each of a source, r and index is one row shared by the block
+    or one row per block row; r may be int8 signs and index any integer
+    dtype. The index is prepared once for all ``sources``, which share the
+    draw. Every row is reduced on its own, so the block's row count never
     changes a result.
     """
     rows, Dp = buf.shape
     if fixed:
-        # Every index is in range; "wrap" writes straight to buf, where the
-        # default mode would gather through a temporary.
-        np.take(src, index, axis=-1, out=buf, mode="wrap")
-        buf *= r
-        # (rows*k, L) rows, not (rows, k, L): each bin is one 1-d reduction,
-        # as in the one-vector sketch.
-        sums = buf.reshape(rows * k, Dp // k).sum(axis=1)
-    else:
-        np.multiply(src, r, out=buf)
-        if rows > 1:
-            # Row i's bins move to [i*k, (i+1)*k), so one bincount sums the block.
-            index = index + k * np.arange(rows)[:, None]
-        sums = np.bincount(index.ravel(), weights=buf.ravel(), minlength=rows * k)
-    return sums.reshape(rows, k)
+        # np.take would widen the indices to intp on every call.
+        index = index.astype(np.intp, copy=False)
+    elif rows > 1:
+        # Row i's bins move to [i*k, (i+1)*k), so one bincount sums the block.
+        index = index + k * np.arange(rows)[:, None]
+    out = []
+    for src in sources:
+        if fixed:
+            # Every index is in range; "wrap" writes straight to buf, where
+            # the default mode would gather through a temporary.
+            np.take(src, index, axis=-1, out=buf, mode="wrap")
+            buf *= r
+            # (rows*k, L) rows, not (rows, k, L): each bin is one 1-d
+            # reduction, as in the one-vector sketch.
+            sums = buf.reshape(rows * k, Dp // k).sum(axis=1)
+        else:
+            # r widened into buf, then times the source: the same products
+            # as one multiply, without its mixed int8 x float64 loop.
+            np.copyto(buf, r)
+            buf *= src
+            sums = np.bincount(index.ravel(), weights=buf.ravel(), minlength=rows * k)
+        out.append(sums.reshape(rows, k))
+    return out
 
 
 def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:
@@ -465,8 +498,14 @@ def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, str, float |
 
 
 def save_sketch(path: str, sk: Sketch) -> None:
-    """Write a sketch to ``path`` in the documented binary layout."""
+    """Write a sketch to ``path`` in the documented binary layout.
+
+    Raises ValueError, before any byte is written, on inf or NaN values,
+    which :func:`load_sketch` would refuse.
+    """
     values = np.ascontiguousarray(sk.values, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise ValueError("sketch holds inf or NaN values")
     with open(path, "wb") as fh:
         fh.write(_pack_header(sk.config, _PAYLOAD_VALUES, sk.flavor, sk.stored_norm))
         fh.write(values.tobytes())

@@ -14,6 +14,7 @@ import pytest
 from oporp.estimate import inner_product_hat
 from oporp.experiment import (
     ConvergenceError,
+    _ranked,
     _vsrp_chunk,
     PRPoint,
     area_under_pr,
@@ -28,6 +29,7 @@ from oporp.experiment import (
 import oporp.projection
 from oporp.projection import (
     ProjectionKind,
+    _bin_rows,
     _permutation_rows,
     derive_seed,
     generator,
@@ -232,13 +234,37 @@ def test_sweep_validation():
 @pytest.mark.parametrize("block", (1 << 16, 50))
 def test_permutation_rows_match_one_shuffled_int32_tile(monkeypatch, Dp, c, block):
     # a 50-entry block holds at most one row: every row is its own block
-    monkeypatch.setattr(oporp.projection, "_SHUFFLE_ELEMENTS", block)
+    monkeypatch.setattr(oporp.projection, "_INDEX_BLOCK_ELEMENTS", block)
     rng, ref_rng = generator(5), generator(5)
     rows = _permutation_rows(rng, c, Dp)
     ref = np.tile(np.arange(Dp, dtype=np.int32), (c, 1))
     ref_rng.permuted(ref, axis=1, out=ref)
-    assert rows.dtype == np.int32 and np.array_equal(rows, ref)
+    # stored as uint16 up to Dp = 2**16, as int32 beyond
+    assert rows.dtype == (np.uint16 if Dp <= 1 << 16 else np.int32)
+    assert np.array_equal(rows, ref)
     assert rng.random() == ref_rng.random()
+
+
+def stream_position(rng):
+    """The generator's whole state, with the half of a 64-bit word a 32-bit draw may leave."""
+    state = rng.bit_generator.state
+    return state["state"]["state"].tolist(), state["has_uint32"], state["uinteger"]
+
+
+@pytest.mark.parametrize("Dp, c, k", [
+    (1, 3, 2), (3, 5, 7), (333, 37, 64), (1001, 9, 1 << 16), (5, 4, (1 << 16) + 1), (7, 3, 1),
+])
+@pytest.mark.parametrize("block", (1 << 16, 1))
+def test_blocked_bin_rows_match_one_int32_draw(monkeypatch, Dp, c, k, block):
+    # a 1-entry block draws one row at a time; at odd Dp a row ends inside
+    # a 64-bit word, whose other half the next row must get
+    monkeypatch.setattr(oporp.projection, "_INDEX_BLOCK_ELEMENTS", block)
+    rng, ref_rng = generator(9), generator(9)
+    rows = _bin_rows(rng, c, Dp, k)
+    ref = ref_rng.integers(0, k, size=(c, Dp), dtype=np.int32)
+    assert rows.dtype == (np.uint16 if k <= 1 << 16 else np.int32)
+    assert np.array_equal(rows, ref)
+    assert stream_position(rng) == stream_position(ref_rng)
 
 
 # --- similarity matrices ----------------------------------------------------------
@@ -340,6 +366,25 @@ def test_vsrp_similarity_unbiased_at_many_samples():
 
 
 # --- retrieval and knn --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ranking_is_the_stable_order(seed):
+    # rows of distinct scores, and rows with repeated values, signed zeros
+    # and NaN, which only the stable sort orders by index
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((40, 97))
+    S[5:15] = rng.integers(-3, 4, (10, 97))
+    S[15:20] = rng.choice([0.0, -0.0, 1.0], (5, 97))
+    S[20:25, ::7] = np.nan
+    S[25:30] = np.round(S[25:30], 1)
+    S[30, :] = 2.5
+    S[31, 40] = -0.0
+    S[32, 41] = 0.0
+    got = _ranked(S)
+    assert np.array_equal(got, np.argsort(-S, axis=1, kind="stable"))
+    assert _ranked(S[:, :1]).tolist() == [[0]] * 40
+    assert _ranked(S[:0]).shape == (0, 97)
 
 
 def test_retrieval_exact_estimator_is_perfect():

@@ -43,6 +43,7 @@ from oporp.sketch import (
     SketchPlan,
     _cached_plan,
     _plan,
+    _plan_bytes,
     check_compatible,
     load_sign_sketch,
     load_sketch,
@@ -426,9 +427,11 @@ def test_cache_never_exceeds_its_size():
 
 def test_plans_above_the_byte_bound_are_not_kept(monkeypatch):
     u = np.ones(16)
-    # cfg(m=2): 2 x 16 entries of int32 index and float64 multiplier, 384 bytes;
+    # cfg(m=2): 2 x 16 entries of uint16 index and int8 sign, 96 bytes;
+    # Gaussian multipliers are float64, 320 bytes;
     # vsrp_config(16, 4, ...): a 16 x 4 float64 matrix, 512 bytes
-    cases = ((cfg(m=2), "oporp", 384), (vsrp_config(16, 4, 3.0, 0), "vsrp", 512))
+    cases = ((cfg(m=2), "oporp", 96), (cfg(m=2, dist=gaussian()), "oporp", 320),
+             (vsrp_config(16, 4, 3.0, 0), "vsrp", 512))
     for config, flavor, size in cases:
         for bound, kept in ((size - 1, 0), (size, 1)):
             monkeypatch.setattr(oporp.sketch, "_PLAN_CACHE_BYTES", bound)
@@ -439,7 +442,8 @@ def test_plans_above_the_byte_bound_are_not_kept(monkeypatch):
 
 
 def test_a_large_plan_leaves_nothing_held():
-    # D = 2^18, k = 256, m = 16 draws 48 MiB, which used to stay cached
+    # D = 2^18, k = 256, m = 16 draws 20 MiB (int32 permutations, int8
+    # signs), above the 16 MiB bound; its 48 MiB float draw used to stay cached
     config = SketchConfig(dim=1 << 18, k=256, binning=Binning.FIXED, dist=rademacher(), m=16)
     u = np.random.default_rng(27).standard_normal(config.dim)
     _cached_plan.cache_clear()
@@ -456,6 +460,49 @@ def test_a_large_plan_leaves_nothing_held():
     # only the 4096 sketch values (32 KiB) and small objects remain
     assert held < 2**20, f"{held / 2**20:.1f} MiB held"
     assert sk.values.shape == (4096,)
+
+
+@pytest.mark.parametrize("binning", list(Binning), ids=lambda b: b.value)
+def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
+    config = cfg(m=3, binning=binning, seed=8)
+    plan = SketchPlan(config)
+    assert plan._indices.dtype == np.uint16 and plan._multipliers.dtype == np.int8
+    assert set(np.unique(plan._multipliers)) == {-1, 1}
+    # the arrays hold the values of the one int32 and float draw they narrow
+    index, R = _oporp_draws(plan_rng(8), 3, 16, 4, rademacher(), binning is Binning.FIXED)
+    assert np.array_equal(plan._indices, index) and np.array_equal(plan._multipliers, R)
+    # 3 bytes per entry
+    assert plan._indices.nbytes + plan._multipliers.nbytes == 3 * 3 * 16
+
+
+@pytest.mark.parametrize("config, dtype", [
+    (cfg(dim=1 << 16, k=1), np.uint16),
+    (cfg(dim=(1 << 16) + 1, k=1), np.int32),
+    (cfg(dim=3, k=1 << 16, binning=Binning.VARIABLE), np.uint16),
+    (cfg(dim=3, k=(1 << 16) + 1, binning=Binning.VARIABLE), np.int32),
+], ids=["fixed-65536", "fixed-65537", "variable-65536", "variable-65537"])
+def test_plan_indices_are_int32_beyond_65536_values(config, dtype):
+    # a permutation of range(Dp) takes Dp values, a bin index k
+    plan = SketchPlan(config)
+    assert plan._indices.dtype == dtype
+    top = config.padded_dim if config.binning is Binning.FIXED else config.k
+    assert 0 <= plan._indices.min() and plan._indices.max() < top
+    if config.binning is Binning.FIXED:
+        assert np.array_equal(np.sort(plan._indices[0]), np.arange(top))
+
+
+@pytest.mark.parametrize("dist", PLAN_DISTS, ids=lambda d: d.kind.value)
+@pytest.mark.parametrize("dim, k, binning", [
+    (23, 6, Binning.FIXED), (23, 6, Binning.VARIABLE),
+    ((1 << 16) + 1, 1, Binning.FIXED), (5, (1 << 16) + 1, Binning.VARIABLE),
+], ids=["fixed", "variable", "fixed-int32", "variable-int32"])
+def test_plan_bytes_are_the_drawn_arrays_nbytes(dist, dim, k, binning):
+    # the cache bound is checked before the draw, from the dtypes it will have
+    config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=2, seed=3)
+    plan = SketchPlan(config)
+    assert _plan_bytes(config, "oporp") == sum(a.nbytes for a in plan_arrays(plan))
+    vsrp = vsrp_config(23, 5, 3.0, 0)
+    assert _plan_bytes(vsrp, "vsrp") == SketchPlan(vsrp, "vsrp")._projection.nbytes
 
 
 @pytest.mark.parametrize("config, flavor", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
@@ -584,6 +631,56 @@ def test_sign_round_trip(tmp_path):
     assert config == cfg(dim=8, k=4)
 
 
+@st.composite
+def _configs(draw):
+    """Any config: every distribution and binning, m >= 1, header fields to their edges."""
+    kind = draw(st.sampled_from(list(ProjectionKind)))
+    s = draw(st.floats(1.0, 1e300)) if kind is ProjectionKind.SPARSE else 1.0
+    binning = draw(st.sampled_from(list(Binning)))
+    dim = draw(st.integers(1, 2**64 - 1))
+    k = draw(st.integers(1, min(dim, 40) if binning is Binning.FIXED else 40))
+    return SketchConfig(dim=dim, k=k, binning=binning, dist=ProjectionDistribution(kind, s),
+                        m=draw(st.integers(1, 5)), seed=draw(st.integers(0, 2**64 - 1)))
+
+
+def _bits(x):
+    """The float64 bits of x, which tell -0.0 from 0.0."""
+    return np.asarray(x, dtype="<f8").tobytes()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_configs(), flavor=st.sampled_from(["oporp", "vsrp"]), data=st.data())
+def test_value_files_round_trip_bit_for_bit(tmp_path, config, flavor, data):
+    n = config.k * config.m
+    values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                         min_size=n, max_size=n)), dtype=np.float64)
+    norm = data.draw(st.none() | st.just(-0.0)
+                     | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    path = tmp_path / "sk.bin"
+    save_sketch(str(path), Sketch(values, config, flavor, norm))
+    back = load_sketch(str(path))
+    assert back.config == config and back.flavor == flavor
+    assert back.values.dtype == np.float64 and _bits(back.values) == _bits(values)
+    assert (back.stored_norm is None) == (norm is None)
+    if norm is not None:
+        assert _bits(back.stored_norm) == _bits(norm)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_configs(), data=st.data())
+def test_sign_files_round_trip_bit_for_bit(tmp_path, config, data):
+    n = config.k * config.m
+    bits = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+                    dtype=np.int8)
+    path = tmp_path / "signs.bin"
+    save_sign_sketch(str(path), bits, config)
+    back, back_config = load_sign_sketch(str(path))
+    assert back_config == config
+    assert back.dtype == np.int8 and np.array_equal(back, bits)
+
+
 def test_sign_save_rejects_non_sign_values(tmp_path):
     with pytest.raises(ValueError):
         save_sign_sketch(str(tmp_path / "x"), np.array([1, 0, -1]), cfg(dim=8, k=3))
@@ -665,17 +762,42 @@ def test_version_2_files_are_refused(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_sketch_file_is_rejected(tmp_path, bad):
+    # save_sketch refuses such sketches, so a valid file is patched
     u = np.random.default_rng(15).standard_normal(16)
     sk = oporp_sketch(u, cfg(seed=5))
+    path = tmp_path / "bad.bin"
+    save_sketch(str(path), sk)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 64 + 8, bad)  # value 1 of the payload
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SketchFileError):
+        load_sketch(str(path))
+    save_sketch(str(path), sk)
+    _patch_f64(path, 56, bad)
+    with pytest.raises(SketchFileError):
+        load_sketch(str(path))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_sketch_refuses_non_finite_values_before_writing(tmp_path, bad):
+    # such files were written, and load_sketch then refused them
+    sk = oporp_sketch(np.ones(16), cfg(seed=5))
     values = sk.values.copy()
     values[1] = bad
     path = tmp_path / "bad.bin"
-    save_sketch(str(path), Sketch(values, sk.config, sk.flavor, sk.stored_norm))
-    with pytest.raises(SketchFileError):
-        load_sketch(str(path))
-    save_sketch(str(path), Sketch(sk.values, sk.config, sk.flavor, float(bad)))
-    with pytest.raises(SketchFileError):
-        load_sketch(str(path))
+    with pytest.raises(ValueError, match="inf or NaN"):
+        save_sketch(str(path), Sketch(values, sk.config, sk.flavor, sk.stored_norm))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("norm", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_sketch_refuses_a_norm_load_sketch_would_refuse(norm):
+    # save_sketch(p, Sketch(values, config, "oporp", -2.0)) used to write a
+    # file that load_sketch refused
+    sk = oporp_sketch(np.ones(16), cfg(seed=5))
+    with pytest.raises(ValueError, match="norm"):
+        Sketch(sk.values, sk.config, sk.flavor, norm)
+    assert Sketch(sk.values, sk.config, sk.flavor, 0.0).stored_norm == 0.0
 
 
 @pytest.mark.parametrize("bad", [7, 0, -128])
