@@ -24,6 +24,9 @@ trials, k = 64 bins, VSRP k = 16 samples at s = 3), in ms:
   the index rows (permutations, or bin indices in [0, 64)) and the signs
 - chunk_fixed, chunk_variable: one ``_oporp_chunk`` of 2000 Rademacher
   trials, its draws and the bin sums of both sides of a pair
+- sums_fixed, sums_variable: the chunk's bin sums alone, its median less
+  the median of the same draws (chunk_* less draws_*; both run on the
+  same seeds)
 - sparse_signs: ``_sparse_signs`` of one dense VSRP chunk, (3904, 1024)
   at s = 3 (244 trials of 16 samples)
 
@@ -104,6 +107,8 @@ def _worker() -> None:
         out[name] = statistics.median(times)
         if name.startswith("chunk_"):
             out[f"faults_{name}"] = statistics.median(faults)
+    for scheme in ("fixed", "variable"):
+        out[f"sums_{scheme}"] = out[f"chunk_{scheme}"] - out[f"draws_{scheme}"]
     tracemalloc.start()
     for name, (k, s, scheme, estimators) in SWEEP_CELLS.items():
         tracemalloc.reset_peak()

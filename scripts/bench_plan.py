@@ -1,4 +1,4 @@
-"""Time SketchPlan construction on one or more source trees and write BENCH_plan.json.
+"""Time SketchPlan construction and application on one or more source trees and write BENCH_plan.json.
 
 Run from the root of a checkout:
 
@@ -8,22 +8,31 @@ Each ``--tree NAME=PATH`` names a checkout whose ``src/oporp`` is timed;
 without the flag the script times this checkout alone. ``tree_timing.py``
 runs one fresh worker interpreter per tree and round, the trees alternating
 which goes first from round to round. A worker builds
-``SketchPlan(config)`` BUILDS times per cell, each under a new seed, and
-reports the median build time of each cell. The file holds, per tree and
-cell, the median over ROUNDS rounds and every round's value, plus the core
-count and the numpy version.
+``SketchPlan(config)`` BUILDS times per build cell, each under a new seed,
+and applies one plan APPLIES times per apply cell, and reports the median
+time of each cell. The file holds, per tree and cell, the median over
+ROUNDS rounds and every round's value, plus the core count and the numpy
+version.
 
-The cells are three shapes times three multiplier distributions (Rademacher,
-sparse(3), sparse(10)):
+The build cells are three shapes times three multiplier distributions
+(Rademacher, sparse(3), sparse(10)):
 
 - criterion_06: D = 64, k = 1, m = 16, variable bins (acceptance criterion 06)
 - retrieval: D = 1024, k = 64, m = 8, fixed bins (the bench retrieval config)
 - cli_pairs: D = 16384, k = 1024, m = 1, fixed bins (the bench CLI config)
 
+The apply cells time ``plan.apply(M)`` of a Rademacher plan on N standard
+normal rows:
+
+- apply/retrieval_fixed, apply/retrieval_variable: N = 660 (the bench's
+  600 base and 60 query rows), D = 1024, k = 64, m = 8, either binning
+- apply/cli_pairs: N = 1, D = 16384, k = 1024, m = 1, fixed bins
+- apply/criterion_06: N = 1, D = 64, k = 1, m = 16, variable bins
+
 Only the public ``SketchPlan``, ``SketchConfig``, ``Binning`` and
 distribution constructors are used, so any version of the package can be
-timed. It takes about 15 seconds for two trees and is not part of the
-test suite.
+timed. It takes about a minute for two trees and is not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -41,13 +50,24 @@ SHAPES = {
     "cli_pairs": (16384, 1024, 1, "fixed"),
 }
 DISTS = ("rademacher", "sparse3", "sparse10")
+# Apply cells: (N, D, k, m, binning).
+APPLY_SHAPES = {
+    "retrieval_fixed": (660, 1024, 64, 8, "fixed"),
+    "retrieval_variable": (660, 1024, 64, 8, "variable"),
+    "cli_pairs": (1, 16384, 1024, 1, "fixed"),
+    "criterion_06": (1, 64, 1, 16, "variable"),
+}
 BUILDS, ROUNDS = 41, 10
+# Applications per apply cell: (many rows, one row).
+APPLIES = (41, 1001)
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_plan.json"
 
 
 def _worker() -> None:
-    """Print {cell: median build ms} for the oporp on sys.path."""
+    """Print {cell: median build or apply ms} for the oporp on sys.path."""
+    import numpy as np
+
     from oporp import Binning, SketchConfig, SketchPlan, rademacher, sparse
 
     dists = {"rademacher": rademacher(), "sparse3": sparse(3.0), "sparse10": sparse(10.0)}
@@ -62,6 +82,17 @@ def _worker() -> None:
                 SketchPlan(config)
                 times.append((time.perf_counter() - start) * 1e3)
             out[f"{shape}/{name}"] = statistics.median(times)
+    for shape, (N, D, k, m, binning) in APPLY_SHAPES.items():
+        plan = SketchPlan(SketchConfig(dim=D, k=k, binning=Binning(binning), dist=rademacher(),
+                                       m=m, seed=1))
+        M = np.random.default_rng(2).standard_normal((N, D))
+        plan.apply(M)
+        times = []
+        for _ in range(APPLIES[N == 1]):
+            start = time.perf_counter()
+            plan.apply(M)
+            times.append((time.perf_counter() - start) * 1e3)
+        out[f"apply/{shape}"] = statistics.median(times)
     print(json.dumps(out))
 
 
@@ -69,7 +100,11 @@ if __name__ == "__main__":
     tree_timing.main(
         __doc__, _worker, OUT, ROUNDS,
         what=f"SketchPlan(config) build time: median over {ROUNDS} rounds of each round's "
-             f"median of {BUILDS} builds under fresh seeds; trees alternate per round",
-        shapes={name: dict(zip(("D", "k", "m", "binning"), shape))
-                for name, shape in SHAPES.items()},
+             f"median of {BUILDS} builds under fresh seeds; plan.apply(M) time: the same "
+             f"over {APPLIES[0]} (N > 1) or {APPLIES[1]} (N = 1) applications of one "
+             "Rademacher plan; trees alternate per round",
+        shapes={**{name: dict(zip(("D", "k", "m", "binning"), shape))
+                   for name, shape in SHAPES.items()},
+                **{f"apply/{name}": dict(zip(("N", "D", "k", "m", "binning"), shape))
+                   for name, shape in APPLY_SHAPES.items()}},
     )

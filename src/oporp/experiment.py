@@ -23,9 +23,10 @@ closed-form pass); the entry's truth field and oracle fill in the row.
 entry, scoring a VSRP sketch as one pooled repetition.
 
 A chunk's draws are its only chunk-sized arrays. The OPORP products and
-their bin sums go through the shared block kernel
-(:func:`~oporp.sketch._bin_sums`) and the VSRP gather and segmented sums run
-over blocks of whole samples; blocks never change a result, while
+their bin sums go through the plan's tiled kernel
+(:func:`~oporp.sketch._bin_sums`, the pair as two rows and the trials as
+repetitions) and the VSRP gather and segmented sums run over blocks of
+whole samples; tiles and blocks never change a result, while
 ``_CHUNK_ELEMENTS`` fixes the draws and so the rows.
 
 The retrieval and classification harnesses sketch through one
@@ -65,6 +66,7 @@ from .sketch import (
     _bin_sums,
     _block_rows,
     _check_finite,
+    _gather_rows,
     _padded_dim,
     _plan,
     vsrp_config,
@@ -169,20 +171,15 @@ def _oporp_chunk(
 
     Only the draws are (c, Dp): the draw of an m = c plan, one permutation
     (fixed binning) or bin-index row (variable binning) and one multiplier
-    row per trial. The sketches are summed block by block through one buffer.
+    row per trial. The pair is sketched as the plan's kernel sketches two
+    rows; Rademacher signs fold into the permutations in place.
     """
-    Dp = u_pad.shape[0]
     fixed = scheme is Binning.FIXED
-    index, R = _oporp_draws(rng, c, Dp, k, dist, fixed)
-    X = np.empty((c, k))
-    Y = np.empty((c, k))
-    rows = _block_rows(Dp, c)
-    buf = np.empty((rows, Dp))
-    for lo in range(0, c, rows):
-        b = slice(lo, lo + rows)
-        block = buf[: min(rows, c - lo)]
-        X[b], Y[b] = _bin_sums(block, (u_pad, v_pad), R[b], index[b], k, fixed)
-    return X, Y
+    index, R = _oporp_draws(rng, c, u_pad.shape[0], k, dist, fixed)
+    if fixed:
+        index, R = _gather_rows(index, R, k, dist)
+    X, Y = _bin_sums(np.stack([u_pad, v_pad]), index, R, k, fixed)
+    return X.reshape(c, k), Y.reshape(c, k)
 
 
 def _vsrp_chunk(

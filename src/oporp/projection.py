@@ -17,7 +17,9 @@ Draws are stored compactly: Rademacher signs as int8, the other
 multipliers as float64, and index rows (permutations of range(Dp), or bin
 indices in [0, k)) as uint16 up to 2**16 values, else int32. Multiplying
 by +-1 is exact in any dtype, and gathers and bin counts widen indices to
-intp, so no result depends on the storage.
+intp, so no result depends on the storage. A fixed-binning sketch plan
+goes one step further and folds each sign into its permutation index
+(:func:`oporp.sketch._gather_rows`): -x is exactly x * (-1).
 """
 
 from __future__ import annotations

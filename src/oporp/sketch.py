@@ -21,31 +21,49 @@ tagged with its own flavor so the two stream layouts cannot be mixed.
 All rows sketched under one config share one draw of the randomness. A
 :class:`SketchPlan` draws it once from one generator (an OPORP plan's m
 repetitions are the sweep's draw of m trials) and sketches an (N, dim)
-matrix in row blocks; ``oporp_sketch`` and ``vsrp_sketch`` are its N = 1
+matrix in tiles; ``oporp_sketch`` and ``vsrp_sketch`` are its N = 1
 case, so a row sketched in a batch is bit-identical to the same vector
-sketched alone. Inputs holding inf or NaN are rejected.
+sketched alone. Inputs holding inf or NaN are rejected, and so is a
+finite row whose sketch values overflow, by its row number.
+:func:`row_norms` scales a row by its largest entry only when its sum of
+squares would overflow or underflow, so ordinary norms keep their bits.
 
 The draws are a pure function of the frozen config and the flavor, so the
 package keeps the plans of the last ``_PLAN_CACHE_SIZE`` = 2 (config, flavor)
 pairs it used (:func:`_plan`, an LRU cache): ``oporp_sketch``,
 ``vsrp_sketch``, the DP releases and ``similarity_matrix`` all go through
 it, and sketching many vectors one call at a time draws each config once.
-Draws are stored compactly (see :mod:`oporp.projection`). An OPORP plan
-holds m*padded_dim indices, uint16 while they take at most 65536 values
-(padded_dim positions for fixed binning, k bins for variable binning) and
-int32 beyond, and as many multipliers, int8 for Rademacher signs and
-float64 otherwise: 3 bytes per entry for a Rademacher plan (5 with int32
-indices), 10 for any other (12). A VSRP plan holds the dim x m float64
-matrix (8 bytes per entry). A plan above ``_PLAN_CACHE_BYTES`` = 16 MiB
+Draws are stored compactly (see :mod:`oporp.projection`), as the kernel
+reads them. An OPORP plan holds m*padded_dim indices, uint16 while they
+take at most 65536 values and int32 beyond, and, unless they are folded
+into the index, as many multipliers, int8 for Rademacher signs and
+float64 otherwise. A fixed-binning plan keeps its indices bin-major and
+folds Rademacher signs into them: index p + padded_dim reads -x_p, so the
+index takes 2*padded_dim values. It folds only where that keeps the
+index's dtype, so a Rademacher plan holds 2 bytes per entry up to 32768
+positions, 3 up to 65536 and 4 beyond. A variable-binning plan keeps its
+k-valued bin indices beside the multipliers: 3 bytes per entry for
+Rademacher signs (5 with int32 indices). Any other distribution takes 10
+bytes per entry (12). A VSRP plan holds the dim x m float64 matrix (8
+bytes per entry). A plan above ``_PLAN_CACHE_BYTES`` = 16 MiB
 (:func:`_plan_bytes`) is drawn for its call and not kept. Every plan's
 arrays are read-only, whether cached or built directly, so a shared draw
 cannot be changed by a caller.
 
 The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
-shared by the plan and the Monte-Carlo sweep. It runs on one reused block
-buffer of about ``_BLOCK_ELEMENTS`` entries; every row is reduced on its
-own, so the block size decides only where temporaries live and never
-changes a result.
+shared by the plan and the Monte-Carlo sweep (a sweep chunk is a plan of
+c repetitions applied to its pair of rows). It works in tiles of about
+``_BLOCK_ELEMENTS`` entries (:func:`_tile`): repetitions first, then as
+many rows as still fit. Fixed binning writes a tile's rows transposed,
+with their negations, copies whole rows of that block with one gather
+per tile, bin-major, and sums every bin with vector adds in numpy's own
+pairwise order (:func:`_pairwise_rows`), so each bin has the bits of
+``np.sum`` over its products. Variable binning sums a tile's products
+with one ``bincount``. Every bin sums its own entries in a fixed order,
+so the tile size decides only where temporaries live and never changes
+a result. Each thread keeps the kernels' buffers between calls (up to
+1 MiB each, :func:`_buffer`), so that repeated sketches of a few rows
+reuse their memory instead of faulting fresh pages in.
 
 Sketch file layout (little-endian, 64-byte header). The version names the
 stream the sketch was drawn from: version 1 drew each repetition from its
@@ -81,6 +99,7 @@ import functools
 import math
 import operator
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +128,18 @@ _PLAN_CACHE_SIZE = 2
 # A plan whose arrays exceed this many bytes is not kept: the cache holds at most twice this.
 _PLAN_CACHE_BYTES = 16 << 20
 
-# Target float64 entries per block buffer of the bin-sum kernel. Blocks
-# decide only where temporaries live: no result depends on this size. At
-# 2**16 a block's buffer and index temporary (512 KiB each) stay in a
-# 2 MiB L2 cache.
+# Target float64 entries per tile of the bin-sum kernels (and per block of
+# the VSRP sweep kernels). Tiles decide only where temporaries live: no
+# result depends on this size. At 2**16 a tile's gathered block and index
+# temporary (512 KiB each) stay in a 2 MiB L2 cache.
 _BLOCK_ELEMENTS = 1 << 16
+
+# Kernel buffers each thread keeps from one call to the next (name -> flat
+# array), so that repeated sketches reuse their memory instead of faulting
+# fresh pages in. Only buffers of up to _SCRATCH_ELEMENTS entries are kept:
+# five buffers of at most 1 MiB each per thread.
+_scratch = threading.local()
+_SCRATCH_ELEMENTS = 2 * _BLOCK_ELEMENTS
 
 
 class Binning(enum.Enum):
@@ -227,10 +253,29 @@ def _as_matrix(M: np.ndarray, dim: int) -> np.ndarray:
     return M
 
 
+# The smallest normal float64: a sum of squares below it has lost precision.
+_TINY = np.finfo(np.float64).tiny
+
+
 def row_norms(M: np.ndarray) -> np.ndarray:
-    """l2 norm of every row of M, each reduced exactly as np.linalg.norm(row)."""
+    """l2 norm of every row of M, each reduced exactly as np.linalg.norm(row).
+
+    A row whose sum of squares overflows to inf, or underflows below the
+    smallest normal float while the row is nonzero, is scaled by its
+    largest magnitude first, so its norm is finite and accurate whenever
+    it is representable; no other row's norm changes by a bit.
+    """
     M = np.asarray(M, dtype=np.float64)
-    return np.sqrt(np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        squares = np.matmul(M[:, None, :], M[:, :, None])[:, 0, 0]
+        norms = np.sqrt(squares)
+        if squares.size and not _TINY <= squares.min() <= squares.max() < math.inf:
+            redo = np.flatnonzero(~(squares >= _TINY) | (squares == math.inf))
+            redo = redo[M[redo].any(axis=1)]
+            scale = np.abs(M[redo]).max(axis=1, initial=0.0)
+            S = M[redo] / scale[:, None]
+            norms[redo] = scale * np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0])
+    return norms
 
 
 def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
@@ -243,14 +288,15 @@ def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
 class SketchPlan:
     """A config's randomness, drawn once and applied to any number of rows.
 
-    An ``"oporp"`` plan holds two (m, padded_dim) arrays: the repetitions'
-    permutations (fixed binning) or bin indices (variable binning), and
-    their multipliers. A ``"vsrp"`` plan, built on a :func:`vsrp_config`,
-    holds the dim x m sparse projection matrix. Each plan draws from one
-    generator keyed by its seed and flavor, the stream the single-vector
-    functions use, so all rows sketched under one config share one draw of
-    the randomness and ``plan.apply(M)[i]`` equals the sketch of ``M[i]``
-    bit for bit. The drawn arrays are read-only. A plan constructed
+    An ``"oporp"`` plan holds the repetitions' bin indices and multipliers,
+    two (m, padded_dim) arrays, under variable binning; under fixed binning
+    it holds their gather rows (:func:`_gather_rows`), (L, m, k) bin-major,
+    with Rademacher signs folded into the index. A ``"vsrp"`` plan, built
+    on a :func:`vsrp_config`, holds the dim x m sparse projection matrix.
+    Each plan draws from one generator keyed by its seed and flavor, the
+    stream the single-vector functions use, so all rows sketched under one
+    config share one draw of the randomness and ``plan.apply(M)[i]`` equals
+    the sketch of ``M[i]`` bit for bit. The drawn arrays are read-only. A plan constructed
     directly is not cached; ``oporp_sketch``, ``vsrp_sketch`` and
     ``similarity_matrix`` share the cached plans of :func:`_plan`.
     """
@@ -271,41 +317,54 @@ class SketchPlan:
             return
         fixed = config.binning is Binning.FIXED
         draws = _oporp_draws(rng, config.m, config.padded_dim, config.k, config.dist, fixed)
-        self._indices, self._multipliers = map(_read_only, draws)
+        if fixed:
+            # Stored as the kernel reads them: bin-major, Rademacher signs
+            # folded into the index where _folds_signs.
+            draws = _gather_rows(*draws, config.k, config.dist)
+        self._indices, self._multipliers = (
+            None if a is None else _read_only(np.ascontiguousarray(a)) for a in draws
+        )
 
     def apply(self, M: np.ndarray) -> np.ndarray:
-        """(N, k*m) sketch values of the rows of an (N, dim) matrix, each repetition-major."""
+        """(N, k*m) sketch values of the rows of an (N, dim) matrix, each repetition-major.
+
+        Raises ValueError, naming the rows, when a finite input row's
+        sketch values overflow to inf or NaN.
+        """
         return self._apply(_as_matrix(M, self.config.dim))
 
     def sketch(self, u: np.ndarray) -> Sketch:
-        """The sketch of one vector, its l2 norm stored alongside."""
+        """The sketch of one vector, its l2 norm stored alongside.
+
+        Raises ValueError when the values or the norm overflow.
+        """
         row = _as_vector(u, self.config.dim)[None, :]
-        return Sketch(self._apply(row)[0], self.config, self.flavor, float(row_norms(row)[0]))
+        values, norm = self._apply(row)[0], float(row_norms(row)[0])
+        if norm == math.inf:
+            raise ValueError("the input's l2 norm overflows float64")
+        return Sketch(values, self.config, self.flavor, norm)
 
     def _apply(self, M: np.ndarray) -> np.ndarray:
-        if self.flavor == "vsrp":
-            # One matrix-vector product per row: a single M @ R would sum in
-            # another order and differ from the one-vector sketch in the last bits.
-            return np.matmul(M[:, None, :], self._projection)[:, 0, :]
         config = self.config
-        k, m, dim, Dp = config.k, config.m, config.dim, config.padded_dim
-        fixed = config.binning is Binning.FIXED
-        N = M.shape[0]
-        out = np.empty((N, m * k))
-        rows = _block_rows(Dp, N)
-        buf = np.empty((rows, Dp))
-        # Rows zero-padded to Dp, one block at a time, for the permutation to gather from.
-        padded = np.zeros((rows, Dp)) if Dp != dim else None
-        for start in range(0, N, rows):
-            W = M[start : start + rows]
-            c = W.shape[0]
-            if padded is not None:
-                padded[:c, :dim] = W
-                W = padded[:c]
-            reps = out[start : start + c].reshape(c, m, k)
-            for t, (index, r) in enumerate(zip(self._indices, self._multipliers)):
-                reps[:, t], = _bin_sums(buf[:c], (W,), r, index, k, fixed)
+        # An overflow is reported once, by row, below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.flavor == "vsrp":
+                # One matrix-vector product per row: a single M @ R would sum in
+                # another order and differ from the one-vector sketch in the last bits.
+                out = np.matmul(M[:, None, :], self._projection)[:, 0, :]
+            else:
+                fixed = config.binning is Binning.FIXED
+                out = _bin_sums(M, self._indices, self._multipliers, config.k, fixed)
+        if not np.isfinite(out).all():
+            rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
+            raise ValueError(f"sketch values overflow float64 for input rows {_some(rows)}")
         return out
+
+
+def _some(rows: np.ndarray, shown: int = 10) -> str:
+    """The first ``shown`` row numbers, and how many more there are."""
+    text = ", ".join(map(str, rows[:shown].tolist()))
+    return text if rows.size <= shown else f"{text} and {rows.size - shown} more"
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -328,12 +387,17 @@ def _plan(config: SketchConfig, flavor: str) -> SketchPlan:
 def _plan_bytes(config: SketchConfig, flavor: str) -> int:
     """The bytes of the arrays a plan of (config, flavor) draws, known before it draws them."""
     # The vsrp matrix is dim x m multipliers (padded_dim is dim under its
-    # variable binning); an oporp plan holds an index per multiplier too.
-    per_entry = _multiplier_itemsize(config.dist)
+    # variable binning); an oporp plan holds an index per multiplier too,
+    # and no multipliers when its signs are folded into the index.
+    Dp, per_entry = config.padded_dim, _multiplier_itemsize(config.dist)
     if flavor == "oporp":
-        fixed = config.binning is Binning.FIXED
-        per_entry += _index_dtype(config.padded_dim if fixed else config.k).itemsize
-    return config.m * config.padded_dim * per_entry
+        if config.binning is not Binning.FIXED:
+            per_entry += _index_dtype(config.k).itemsize
+        elif _folds_signs(config.dist, Dp):
+            per_entry = _index_dtype(2 * Dp).itemsize
+        else:
+            per_entry += _index_dtype(Dp).itemsize
+    return config.m * Dp * per_entry
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -347,46 +411,217 @@ def _block_rows(width: int, rows: int) -> int:
     return max(1, min(rows, _BLOCK_ELEMENTS // width))
 
 
-def _bin_sums(
-    buf: np.ndarray, sources: tuple, r: np.ndarray, index: np.ndarray, k: int, fixed: bool
-) -> list[np.ndarray]:
-    """(rows, k) bin sums of one block per source: the gather x multiply -> bin sum kernel.
+def _buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
+    """A flat buffer of ``size`` entries for one kernel call, kept for this thread's next call."""
+    kept = _scratch.__dict__
+    buf = kept.get(name)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, dtype)
+        if size <= _SCRATCH_ELEMENTS:
+            kept[name] = buf
+    return buf[:size]
 
-    ``buf`` is the (rows, Dp) float64 scratch the block's products are
-    written to. Fixed binning gathers a source by the permutation ``index``,
-    multiplies by ``r`` and sums consecutive runs of Dp/k entries; variable
-    binning multiplies a source by ``r`` and sums by the bin indices
-    ``index``. Each of a source, r and index is one row shared by the block
-    or one row per block row; r may be int8 signs and index any integer
-    dtype. The index is prepared once for all ``sources``, which share the
-    draw. Every row is reduced on its own, so the block's row count never
-    changes a result.
+
+def _tile(N: int, m: int, Dp: int) -> tuple[int, int]:
+    """(rows, repetitions) of one tile of the bin-sum kernels: about _BLOCK_ELEMENTS entries.
+
+    Repetitions first, then as many rows as still fit; each is at least 1.
+    The kernels loop over tiles of repetitions and, within each, over tiles
+    of rows, so what depends on the repetitions alone (a widened index, a
+    set of shifted bins) is made once per tile of repetitions.
     """
-    rows, Dp = buf.shape
+    g = max(1, min(m, _BLOCK_ELEMENTS // Dp))
+    return max(1, min(N, _BLOCK_ELEMENTS // (g * Dp))), g
+
+
+def _folds_signs(dist: ProjectionDistribution, Dp: int) -> bool:
+    """Whether a fixed-binning draw's Rademacher signs fold into its gather index.
+
+    A folded index takes 2*Dp values; it is used when that needs no wider
+    dtype than the permutation's, so no plan grows.
+    """
+    return dist.kind is ProjectionKind.RADEMACHER and _index_dtype(2 * Dp) == _index_dtype(Dp)
+
+
+def _gather_rows(index: np.ndarray, r: np.ndarray, k: int, dist: ProjectionDistribution):
+    """(L, c, k) bin-major gather rows and multipliers of c permutation and multiplier rows.
+
+    Entry l of bin b in row t is (l, t, b): position t*Dp + b*L + l of the
+    (c, Dp) draws, viewed, not copied. Where :func:`_folds_signs`, the
+    signs go into the index, in place: a negative sign reads row p + Dp of
+    the signed block, which holds -x_p, and the multipliers come back as
+    None.
+    """
+    c, Dp = index.shape
+    if _folds_signs(dist, Dp):
+        step = _block_rows(Dp, c)
+        negative = np.empty((step, Dp), dtype=index.dtype)
+        for lo in range(0, c, step):
+            mask = negative[: min(step, c - lo)]
+            # -1 is the int8 byte 255, whose top bit marks a negative sign.
+            np.copyto(mask, r[lo : lo + step].view(np.uint8))
+            mask >>= 7
+            mask *= Dp
+            index[lo : lo + step] += mask
+        r = None
+    return tuple(None if a is None else a.reshape(c, k, Dp // k).transpose(2, 0, 1)
+                 for a in (index, r))
+
+
+def _bin_sums(M: np.ndarray, index: np.ndarray, r, k: int, fixed: bool) -> np.ndarray:
+    """(N, c*k) bin sums of the rows of M under c draws, each row repetition-major.
+
+    The gather x multiply -> bin sum kernel of a plan and of a sweep chunk
+    (a plan of c repetitions applied to two rows). Fixed binning takes the
+    :func:`_gather_rows` of the draws, variable binning the (c, dim) bin
+    indices and multipliers.
+    """
+    out = np.empty((M.shape[0], index.shape[1 if fixed else 0] * k))
     if fixed:
-        # np.take would widen the indices to intp on every call.
-        index = index.astype(np.intp, copy=False)
-    elif rows > 1:
-        # Row i's bins move to [i*k, (i+1)*k), so one bincount sums the block.
-        index = index + k * np.arange(rows)[:, None]
-    out = []
-    for src in sources:
-        if fixed:
-            # Every index is in range; "wrap" writes straight to buf, where
-            # the default mode would gather through a temporary.
-            np.take(src, index, axis=-1, out=buf, mode="wrap")
-            buf *= r
-            # (rows*k, L) rows, not (rows, k, L): each bin is one 1-d
-            # reduction, as in the one-vector sketch.
-            sums = buf.reshape(rows * k, Dp // k).sum(axis=1)
-        else:
-            # r widened into buf, then times the source: the same products
-            # as one multiply, without its mixed int8 x float64 loop.
-            np.copyto(buf, r)
-            buf *= src
-            sums = np.bincount(index.ravel(), weights=buf.ravel(), minlength=rows * k)
-        out.append(sums.reshape(rows, k))
+        _fixed_sums(M, index, r, out)
+    else:
+        _variable_sums(M, index, r, k, out)
     return out
+
+
+def _fixed_sums(M: np.ndarray, index: np.ndarray, r, out: np.ndarray) -> None:
+    """Fixed-binning bin sums of the rows of M into out, (N, c*k) repetition-major.
+
+    ``index`` and ``r`` are :func:`_gather_rows` (L, c, k). A tile of rows
+    is written transposed into T: [W^T; -W^T] when the signs are folded
+    (r is None), else W^T, zero-padded to Dp rows either way (0.0 and
+    -0.0, as a padded zero times -1). One ``np.take`` per tile copies
+    whole rows of T into G, shape (L, h, k, n) for h repetitions of n
+    rows, so that G[l] holds entry l of every bin; unfolded multipliers
+    multiply G in the same order. :func:`_pairwise_rows` then sums every
+    bin in numpy's own order, so each bin has the bits of ``np.sum`` over
+    its L products.
+    """
+    N, dim = M.shape
+    L, c, k = index.shape
+    Dp = L * k
+    rows, g = _tile(N, c, Dp)
+    height = Dp if r is not None else 2 * Dp
+    tbuf = _buffer("block", height * rows)
+    gbuf = _buffer("gathered", Dp * g * rows)
+    ibuf = _buffer("index", Dp * g, np.intp)
+
+    def block(start):
+        W = M[start : start + rows]
+        T = tbuf[: height * W.shape[0]].reshape(height, W.shape[0])
+        T[:dim] = W.T
+        T[dim:Dp] = 0.0
+        if r is None:
+            np.negative(T[:Dp], out=T[Dp:])
+        return T
+
+    # With one tile of rows, its block serves every tile of repetitions.
+    single = block(0) if N <= rows else None
+    for t in range(0, c, g):
+        h = min(g, c - t)
+        # Widened to intp here, in tree order: np.take would widen it in a
+        # temporary on every call.
+        tile = ibuf[: Dp * h].reshape(L, h, k)
+        groups, tail = _tree_rows(index[:, t : t + h])
+        full = L - tail.shape[0]
+        np.copyto(tile[:full].reshape(groups.shape), groups)
+        np.copyto(tile[full:], tail)
+        if r is not None:
+            groups, tail = _tree_rows(r[:, t : t + h, :, None])
+        for start in range(0, N, rows):
+            T = single if single is not None else block(start)
+            n = T.shape[1]
+            G = gbuf[: Dp * h * n].reshape(L, h, k, n)
+            # Every index is in range; "wrap" writes straight to G, where
+            # the default mode would gather through a temporary.
+            np.take(T, tile, axis=0, out=G, mode="wrap")
+            if r is not None:
+                G[:full].reshape(groups.shape[:-1] + (n,))[...] *= groups
+                G[full:] *= tail
+            sums = _pairwise_rows(G.reshape(L, h * k * n)).reshape(h, k, n)
+            # add.reduce starts from +0.0, so a bin of only -0.0 sums to +0.0.
+            np.add(sums.transpose(2, 0, 1), 0.0, out=out[start : start + n, t * k : (t + h) * k]
+                   .reshape(n, h, k))
+
+
+def _tree_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``a`` in tree order: its full groups of 8, and its last L % 8 rows.
+
+    Below 8 rows there is no group. The groups view is (L // 8, 2, 2, 2,
+    ...) with each group's 3-bit row number reversed, so that row l of
+    ``a`` sits at position 8*(l // 8) + rev(l % 8): :func:`_pairwise_rows`
+    keeps its running sums r0..r7 at rows 0, 4, 2, 6, 1, 5, 3, 7, where
+    each step of its tree adds two contiguous blocks.
+    """
+    full = a.shape[0] - a.shape[0] % 8 if a.shape[0] >= 8 else 0
+    groups = a[:full].reshape(full // 8, 2, 2, 2, *a.shape[1:]).swapaxes(1, 3)
+    return groups, a[full:]
+
+
+def _pairwise_rows(G: np.ndarray) -> np.ndarray:
+    """Sum of the rows of G, in tree order (:func:`_tree_rows`), in numpy's pairwise order.
+
+    Works in place and returns a view of G[0]. numpy reduces a contiguous
+    run of n entries as ``pairwise_sum`` does: below 8 left to right; up
+    to 128 in 8 running sums, joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    before the tail of n % 8; above 128 as the sum of its halves, split at
+    n/2 rounded down to a multiple of 8. Here every step adds whole rows,
+    so each column of G is summed in the order ``np.sum`` sums that column
+    in row order, bar the reduction's initial +0.0 (Higham, "The accuracy
+    of floating point summation", SIAM J. Sci. Comput. 1993). Halves start
+    at multiples of 8, so the groups of a half are groups of the whole.
+    """
+    n = G.shape[0]
+    if n < 8:
+        for i in range(1, n):
+            G[0] += G[i]
+    elif n <= 128:
+        acc = G[:8]
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            acc += G[i : i + 8]
+        # rows 0-3 hold r0, r4, r2, r6 and rows 4-7 hold r1, r5, r3, r7
+        np.add(acc[:4], acc[4:], out=acc[:4])
+        np.add(acc[:2], acc[2:4], out=acc[:2])
+        G[0] += G[1]
+        for i in range(tail, n):
+            G[0] += G[i]
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise_rows(G[:half])
+        G[0] += _pairwise_rows(G[half:])
+    return G[0]
+
+
+def _variable_sums(M: np.ndarray, index: np.ndarray, r: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Variable-binning bin sums of the rows of M into out, (N, c*k) repetition-major.
+
+    ``index`` and ``r`` are (c, dim) bin indices and multipliers. A tile
+    of rows x repetitions is multiplied into one buffer, and its bins move
+    to [j*k, (j+1)*k) for the tile's j-th (row, repetition), so one
+    ``bincount`` sums the tile; each bin still sums its own entries in
+    index order. The shifted bins of a tile of repetitions serve all its
+    tiles of rows.
+    """
+    N, dim = M.shape
+    c = index.shape[0]
+    rows, g = _tile(N, c, dim)
+    pbuf = _buffer("products", rows * g * dim)
+    bbuf = _buffer("bins", rows * g * dim, np.intp)
+    for t in range(0, c, g):
+        h = min(g, c - t)
+        bins = bbuf[: rows * h * dim].reshape(rows, h, dim)
+        np.add(index[t : t + h], k * np.arange(rows * h).reshape(rows, h, 1), out=bins)
+        for start in range(0, N, rows):
+            W = M[start : start + rows, None, :]
+            n = W.shape[0]
+            P = pbuf[: n * h * dim].reshape(n, h, dim)
+            # r widened into P, then times the rows: the same products as
+            # one multiply, without its mixed int8 x float64 loop.
+            np.copyto(P, r[t : t + h])
+            P *= W
+            sums = np.bincount(bins[:n].ravel(), weights=P.ravel(), minlength=n * h * k)
+            out[start : start + n, t * k : (t + h) * k] = sums.reshape(n, h * k)
 
 
 def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:

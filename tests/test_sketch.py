@@ -8,6 +8,8 @@ projection matrix from their own byte-by-byte copy of the sparse rule.
 
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -42,8 +44,10 @@ from oporp.sketch import (
     SketchMismatchError,
     SketchPlan,
     _cached_plan,
+    _pairwise_rows,
     _plan,
     _plan_bytes,
+    _tree_rows,
     check_compatible,
     load_sign_sketch,
     load_sketch,
@@ -232,6 +236,66 @@ def test_sketch_rejects_non_finite_input():
             SketchPlan(vsrp_config(16, 4, 2.0, 0), "vsrp").apply(M)
 
 
+def test_extreme_norms_neither_overflow_nor_underflow():
+    # squared, 1e200 is inf and 1e-200 is 0; scaled by the largest entry
+    # both norms are 4 times the entry
+    assert row_norms(np.full((1, 16), 1e200))[0] == pytest.approx(4e200, rel=1e-15)
+    assert oporp_sketch(np.full(16, 1e-200), cfg()).stored_norm == pytest.approx(4e-200, rel=1e-15)
+    assert oporp_sketch(np.full(16, 1e300), cfg()).stored_norm == pytest.approx(4e300, rel=1e-15)
+    assert row_norms(np.array([[5e-324, 0.0], [0.0, -0.0]])).tolist() == [5e-324, 0.0]
+    # one entry per bin keeps every value finite, but the norm is 4e308
+    assert row_norms(np.full((1, 16), 1e308))[0] == math.inf
+    with pytest.raises(ValueError, match="norm overflows"):
+        oporp_sketch(np.full(16, 1e308), cfg(k=16))
+
+
+def test_overflowing_sketch_values_name_the_input_rows():
+    M = np.ones((4, 16))
+    M[[1, 3]] = 1e308
+    for plan in (SketchPlan(cfg()), SketchPlan(vsrp_config(16, 4, 1.0, 0), "vsrp")):
+        with pytest.raises(ValueError, match=r"input rows 1, 3$"):
+            plan.apply(M)
+    with pytest.raises(ValueError, match="input rows 0"):
+        oporp_sketch(np.full(16, 1e308), cfg())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-330, 308), n=st.integers(1, 40))
+def test_row_norms_are_accurate_at_every_scale(seed, exponent, n):
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1.0, 1.0, (3, n)) * 10.0**exponent
+    M[2, ::2] = 0.0
+    norms = row_norms(M)
+    for row, norm in zip(M, norms):
+        exact = math.hypot(*row)
+        if 1e-300 < exact < math.inf:
+            assert norm == pytest.approx(exact, rel=1e-14)
+        with np.errstate(over="ignore"):
+            squares = float(np.dot(row, row))
+        if np.finfo(np.float64).tiny <= squares < math.inf:
+            # an ordinary row keeps np.linalg.norm's bits
+            assert norm == np.linalg.norm(row)
+        assert (norm > 0.0) == bool(row.any())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(300, 308),
+       binning=st.sampled_from(list(Binning)),
+       dist=st.sampled_from((rademacher(), gaussian(), scaled_uniform(), sparse(3.0))))
+def test_sketch_values_are_finite_or_refused_by_row(seed, exponent, binning, dist):
+    rng = np.random.default_rng(seed)
+    M = rng.uniform(-1.0, 1.0, (5, 24)) * 10.0 ** rng.integers(exponent - 2, exponent + 1, (5, 1))
+    config = SketchConfig(dim=24, k=4, binning=binning, dist=dist, m=2, seed=seed % 7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_apply(config, M)
+    bad = np.flatnonzero(~np.isfinite(want).all(axis=1))
+    if bad.size:
+        with pytest.raises(ValueError, match="input rows " + ", ".join(map(str, bad)) + "$"):
+            SketchPlan(config).apply(M)
+    else:
+        assert np.array_equal(SketchPlan(config).apply(M), want)
+
+
 def test_sketch_requires_k_times_m_values():
     with pytest.raises(ValueError):
         Sketch(np.zeros(5), cfg(dim=8, k=8))
@@ -275,6 +339,90 @@ def test_plan_repetitions_are_one_sweep_chunk(binning, dist):
     u_pad = np.pad(u, (0, config.padded_dim - dim))
     X, _ = _oporp_chunk(u_pad, u_pad, k, dist, binning, m, plan_rng(seed))
     assert np.array_equal(SketchPlan(config).sketch(u).reps, X)
+
+
+def reference_apply(config, M):
+    """Gather x multiply -> ``reshape(...).sum`` (or per-row bincount) of every repetition.
+
+    The draw is the plan's one draw on its documented stream; each bin is
+    one numpy reduction, whose order the kernel's vector tree reproduces.
+    """
+    dim, k, m, Dp = config.dim, config.k, config.m, config.padded_dim
+    fixed = config.binning is Binning.FIXED
+    index, R = _oporp_draws(plan_rng(config.seed), m, Dp, k, config.dist, fixed)
+    W = np.pad(M, ((0, 0), (0, Dp - dim)))
+    out = np.empty((M.shape[0], m, k))
+    for t, (idx, r) in enumerate(zip(index, R)):
+        if fixed:
+            out[:, t] = (W[:, idx] * r).reshape(-1, Dp // k).sum(axis=1).reshape(-1, k)
+        else:
+            out[:, t] = [np.bincount(idx, weights=r * w, minlength=k) for w in W]
+    return out.reshape(M.shape[0], m * k)
+
+
+@pytest.mark.parametrize("block", [None, 100], ids=["default-tiles", "small-tiles"])
+@pytest.mark.parametrize("dist", PLAN_DISTS, ids=lambda d: d.kind.value)
+@pytest.mark.parametrize("N", (1, 7))
+@pytest.mark.parametrize("m", (1, 3, 16))
+@pytest.mark.parametrize(
+    "dim, k, binning",
+    [(24, 6, Binning.FIXED), (23, 6, Binning.FIXED), (70, 4, Binning.FIXED),
+     (23, 6, Binning.VARIABLE)],
+    ids=["fixed", "fixed-padded", "fixed-18-per-bin", "variable"],
+)
+def test_plan_apply_equals_the_reshape_sum_reference(monkeypatch, dim, k, binning, m, N, dist,
+                                                     block):
+    # 100 entries per tile at Dp = 24: 4 repetitions of one row, or 4 rows;
+    # 18 entries per bin run through two groups of 8 and a tail of 2
+    if block is not None:
+        monkeypatch.setattr(oporp.sketch, "_BLOCK_ELEMENTS", block)
+    M = np.random.default_rng(18).standard_normal((N, dim))
+    if N > 1:
+        M[-1] = -0.0  # every bin sums to +0.0, as add.reduce gives
+        M[-2, ::2] = 0.0
+    config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=45)
+    got, want = SketchPlan(config).apply(M), reference_apply(config, M)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def tree_order(A):
+    """A copy of A's rows in :func:`_tree_rows` order, which ``_pairwise_rows`` sums."""
+    groups, tail = _tree_rows(A)
+    return np.concatenate([groups.reshape(-1, *A.shape[1:]), tail])
+
+
+SPECIAL_SUMMANDS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=st.one_of(st.integers(1, 300), st.just(16)), width=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1), special=st.floats(0.0, 1.0))
+def test_pairwise_rows_is_numpy_sum_bit_for_bit(L, width, seed, special):
+    # width columns of L summands over the whole float range, a share of
+    # them signed zeros, subnormals or +-1e300; the kernel's tree plus the
+    # reduction's +0.0 must give the bits of A.reshape(-1, L).sum(axis=1)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((width, L)) * 10.0 ** rng.integers(-320, 308, (width, L))
+    mask = rng.random((width, L)) < special
+    A[mask] = rng.choice(SPECIAL_SUMMANDS, mask.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = A.reshape(-1, L).sum(axis=1)
+        got = np.add(_pairwise_rows(tree_order(A.T)), 0.0)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_pairwise_rows_matches_numpy_at_long_runs():
+    rng = np.random.default_rng(19)
+    for L in (1000, 1024, 4099):
+        A = rng.standard_normal((3, L)) * 10.0 ** rng.integers(-200, 200, (3, L))
+        got = np.add(_pairwise_rows(tree_order(A.T)), 0.0)
+        assert got.view(np.int64).tolist() == A.sum(axis=1).view(np.int64).tolist()
+
+
+def test_tree_order_reverses_the_bits_of_each_group_of_8():
+    for L, want in [(5, [0, 1, 2, 3, 4]), (8, [0, 4, 2, 6, 1, 5, 3, 7]),
+                    (19, [0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16, 17, 18])]:
+        assert tree_order(np.arange(L)[:, None])[:, 0].tolist() == want
 
 
 def sparse_matrix_reference(seed, D, k, s):
@@ -352,7 +500,24 @@ def test_plan_validation():
 def plan_arrays(plan):
     if plan.flavor == "vsrp":
         return [plan._projection]
-    return [plan._indices, plan._multipliers]
+    return [a for a in (plan._indices, plan._multipliers) if a is not None]
+
+
+def plan_draws(plan):
+    """The (m, Dp) index and multiplier rows a plan stores, decoded.
+
+    A fixed-binning plan stores them bin-major, (L, m, k), and a folded
+    Rademacher plan keeps no multipliers: an index p + Dp reads -x_p.
+    """
+    index, r = plan._indices, plan._multipliers
+    if plan.config.binning is Binning.VARIABLE:
+        return index, r
+    m, Dp = plan.config.m, plan.config.padded_dim
+    rows = lambda a: a.transpose(1, 2, 0).reshape(m, Dp)
+    if r is None:
+        index = rows(index)
+        return index % Dp, np.where(index < Dp, 1, -1).astype(np.int8)
+    return rows(index), rows(r)
 
 
 CACHE_CASES = [
@@ -427,10 +592,10 @@ def test_cache_never_exceeds_its_size():
 
 def test_plans_above_the_byte_bound_are_not_kept(monkeypatch):
     u = np.ones(16)
-    # cfg(m=2): 2 x 16 entries of uint16 index and int8 sign, 96 bytes;
-    # Gaussian multipliers are float64, 320 bytes;
+    # cfg(m=2): 2 x 16 entries of uint16 index with the signs folded in,
+    # 64 bytes; Gaussian multipliers are float64, 320 bytes;
     # vsrp_config(16, 4, ...): a 16 x 4 float64 matrix, 512 bytes
-    cases = ((cfg(m=2), "oporp", 96), (cfg(m=2, dist=gaussian()), "oporp", 320),
+    cases = ((cfg(m=2), "oporp", 64), (cfg(m=2, dist=gaussian()), "oporp", 320),
              (vsrp_config(16, 4, 3.0, 0), "vsrp", 512))
     for config, flavor, size in cases:
         for bound, kept in ((size - 1, 0), (size, 1)):
@@ -442,9 +607,9 @@ def test_plans_above_the_byte_bound_are_not_kept(monkeypatch):
 
 
 def test_a_large_plan_leaves_nothing_held():
-    # D = 2^18, k = 256, m = 16 draws 20 MiB (int32 permutations, int8
-    # signs), above the 16 MiB bound; its 48 MiB float draw used to stay cached
-    config = SketchConfig(dim=1 << 18, k=256, binning=Binning.FIXED, dist=rademacher(), m=16)
+    # D = 2^18, k = 256, m = 20 holds 20 MiB (int32 indices with the signs
+    # folded in), above the 16 MiB bound; a 48 MiB float draw once stayed cached
+    config = SketchConfig(dim=1 << 18, k=256, binning=Binning.FIXED, dist=rademacher(), m=20)
     u = np.random.default_rng(27).standard_normal(config.dim)
     _cached_plan.cache_clear()
     was_tracing = tracemalloc.is_tracing()
@@ -457,22 +622,29 @@ def test_a_large_plan_leaves_nothing_held():
         if not was_tracing:
             tracemalloc.stop()
     assert _cached_plan.cache_info().currsize == 0
-    # only the 4096 sketch values (32 KiB) and small objects remain
+    # only the 5120 sketch values (40 KiB) and small objects remain
     assert held < 2**20, f"{held / 2**20:.1f} MiB held"
-    assert sk.values.shape == (4096,)
+    assert sk.values.shape == (5120,)
 
 
 @pytest.mark.parametrize("binning", list(Binning), ids=lambda b: b.value)
 def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
     config = cfg(m=3, binning=binning, seed=8)
     plan = SketchPlan(config)
-    assert plan._indices.dtype == np.uint16 and plan._multipliers.dtype == np.int8
-    assert set(np.unique(plan._multipliers)) == {-1, 1}
+    fixed = binning is Binning.FIXED
+    assert plan._indices.dtype == np.uint16
+    # a fixed plan folds its int8 signs into the index (2 bytes per entry),
+    # a variable one keeps them next to it (3 bytes per entry)
+    if fixed:
+        assert plan._multipliers is None and plan._indices.shape == (4, 3, 4)
+    else:
+        assert plan._multipliers.dtype == np.int8
+    index, signs = plan_draws(plan)
+    assert set(np.unique(signs)) == {-1, 1}
     # the arrays hold the values of the one int32 and float draw they narrow
-    index, R = _oporp_draws(plan_rng(8), 3, 16, 4, rademacher(), binning is Binning.FIXED)
-    assert np.array_equal(plan._indices, index) and np.array_equal(plan._multipliers, R)
-    # 3 bytes per entry
-    assert plan._indices.nbytes + plan._multipliers.nbytes == 3 * 3 * 16
+    want_index, R = _oporp_draws(plan_rng(8), 3, 16, 4, rademacher(), fixed)
+    assert np.array_equal(index, want_index) and np.array_equal(signs, R)
+    assert sum(a.nbytes for a in plan_arrays(plan)) == (2 if fixed else 3) * 3 * 16
 
 
 @pytest.mark.parametrize("config, dtype", [
@@ -482,13 +654,16 @@ def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
     (cfg(dim=3, k=(1 << 16) + 1, binning=Binning.VARIABLE), np.int32),
 ], ids=["fixed-65536", "fixed-65537", "variable-65536", "variable-65537"])
 def test_plan_indices_are_int32_beyond_65536_values(config, dtype):
-    # a permutation of range(Dp) takes Dp values, a bin index k
+    # a permutation of range(Dp) takes Dp values, a bin index k; signs fold
+    # into a fixed plan's index only when its 2 Dp values keep that dtype
     plan = SketchPlan(config)
     assert plan._indices.dtype == dtype
+    index, _ = plan_draws(plan)
     top = config.padded_dim if config.binning is Binning.FIXED else config.k
-    assert 0 <= plan._indices.min() and plan._indices.max() < top
+    assert 0 <= index.min() and index.max() < top
     if config.binning is Binning.FIXED:
-        assert np.array_equal(np.sort(plan._indices[0]), np.arange(top))
+        assert np.array_equal(np.sort(index[0]), np.arange(top))
+        assert (plan._multipliers is None) == (dtype == np.int32)
 
 
 @pytest.mark.parametrize("dist", PLAN_DISTS, ids=lambda d: d.kind.value)
@@ -511,6 +686,37 @@ def test_plan_arrays_are_read_only(config, flavor):
         for array in plan_arrays(plan):
             with pytest.raises(ValueError):
                 array[0] = 1
+
+
+def test_threads_sketching_through_one_cached_plan_get_their_own_results():
+    # the kernels keep their buffers per thread; six threads on two cores,
+    # switching often, must each get the single-threaded bits every time
+    configs = [cfg(dim=200, k=10, m=3, seed=9),
+               cfg(dim=200, k=10, m=3, seed=9, binning=Binning.VARIABLE)]
+    rng = np.random.default_rng(28)
+    inputs = [rng.standard_normal((n, 200)) for n in (1, 5, 40, 1, 5, 40)]
+    want = [[_plan(c, "oporp").apply(M) for c in configs] for M in inputs]
+    failures, done = [], []
+
+    def work(i):
+        for _ in range(30):
+            for c, expected in zip(configs, want[i]):
+                if not np.array_equal(_plan(c, "oporp").apply(inputs[i]), expected):
+                    failures.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == list(range(len(inputs))) and failures == []
 
 
 def test_sketches_from_one_cached_plan_do_not_alias():
