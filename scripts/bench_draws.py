@@ -9,8 +9,8 @@ without the flag the script times this checkout alone. ``tree_timing.py``
 runs one fresh worker interpreter per tree and round, the trees alternating
 which goes first from round to round. A worker times each timed cell REPS
 times, each on a new generator from the tree's ``projection.generator``,
-and reports the median; then it runs each bench sweep cell once under
-tracemalloc and reports its traced peak. The file holds, per tree and cell,
+and reports the median; then it runs each bench sweep cell and one large
+plan build once under tracemalloc and reports their traced peaks. The file holds, per tree and cell,
 the median over ROUNDS rounds and every round's value, plus the core count
 and the numpy version.
 
@@ -19,9 +19,11 @@ trials, k = 64 bins, VSRP k = 16 samples at s = 3), in ms:
 
 - raw_words_2mb: 2**18 full-range uint64 draws, the generator's own speed
 - rademacher: ``draw_multipliers`` of a (2000, 1024) Rademacher block
-- permutation_rows: ``_permutation_rows`` of 2000 rows of range(1024)
-- draws_fixed, draws_variable: ``_oporp_draws`` of 2000 Rademacher trials,
-  the index rows (permutations, or bin indices in [0, 64)) and the signs
+- draws_fixed, draws_variable: ``sketch._oporp_draws`` of 2000 Rademacher
+  trials in the layout the bin-sum kernel reads: the permutations, bin-major
+  with the signs folded in, or the bin indices in [0, 64) and the signs
+  (on trees that drew row-major rows first, those rows and their
+  ``_gather_rows``)
 - chunk_fixed, chunk_variable: one ``_oporp_chunk`` of 2000 Rademacher
   trials, its draws and the bin sums of both sides of a pair
 - sums_fixed, sums_variable: the chunk's bin sums alone, its median less
@@ -41,6 +43,10 @@ and, as a count, the median minor page faults of one ``_oporp_chunk`` call
 (faults_chunk_fixed, faults_chunk_variable): memory the allocator handed
 back to the system between chunks and the next chunk touches afresh.
 
+and, in MiB, one ``SketchPlan`` build at D = 2**18, k = 256, m = 20, fixed
+bins and Rademacher signs (an int32 index with the signs folded in):
+peak_plan, its tracemalloc peak, and held_plan, what it leaves allocated.
+
 It takes about four minutes for two trees and is not part of the test suite.
 """
 
@@ -57,6 +63,7 @@ import numpy as np
 import tree_timing
 
 TRIALS, D, K, VSRP_SAMPLES, VSRP_S = 2000, 1024, 64, 3904, 3.0
+PLAN_D, PLAN_K, PLAN_M = 1 << 18, 256, 20
 REPS, ROUNDS = 15, 10
 # Bench sweep cells: (k, s, scheme, estimators).
 SWEEP_CELLS = {
@@ -71,25 +78,25 @@ OUT = ROOT / "BENCH_draws.json"
 
 def _worker() -> None:
     """Print {cell: median ms or peak MiB} for the oporp on sys.path."""
+    from oporp import sketch
     from oporp.experiment import _oporp_chunk, generate_pair_with_cosine, mse_sweep
-    from oporp.projection import (
-        _oporp_draws,
-        _permutation_rows,
-        _sparse_signs,
-        draw_multipliers,
-        generator,
-        rademacher,
-    )
-    from oporp.sketch import Binning
+    from oporp.projection import _sparse_signs, draw_multipliers, generator, rademacher
+    from oporp.sketch import Binning, SketchConfig, SketchPlan
 
     u, v = generate_pair_with_cosine(D, 0.5, 0.01, seed=3)
     sign = rademacher()
+
+    def draws(rng, fixed):
+        index, r = sketch._oporp_draws(rng, TRIALS, D, K, sign, fixed)
+        if fixed and hasattr(sketch, "_gather_rows"):  # row-major draws, then the kernel's view
+            return sketch._gather_rows(index, r, K, sign)
+        return index, r
+
     cells = {
         "raw_words_2mb": lambda rng: rng.integers(0, 1 << 64, size=1 << 18, dtype=np.uint64),
         "rademacher": lambda rng: draw_multipliers(rng, (TRIALS, D), sign),
-        "permutation_rows": lambda rng: _permutation_rows(rng, TRIALS, D),
-        "draws_fixed": lambda rng: _oporp_draws(rng, TRIALS, D, K, sign, True),
-        "draws_variable": lambda rng: _oporp_draws(rng, TRIALS, D, K, sign, False),
+        "draws_fixed": lambda rng: draws(rng, True),
+        "draws_variable": lambda rng: draws(rng, False),
         "chunk_fixed": lambda rng: _oporp_chunk(u, v, K, sign, Binning.FIXED, TRIALS, rng),
         "chunk_variable": lambda rng: _oporp_chunk(u, v, K, sign, Binning.VARIABLE, TRIALS, rng),
         "sparse_signs": lambda rng: _sparse_signs(rng, (VSRP_SAMPLES, D), VSRP_S),
@@ -114,6 +121,13 @@ def _worker() -> None:
         tracemalloc.reset_peak()
         mse_sweep(u, v, [k], s, scheme, estimators, TRIALS, seed=1)
         out[name] = tracemalloc.get_traced_memory()[1] / 2**20
+    config = SketchConfig(dim=PLAN_D, k=PLAN_K, binning=Binning.FIXED, dist=sign, m=PLAN_M)
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    plan = SketchPlan(config)
+    held, peak = tracemalloc.get_traced_memory()
+    del plan
+    out["peak_plan"], out["held_plan"] = (peak - before) / 2**20, (held - before) / 2**20
     tracemalloc.stop()
     print(json.dumps(out))
 
@@ -126,7 +140,8 @@ if __name__ == "__main__":
              "mse_sweep call; trees alternate per round",
         shapes={"trials": TRIALS, "D": D, "k": K, "vsrp_samples": VSRP_SAMPLES,
                 "vsrp_s": VSRP_S, "raw_words": 1 << 18,
+                "plan": {"D": PLAN_D, "k": PLAN_K, "m": PLAN_M},
                 "sweep_cells": {name: cell[:3] for name, cell in SWEEP_CELLS.items()}},
-        units={**{name: "mib" for name in SWEEP_CELLS},
+        units={**{name: "mib" for name in (*SWEEP_CELLS, "peak_plan", "held_plan")},
                "faults_chunk_fixed": "count", "faults_chunk_variable": "count"},
     )

@@ -40,6 +40,7 @@ bit-identical to ``oporp_sketch`` or ``vsrp_sketch`` of that row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ from .estimate import _REGISTRY, Estimator, _pair_sums
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
-    _oporp_draws,
+    _block_rows,
     _sparse_signs,
     derive_seed,
     gaussian,
@@ -64,9 +65,8 @@ from .sketch import (
     SketchPlan,
     ZeroNormError,
     _bin_sums,
-    _block_rows,
     _check_finite,
-    _gather_rows,
+    _oporp_draws,
     _padded_dim,
     _plan,
     vsrp_config,
@@ -159,26 +159,19 @@ def distribution_for_moment(s: float) -> ProjectionDistribution:
 
 
 def _oporp_chunk(
-    u_pad: np.ndarray,
-    v_pad: np.ndarray,
-    k: int,
-    dist: ProjectionDistribution,
-    scheme: Binning,
-    c: int,
+    u: np.ndarray, v: np.ndarray, k: int, dist: ProjectionDistribution, scheme: Binning, c: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """c independent single-repetition sketch pairs, shapes (c, k).
 
-    Only the draws are (c, Dp): the draw of an m = c plan, one permutation
-    (fixed binning) or bin-index row (variable binning) and one multiplier
-    row per trial. The pair is sketched as the plan's kernel sketches two
-    rows; Rademacher signs fold into the permutations in place.
+    Only the draws are chunk-sized: the draw of an m = c plan, one
+    permutation (fixed binning) or bin-index row (variable binning) and one
+    multiplier row per trial, made in the layout the plan's kernel reads.
+    The pair is sketched as that kernel sketches two rows.
     """
     fixed = scheme is Binning.FIXED
-    index, R = _oporp_draws(rng, c, u_pad.shape[0], k, dist, fixed)
-    if fixed:
-        index, R = _gather_rows(index, R, k, dist)
-    X, Y = _bin_sums(np.stack([u_pad, v_pad]), index, R, k, fixed)
+    index, R = _oporp_draws(rng, c, _padded_dim(u.shape[0], k, scheme), k, dist, fixed)
+    X, Y = _bin_sums(np.stack([u, v]), index, R, k, fixed)
     return X.reshape(c, k), Y.reshape(c, k)
 
 
@@ -302,10 +295,8 @@ def _cell_draws(family: str, u, v, k: int, s: float, dist, scheme: Binning):
             # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
             chunk = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k))
         return chunk, lambda c, rng: _vsrp_chunk(u, v, k, s, c, rng)
-    Dp = _padded_dim(D, k, scheme)
-    u_pad, v_pad = (np.pad(x, (0, Dp - D)) for x in (u, v))
-    chunk = max(1, _CHUNK_ELEMENTS // Dp)
-    return chunk, lambda c, rng: _oporp_chunk(u_pad, v_pad, k, dist, scheme, c, rng)
+    chunk = max(1, _CHUNK_ELEMENTS // _padded_dim(D, k, scheme))
+    return chunk, lambda c, rng: _oporp_chunk(u, v, k, dist, scheme, c, rng)
 
 
 def mse_sweep(
@@ -344,7 +335,8 @@ def mse_sweep(
 
     rows: list[SweepRow] = []
     for k in k_list:
-        k = int(k)
+        # operator.index, as SketchConfig: a k of 8.7 is refused, not run as 8.
+        k = operator.index(k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if "oporp" in families and scheme is Binning.FIXED and k > stats.dim:

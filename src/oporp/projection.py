@@ -14,12 +14,14 @@ E(r^3) = 0; the fourth moment E(r^4) = s is the single parameter the
 variance formulas depend on.
 
 Draws are stored compactly: Rademacher signs as int8, the other
-multipliers as float64, and index rows (permutations of range(Dp), or bin
-indices in [0, k)) as uint16 up to 2**16 values, else int32. Multiplying
-by +-1 is exact in any dtype, and gathers and bin counts widen indices to
-intp, so no result depends on the storage. A fixed-binning sketch plan
-goes one step further and folds each sign into its permutation index
-(:func:`oporp.sketch._gather_rows`): -x is exactly x * (-1).
+multipliers as float64 (:func:`_multiplier_dtype`), and indices
+(permutations of range(Dp), or bin indices in [0, k)) as uint16 up to
+2**16 values, else int32. Multiplying by +-1 is exact in any dtype, and
+gathers and bin counts widen indices to intp, so no result depends on the
+storage. An OPORP draw is made straight into the layout the sketch kernel
+reads (:func:`oporp.sketch._oporp_draws`): this module supplies the
+multipliers, the bin-index rows and the one block-size rule
+(:func:`_block_rows`) that the index draws and the kernels share.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ def draw_multipliers(
     """An array of the given shape of i.i.d. multipliers from ``dist``, drawn from ``rng``.
 
     Rademacher signs come back as an int8 array of -1 and +1, every other
-    kind as float64 (:func:`_multiplier_itemsize`).
+    kind as float64 (:func:`_multiplier_dtype`).
     """
     if dist.kind is ProjectionKind.RADEMACHER:
         # One bit per sign: entry j is 1 - 2 * (bit j of the random bytes),
@@ -147,9 +149,9 @@ def draw_multipliers(
     return math.sqrt(dist.sparsity) * _sparse_signs(rng, shape, dist.sparsity)
 
 
-def _multiplier_itemsize(dist: ProjectionDistribution) -> int:
-    """Bytes per entry of :func:`draw_multipliers`: 1 for int8 signs, 8 for float64."""
-    return 1 if dist.kind is ProjectionKind.RADEMACHER else 8
+def _multiplier_dtype(dist: ProjectionDistribution) -> np.dtype:
+    """The dtype of :func:`draw_multipliers`: int8 for Rademacher signs, float64 otherwise."""
+    return np.dtype(np.int8 if dist.kind is ProjectionKind.RADEMACHER else np.float64)
 
 
 def _index_dtype(n: int) -> np.dtype:
@@ -209,34 +211,16 @@ def _to_signs(b: np.ndarray, nonzero: np.ndarray) -> None:
     np.subtract(nonzero, b, out=b)
 
 
-# Target entries per row block of the index draws (the permutation shuffle
-# and the bin-index draw); no result depends on it.
-_INDEX_BLOCK_ELEMENTS = 1 << 16
+# Target entries per block of the index draws and of the VSRP sweep
+# kernels, and per tile of the sketch kernels. Blocks and tiles decide only
+# where temporaries live: no result depends on this size. At 2**16 a kernel
+# tile's gathered block and index temporary (512 KiB each) stay in L2.
+_BLOCK_ELEMENTS = 1 << 16
 
 
-def _index_block_rows(c: int, Dp: int) -> int:
-    """Rows per block of an index draw: about _INDEX_BLOCK_ELEMENTS entries, at least 1."""
-    return max(1, min(c, _INDEX_BLOCK_ELEMENTS // Dp))
-
-
-def _permutation_rows(rng: np.random.Generator, c: int, Dp: int) -> np.ndarray:
-    """(c, Dp) rows, each a permutation of range(Dp), drawn in row order.
-
-    numpy shuffles 8-byte items on a fast path, so blocks of rows are
-    shuffled as int64 and stored as ``_index_dtype(Dp)``: the same draws,
-    and the same stream position after, as shuffling one int32 tile along
-    its rows.
-    """
-    index = np.empty((c, Dp), dtype=_index_dtype(Dp))
-    step = _index_block_rows(c, Dp)
-    shuffle = np.empty((step, Dp), dtype=np.int64)
-    identity = np.arange(Dp)
-    for lo in range(0, c, step):
-        perms = shuffle[: min(step, c - lo)]
-        perms[:] = identity
-        rng.permuted(perms, axis=1, out=perms)
-        index[lo : lo + perms.shape[0]] = perms
-    return index
+def _block_rows(width: int, rows: int) -> int:
+    """Rows per block of a (rows, width) pass: about _BLOCK_ELEMENTS entries, at least 1."""
+    return max(1, min(rows, _BLOCK_ELEMENTS // width))
 
 
 def _bin_rows(rng: np.random.Generator, c: int, Dp: int, k: int) -> np.ndarray:
@@ -247,20 +231,8 @@ def _bin_rows(rng: np.random.Generator, c: int, Dp: int, k: int) -> np.ndarray:
     draw what one call would, and leave the stream where it would.
     """
     index = np.empty((c, Dp), dtype=_index_dtype(k))
-    step = _index_block_rows(c, Dp)
+    step = _block_rows(Dp, c)
     for lo in range(0, c, step):
         rows = min(step, c - lo)
         index[lo : lo + rows] = rng.integers(0, k, size=(rows, Dp), dtype=np.int32)
     return index
-
-
-def _oporp_draws(
-    rng: np.random.Generator, c: int, Dp: int, k: int, dist: ProjectionDistribution, fixed: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """c OPORP draws, a plan's m repetitions or a sweep chunk's trials.
-
-    (c, Dp) index rows (permutations of range(Dp) for fixed binning, bin
-    indices in [0, k) for variable binning), then (c, Dp) multipliers.
-    """
-    index = _permutation_rows(rng, c, Dp) if fixed else _bin_rows(rng, c, Dp, k)
-    return index, draw_multipliers(rng, (c, Dp), dist)

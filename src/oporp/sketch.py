@@ -33,11 +33,12 @@ package keeps the plans of the last ``_PLAN_CACHE_SIZE`` = 2 (config, flavor)
 pairs it used (:func:`_plan`, an LRU cache): ``oporp_sketch``,
 ``vsrp_sketch``, the DP releases and ``similarity_matrix`` all go through
 it, and sketching many vectors one call at a time draws each config once.
-Draws are stored compactly (see :mod:`oporp.projection`), as the kernel
-reads them. An OPORP plan holds m*padded_dim indices, uint16 while they
-take at most 65536 values and int32 beyond, and, unless they are folded
-into the index, as many multipliers, int8 for Rademacher signs and
-float64 otherwise. A fixed-binning plan keeps its indices bin-major and
+Draws are made in the layout the kernel reads (:func:`_oporp_draws`) and
+stored compactly (:func:`_draw_dtypes`). An OPORP plan holds m*padded_dim
+indices, uint16 while they take at most 65536 values and int32 beyond,
+and, unless they are folded into the index, as many multipliers, int8 for
+Rademacher signs and float64 otherwise. A fixed-binning draw writes its
+permutations bin-major as it shuffles them, with no second copy, and
 folds Rademacher signs into them: index p + padded_dim reads -x_p, so the
 index takes 2*padded_dim values. It folds only where that keeps the
 index's dtype, so a Rademacher plan holds 2 bytes per entry up to 32768
@@ -53,8 +54,8 @@ cannot be changed by a caller.
 The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
 shared by the plan and the Monte-Carlo sweep (a sweep chunk is a plan of
 c repetitions applied to its pair of rows). It works in tiles of about
-``_BLOCK_ELEMENTS`` entries (:func:`_tile`): repetitions first, then as
-many rows as still fit. Fixed binning writes a tile's rows transposed,
+``projection._BLOCK_ELEMENTS`` entries (:func:`_tile`): repetitions
+first, then as many rows as still fit. Fixed binning writes a tile's rows transposed,
 with their negations, copies whole rows of that block with one gather
 per tile, bin-major, and sums every bin with vector adds in numpy's own
 pairwise order (:func:`_pairwise_rows`), so each bin has the bits of
@@ -107,9 +108,11 @@ import numpy as np
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
+    _bin_rows,
+    _block_rows,
     _index_dtype,
-    _multiplier_itemsize,
-    _oporp_draws,
+    _multiplier_dtype,
+    _sparse_signs,
     check_seed,
     derive_seed,
     draw_multipliers,
@@ -128,18 +131,12 @@ _PLAN_CACHE_SIZE = 2
 # A plan whose arrays exceed this many bytes is not kept: the cache holds at most twice this.
 _PLAN_CACHE_BYTES = 16 << 20
 
-# Target float64 entries per tile of the bin-sum kernels (and per block of
-# the VSRP sweep kernels). Tiles decide only where temporaries live: no
-# result depends on this size. At 2**16 a tile's gathered block and index
-# temporary (512 KiB each) stay in a 2 MiB L2 cache.
-_BLOCK_ELEMENTS = 1 << 16
-
 # Kernel buffers each thread keeps from one call to the next (name -> flat
 # array), so that repeated sketches reuse their memory instead of faulting
-# fresh pages in. Only buffers of up to _SCRATCH_ELEMENTS entries are kept:
-# five buffers of at most 1 MiB each per thread.
+# fresh pages in. Only buffers of up to _SCRATCH_ELEMENTS entries (two tiles)
+# are kept: five buffers of at most 1 MiB each per thread.
 _scratch = threading.local()
-_SCRATCH_ELEMENTS = 2 * _BLOCK_ELEMENTS
+_SCRATCH_ELEMENTS = 1 << 17
 
 
 class Binning(enum.Enum):
@@ -216,6 +213,7 @@ class Sketch:
     stored_norm: float | None = None
 
     def __post_init__(self) -> None:
+        _check_flavor(self.config, self.flavor)
         expected = self.config.k * self.config.m
         if np.ndim(self.values) != 1 or len(self.values) != expected:
             raise ValueError(
@@ -285,13 +283,23 @@ def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
     )
 
 
+def _check_flavor(config: SketchConfig, flavor: str) -> None:
+    """Raise ValueError unless ``flavor`` is known, and a "vsrp" config vsrp_config's shape."""
+    if flavor not in _STREAMS:
+        raise ValueError(f"unknown sketch flavor {flavor!r}")
+    shape = (config.k, config.binning, config.dist.kind)
+    if flavor == "vsrp" and shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):
+        raise ValueError("a vsrp sketch needs the config made by vsrp_config")
+
+
 class SketchPlan:
     """A config's randomness, drawn once and applied to any number of rows.
 
-    An ``"oporp"`` plan holds the repetitions' bin indices and multipliers,
-    two (m, padded_dim) arrays, under variable binning; under fixed binning
-    it holds their gather rows (:func:`_gather_rows`), (L, m, k) bin-major,
-    with Rademacher signs folded into the index. A ``"vsrp"`` plan, built
+    An ``"oporp"`` plan holds the repetitions' draws as the kernel reads
+    them (:func:`_oporp_draws`): (m, padded_dim) bin indices and
+    multipliers under variable binning; under fixed binning an (L, m, k)
+    bin-major index with its multipliers in the same layout, or with
+    Rademacher signs folded into it. A ``"vsrp"`` plan, built
     on a :func:`vsrp_config`, holds the dim x m sparse projection matrix.
     Each plan draws from one generator keyed by its seed and flavor, the
     stream the single-vector functions use, so all rows sketched under one
@@ -302,28 +310,18 @@ class SketchPlan:
     """
 
     def __init__(self, config: SketchConfig, flavor: str = "oporp") -> None:
+        _check_flavor(config, flavor)
         self.config = config
         self.flavor = flavor
-        if flavor not in _STREAMS:
-            raise ValueError(f"unknown sketch flavor {flavor!r}")
         rng = generator(derive_seed(config.seed, _STREAMS[flavor]))
         if flavor == "vsrp":
-            shape = (config.k, config.binning, config.dist.kind)
-            if shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):
-                raise ValueError("a vsrp plan needs the config made by vsrp_config")
             self._projection = _read_only(
                 draw_multipliers(rng, (config.dim, config.m), config.dist)
             )
             return
         fixed = config.binning is Binning.FIXED
         draws = _oporp_draws(rng, config.m, config.padded_dim, config.k, config.dist, fixed)
-        if fixed:
-            # Stored as the kernel reads them: bin-major, Rademacher signs
-            # folded into the index where _folds_signs.
-            draws = _gather_rows(*draws, config.k, config.dist)
-        self._indices, self._multipliers = (
-            None if a is None else _read_only(np.ascontiguousarray(a)) for a in draws
-        )
+        self._indices, self._multipliers = (None if a is None else _read_only(a) for a in draws)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """(N, k*m) sketch values of the rows of an (N, dim) matrix, each repetition-major.
@@ -387,28 +385,17 @@ def _plan(config: SketchConfig, flavor: str) -> SketchPlan:
 def _plan_bytes(config: SketchConfig, flavor: str) -> int:
     """The bytes of the arrays a plan of (config, flavor) draws, known before it draws them."""
     # The vsrp matrix is dim x m multipliers (padded_dim is dim under its
-    # variable binning); an oporp plan holds an index per multiplier too,
-    # and no multipliers when its signs are folded into the index.
-    Dp, per_entry = config.padded_dim, _multiplier_itemsize(config.dist)
-    if flavor == "oporp":
-        if config.binning is not Binning.FIXED:
-            per_entry += _index_dtype(config.k).itemsize
-        elif _folds_signs(config.dist, Dp):
-            per_entry = _index_dtype(2 * Dp).itemsize
-        else:
-            per_entry += _index_dtype(Dp).itemsize
-    return config.m * Dp * per_entry
+    # variable binning); an oporp plan holds the arrays of _draw_dtypes.
+    Dp, fixed = config.padded_dim, config.binning is Binning.FIXED
+    dtypes = ((_multiplier_dtype(config.dist),) if flavor == "vsrp"
+              else _draw_dtypes(config.dist, Dp, config.k, fixed))
+    return config.m * Dp * sum(d.itemsize for d in dtypes if d is not None)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _cached_plan(config: SketchConfig, flavor: str) -> SketchPlan:
     # flavor is always passed positionally, so one pair has one key.
     return SketchPlan(config, flavor)
-
-
-def _block_rows(width: int, rows: int) -> int:
-    """Rows per block of a (rows, width) pass: about _BLOCK_ELEMENTS entries, at least 1."""
-    return max(1, min(rows, _BLOCK_ELEMENTS // width))
 
 
 def _buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
@@ -423,58 +410,101 @@ def _buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
 
 
 def _tile(N: int, m: int, Dp: int) -> tuple[int, int]:
-    """(rows, repetitions) of one tile of the bin-sum kernels: about _BLOCK_ELEMENTS entries.
+    """(rows, repetitions) of one tile of the bin-sum kernels, by :func:`_block_rows`.
 
     Repetitions first, then as many rows as still fit; each is at least 1.
     The kernels loop over tiles of repetitions and, within each, over tiles
     of rows, so what depends on the repetitions alone (a widened index, a
     set of shifted bins) is made once per tile of repetitions.
     """
-    g = max(1, min(m, _BLOCK_ELEMENTS // Dp))
-    return max(1, min(N, _BLOCK_ELEMENTS // (g * Dp))), g
+    g = _block_rows(Dp, m)
+    return _block_rows(g * Dp, N), g
 
 
-def _folds_signs(dist: ProjectionDistribution, Dp: int) -> bool:
-    """Whether a fixed-binning draw's Rademacher signs fold into its gather index.
+def _draw_dtypes(dist: ProjectionDistribution, Dp: int, k: int, fixed: bool):
+    """(index, multiplier) dtypes of :func:`_oporp_draws`; None for signs folded into the index.
 
-    A folded index takes 2*Dp values; it is used when that needs no wider
-    dtype than the permutation's, so no plan grows.
+    Bin indices take k values and permutations Dp. A fixed-binning draw
+    folds Rademacher signs into its index, which then takes 2*Dp values,
+    when that needs no wider dtype than the permutation's, so no plan grows.
     """
-    return dist.kind is ProjectionKind.RADEMACHER and _index_dtype(2 * Dp) == _index_dtype(Dp)
+    index = _index_dtype(Dp if fixed else k)
+    folds = fixed and dist.kind is ProjectionKind.RADEMACHER and _index_dtype(2 * Dp) == index
+    return index, None if folds else _multiplier_dtype(dist)
 
 
-def _gather_rows(index: np.ndarray, r: np.ndarray, k: int, dist: ProjectionDistribution):
-    """(L, c, k) bin-major gather rows and multipliers of c permutation and multiplier rows.
+def _oporp_draws(rng: np.random.Generator, c: int, Dp: int, k: int, dist, fixed: bool):
+    """c OPORP draws, a plan's m repetitions or a sweep chunk's trials, as _bin_sums reads them.
 
-    Entry l of bin b in row t is (l, t, b): position t*Dp + b*L + l of the
-    (c, Dp) draws, viewed, not copied. Where :func:`_folds_signs`, the
-    signs go into the index, in place: a negative sign reads row p + Dp of
-    the signed block, which holds -x_p, and the multipliers come back as
-    None.
+    The stream holds c index rows, then (c, Dp) multipliers. Variable
+    binning keeps both as rows. Fixed binning draws c permutations into an
+    (L, c, k) bin-major index (:func:`_permutations`), and float
+    multipliers into that layout a block of rows at a time (normal and
+    uniform ones take one stream value each; sparse ones scale the int8
+    signs of one draw, as draw_multipliers does). Rademacher signs are
+    viewed in it, or, where :func:`_draw_dtypes` folds them, added to the
+    index in place: a negative sign reads row p + Dp of the kernel's
+    signed block, which holds -x_p, and the multipliers come back as None.
     """
-    c, Dp = index.shape
-    if _folds_signs(dist, Dp):
-        step = _block_rows(Dp, c)
-        negative = np.empty((step, Dp), dtype=index.dtype)
+    if not fixed:
+        return _bin_rows(rng, c, Dp, k), draw_multipliers(rng, (c, Dp), dist)
+    dtype, r_dtype = _draw_dtypes(dist, Dp, k, fixed)
+    index = _permutations(rng, c, Dp, k, dtype)
+    step = _block_rows(Dp, c)
+    if r_dtype == np.float64:
+        sparse_kind = dist.kind is ProjectionKind.SPARSE
+        signs = _sparse_signs(rng, (c, Dp), dist.sparsity) if sparse_kind else None
+        r = np.empty(index.shape)
         for lo in range(0, c, step):
-            mask = negative[: min(step, c - lo)]
-            # -1 is the int8 byte 255, whose top bit marks a negative sign.
-            np.copyto(mask, r[lo : lo + step].view(np.uint8))
-            mask >>= 7
-            mask *= Dp
-            index[lo : lo + step] += mask
-        r = None
-    return tuple(None if a is None else a.reshape(c, k, Dp // k).transpose(2, 0, 1)
-                 for a in (index, r))
+            h = min(step, c - lo)
+            block = (draw_multipliers(rng, (h, Dp), dist) if signs is None
+                     else math.sqrt(dist.sparsity) * signs[lo : lo + h])
+            r[:, lo : lo + h] = _bin_major(block, k)
+        return index, r
+    r = draw_multipliers(rng, (c, Dp), dist)
+    if r_dtype is not None:
+        return index, _bin_major(r, k)
+    negative = np.empty((step, Dp), dtype=dtype)
+    for lo in range(0, c, step):
+        # -1 is the int8 byte 255, whose top bit marks a negative sign.
+        block = r[lo : lo + step].view(np.uint8)
+        mask = np.right_shift(block, 7, out=negative[: block.shape[0]])
+        mask *= Dp
+        index[:, lo : lo + step] += _bin_major(mask, k)
+    return index, None
+
+
+def _permutations(rng: np.random.Generator, c: int, Dp: int, k: int, dtype) -> np.ndarray:
+    """c permutations of range(Dp), drawn in row order into an (L, c, k) bin-major index.
+
+    numpy shuffles 8-byte items on a fast path, so blocks of rows are shuffled
+    as int64: the same draws, and stream position after, as shuffling one
+    int32 tile along its rows. Entry (l, t, b) is position b*L + l of row t.
+    """
+    index = np.empty((Dp // k, c, k), dtype=dtype)
+    step = _block_rows(Dp, c)
+    shuffle = np.empty((step, Dp), dtype=np.int64)
+    identity = np.arange(Dp, dtype=dtype)
+    for lo in range(0, c, step):
+        perms = shuffle[: min(step, c - lo)]
+        perms[:] = identity
+        rng.permuted(perms, axis=1, out=perms)
+        index[:, lo : lo + perms.shape[0]] = _bin_major(perms, k)
+    return index
+
+
+def _bin_major(rows: np.ndarray, k: int) -> np.ndarray:
+    """The (L, c, k) view of (c, Dp) rows in k bins of L: entry (l, t, b) is rows[t, b*L + l]."""
+    return rows.reshape(rows.shape[0], k, -1).transpose(2, 0, 1)
 
 
 def _bin_sums(M: np.ndarray, index: np.ndarray, r, k: int, fixed: bool) -> np.ndarray:
     """(N, c*k) bin sums of the rows of M under c draws, each row repetition-major.
 
     The gather x multiply -> bin sum kernel of a plan and of a sweep chunk
-    (a plan of c repetitions applied to two rows). Fixed binning takes the
-    :func:`_gather_rows` of the draws, variable binning the (c, dim) bin
-    indices and multipliers.
+    (a plan of c repetitions applied to two rows), reading the draws of
+    :func:`_oporp_draws`. The rows need no padding: fixed binning
+    zero-pads them to padded_dim itself.
     """
     out = np.empty((M.shape[0], index.shape[1 if fixed else 0] * k))
     if fixed:
@@ -487,7 +517,7 @@ def _bin_sums(M: np.ndarray, index: np.ndarray, r, k: int, fixed: bool) -> np.nd
 def _fixed_sums(M: np.ndarray, index: np.ndarray, r, out: np.ndarray) -> None:
     """Fixed-binning bin sums of the rows of M into out, (N, c*k) repetition-major.
 
-    ``index`` and ``r`` are :func:`_gather_rows` (L, c, k). A tile of rows
+    ``index`` and ``r`` are the (L, c, k) :func:`_oporp_draws`. A tile of rows
     is written transposed into T: [W^T; -W^T] when the signs are folded
     (r is None), else W^T, zero-padded to Dp rows either way (0.0 and
     -0.0, as a padded zero times -1). One ``np.take`` per tile copies
@@ -718,6 +748,7 @@ def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, str, float |
             seed=seed,
         )
         flavor_name = _FLAVORS[flavor]
+        _check_flavor(config, flavor_name)
         itemsize = _PAYLOAD_ITEMSIZE[payload]
     except (KeyError, ValueError) as exc:
         raise SketchFileError(f"bad sketch header field: {exc}") from exc
@@ -780,9 +811,11 @@ def save_sign_sketch(path: str, bits: np.ndarray, config: SketchConfig) -> None:
 
 def load_sign_sketch(path: str) -> tuple[np.ndarray, SketchConfig]:
     """Read back sign bits and the config they were sketched under."""
-    buf, config, payload, _, _ = _read_sketch_file(path)
+    buf, config, payload, flavor, _ = _read_sketch_file(path)
     if payload != _PAYLOAD_SIGNS:
         raise SketchFileError("file holds sketch values, not sign bits")
+    if flavor != "oporp":
+        raise SketchFileError(f"sign files hold oporp sketches, not {flavor!r} ones")
     bits = np.frombuffer(buf, dtype=np.int8, offset=_HEADER.size)
     if not np.all(np.abs(bits) == 1):
         raise SketchFileError("sign file holds entries other than -1 and +1")

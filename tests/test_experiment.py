@@ -30,13 +30,20 @@ import oporp.projection
 from oporp.projection import (
     ProjectionKind,
     _bin_rows,
-    _permutation_rows,
     derive_seed,
+    gaussian,
     generator,
     rademacher,
     sparse,
 )
-from oporp.sketch import Binning, SketchConfig, ZeroNormError, oporp_sketch, vsrp_sketch
+from oporp.sketch import (
+    Binning,
+    SketchConfig,
+    ZeroNormError,
+    _oporp_draws,
+    oporp_sketch,
+    vsrp_sketch,
+)
 from oporp.variance import pair_statistics, var_inner
 
 
@@ -230,18 +237,32 @@ def test_sweep_validation():
         mse_sweep(u, v, [4], 1.0, Binning.FIXED, [], 500, 0)
 
 
-@pytest.mark.parametrize("Dp, c", [(1, 3), (3, 5), (16, 300), (1000, 37), (70_000, 2)])
+def test_sweep_refuses_a_non_integer_k():
+    # int(k) used to run k = 8.7 as k = 8, under the label of neither
+    u, v = generate_pair_with_cosine(16, 0.5, 0.01, seed=7)
+    for k in (8.7, 8.0, "8"):
+        with pytest.raises(TypeError):
+            mse_sweep(u, v, [k], 1.0, Binning.FIXED, ["inner"], 500, 0)
+    row = mse_sweep(u, v, [np.int64(8)], 1.0, Binning.FIXED, ["inner"], 500, 0)[0]
+    assert row.k == 8 and type(row.k) is int
+
+
+@pytest.mark.parametrize("Dp, c, k", [(1, 3, 1), (3, 5, 3), (16, 300, 4), (1000, 37, 8),
+                                     (70_000, 2, 7)])
 @pytest.mark.parametrize("block", (1 << 16, 50))
-def test_permutation_rows_match_one_shuffled_int32_tile(monkeypatch, Dp, c, block):
+def test_permutation_rows_match_one_shuffled_int32_tile(monkeypatch, Dp, c, k, block):
     # a 50-entry block holds at most one row: every row is its own block
-    monkeypatch.setattr(oporp.projection, "_INDEX_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
     rng, ref_rng = generator(5), generator(5)
-    rows = _permutation_rows(rng, c, Dp)
+    index, R = _oporp_draws(rng, c, Dp, k, gaussian(), True)
     ref = np.tile(np.arange(Dp, dtype=np.int32), (c, 1))
     ref_rng.permuted(ref, axis=1, out=ref)
-    # stored as uint16 up to Dp = 2**16, as int32 beyond
-    assert rows.dtype == (np.uint16 if Dp <= 1 << 16 else np.int32)
-    assert np.array_equal(rows, ref)
+    # drawn bin-major: entry (l, t, b) is position b * L + l of permutation
+    # t; stored as uint16 up to Dp = 2**16, as int32 beyond
+    assert index.shape == (Dp // k, c, k)
+    assert index.dtype == (np.uint16 if Dp <= 1 << 16 else np.int32)
+    assert np.array_equal(index.transpose(1, 2, 0).reshape(c, Dp), ref)
+    assert np.array_equal(R.transpose(1, 2, 0).reshape(c, Dp), ref_rng.standard_normal((c, Dp)))
     assert rng.random() == ref_rng.random()
 
 
@@ -258,7 +279,7 @@ def stream_position(rng):
 def test_blocked_bin_rows_match_one_int32_draw(monkeypatch, Dp, c, k, block):
     # a 1-entry block draws one row at a time; at odd Dp a row ends inside
     # a 64-bit word, whose other half the next row must get
-    monkeypatch.setattr(oporp.projection, "_INDEX_BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
     rng, ref_rng = generator(9), generator(9)
     rows = _bin_rows(rng, c, Dp, k)
     ref = ref_rng.integers(0, k, size=(c, Dp), dtype=np.int32)

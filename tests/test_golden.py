@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import oporp.sketch
+import oporp.projection
 from oporp.experiment import generate_pair_with_cosine, mse_sweep, similarity_matrix
 from oporp.projection import gaussian, rademacher, scaled_uniform, sparse
 from oporp.sketch import (
@@ -103,11 +103,13 @@ def test_golden_hash(tmp_path):
 
 def test_sweep_rows_and_plans_do_not_depend_on_the_block_size(monkeypatch):
     rows, plans = _sweep_rows(), _plan_outputs()
-    # 1: one row and one repetition per tile, and one sample per VSRP block;
+    # the one block size of the index draws, the kernels' tiles and the VSRP
+    # blocks; 1: one index row per draw block, one row and one repetition
+    # per tile, and one sample per VSRP block;
     # 400: the plans' 7 rows with 2 of their 3 repetitions per tile, then 1;
     # 7 * 2048: a sweep pair with 7 of a chunk's 600 trials per tile, then 5
     for block in (1, 400, 7 * 2048):
-        monkeypatch.setattr(oporp.sketch, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
         assert repr(_sweep_rows()) == repr(rows)
         for got, want in zip(_plan_outputs(), plans):
             assert np.array_equal(got, want)

@@ -4,7 +4,7 @@ The distribution checks are seeded Monte Carlo with generous z-score
 bounds (no flakes at the frozen seeds); the permutation uniformity test
 is exhaustive over all 5! = 120 permutations. Permutations and
 multipliers are drawn through the samplers a plan and a sweep chunk share:
-``_oporp_draws``, its ``_permutation_rows``, and ``draw_multipliers``.
+``oporp.sketch._oporp_draws`` and ``draw_multipliers``.
 """
 
 import math
@@ -16,8 +16,6 @@ from scipy import stats
 from oporp.projection import (
     ProjectionDistribution,
     ProjectionKind,
-    _oporp_draws,
-    _permutation_rows,
     check_seed,
     derive_seed,
     draw_multipliers,
@@ -27,7 +25,17 @@ from oporp.projection import (
     scaled_uniform,
     sparse,
 )
-from oporp.sketch import Binning, SketchConfig
+from oporp.sketch import Binning, SketchConfig, _oporp_draws
+
+
+def permutation_rows(rng, c, D):
+    """The c permutations of a fixed-binning draw with one bin, as (c, D) rows.
+
+    With k = 1 the bin-major (L, c, k) index is (D, c, 1); Gaussian
+    multipliers keep the signs out of it.
+    """
+    index, _ = _oporp_draws(rng, c, D, 1, gaussian(), fixed=True)
+    return index[:, :, 0].T
 
 
 def test_fourth_moments_exact():
@@ -92,14 +100,14 @@ def test_generator_reproducible():
 @pytest.mark.parametrize("D", [1, 2, 5, 33, 256])
 def test_permutation_is_bijective(D):
     for seed in range(5):
-        index, _ = _oporp_draws(generator(seed), 3, D, 1, rademacher(), fixed=True)
+        index = permutation_rows(generator(seed), 3, D)
         assert index.dtype == np.uint16
         assert np.array_equal(np.sort(index, axis=1), np.tile(np.arange(D), (3, 1)))
 
 
 def test_permutation_deterministic():
     def rows(seed):
-        return _permutation_rows(generator(seed), 4, 64)
+        return permutation_rows(generator(seed), 4, 64)
 
     assert np.array_equal(rows(11), rows(11))
     assert not np.array_equal(rows(11), rows(12))
@@ -111,7 +119,7 @@ def test_permutation_uniform_over_all_120():
     """Chi-square against the uniform law on S_5, counting every permutation."""
     D, n = 5, 120_000
     counts = {}
-    for row in _permutation_rows(generator(derive_seed(91)), n, D):
+    for row in permutation_rows(generator(derive_seed(91)), n, D):
         key = tuple(row)
         counts[key] = counts.get(key, 0) + 1
     assert len(counts) == 120

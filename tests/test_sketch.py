@@ -26,9 +26,9 @@ from oporp.privacy import PrivacySpec, dp_oporp, dp_sign_oporp_rr, dp_sign_oporp
 from oporp.projection import (
     ProjectionDistribution,
     ProjectionKind,
-    _oporp_draws,
     _sparse_signs,
     derive_seed,
+    draw_multipliers,
     gaussian,
     generator,
     rademacher,
@@ -44,6 +44,7 @@ from oporp.sketch import (
     SketchMismatchError,
     SketchPlan,
     _cached_plan,
+    _oporp_draws,
     _pairwise_rows,
     _plan,
     _plan_bytes,
@@ -63,6 +64,20 @@ from oporp.sketch import (
 def plan_rng(seed, flavor="oporp"):
     """The one generator a plan of this seed and flavor draws from."""
     return generator(derive_seed(seed, _STREAMS[flavor]))
+
+
+def row_draws(rng, c, Dp, k, dist, fixed):
+    """c OPORP draws as (c, Dp) rows, from numpy's own calls on ``rng``.
+
+    One int32 tile of range(Dp) shuffled along its rows (fixed binning) or
+    one bounded int32 draw of bin indices (variable binning), then the
+    multipliers: the stream a plan's and a sweep chunk's draw reads.
+    """
+    if fixed:
+        index = rng.permuted(np.tile(np.arange(Dp, dtype=np.int32), (c, 1)), axis=1)
+    else:
+        index = rng.integers(0, k, size=(c, Dp), dtype=np.int32)
+    return index, draw_multipliers(rng, (c, Dp), dist)
 
 
 def cfg(**kw):
@@ -150,7 +165,7 @@ def test_oporp_matches_reconstruction_fixed():
     u = rng.standard_normal(16)
     c = cfg(m=3, seed=21, dist=gaussian())
     sk = oporp_sketch(u, c)
-    perms, R = _oporp_draws(plan_rng(21), 3, 16, 4, gaussian(), True)
+    perms, R = row_draws(plan_rng(21), 3, 16, 4, gaussian(), True)
     for t, (perm, r) in enumerate(zip(perms, R)):
         positions = np.empty(16, dtype=np.int64)
         positions[perm] = np.arange(16)
@@ -164,7 +179,7 @@ def test_oporp_matches_reconstruction_variable():
     u = rng.standard_normal(30)
     c = SketchConfig(dim=30, k=7, binning=Binning.VARIABLE, dist=rademacher(), m=2, seed=5)
     sk = oporp_sketch(u, c)
-    bins, R = _oporp_draws(plan_rng(5), 2, 30, 7, rademacher(), False)
+    bins, R = row_draws(plan_rng(5), 2, 30, 7, rademacher(), False)
     for t, (index, r) in enumerate(zip(bins, R)):
         expected = np.bincount(index, weights=u * r, minlength=7)
         assert np.allclose(sk.reps[t], expected, rtol=0, atol=1e-12)
@@ -319,7 +334,7 @@ PLAN_DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 )
 def test_plan_is_bit_identical_to_per_row_sketches(monkeypatch, dim, k, binning, m, dist):
     # 30 elements per block: one row per block, so 7 rows span 7 blocks
-    monkeypatch.setattr(oporp.sketch, "_BLOCK_ELEMENTS", 30)
+    monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", 30)
     M = np.random.default_rng(15).standard_normal((7, dim))
     config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=41)
     rows = [oporp_sketch(u, config) for u in M]
@@ -336,8 +351,7 @@ def test_plan_repetitions_are_one_sweep_chunk(binning, dist):
     dim, k, m, seed = 23, 6, 5, 44
     config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=seed)
     u = np.random.default_rng(17).standard_normal(dim)
-    u_pad = np.pad(u, (0, config.padded_dim - dim))
-    X, _ = _oporp_chunk(u_pad, u_pad, k, dist, binning, m, plan_rng(seed))
+    X, _ = _oporp_chunk(u, u, k, dist, binning, m, plan_rng(seed))
     assert np.array_equal(SketchPlan(config).sketch(u).reps, X)
 
 
@@ -349,7 +363,7 @@ def reference_apply(config, M):
     """
     dim, k, m, Dp = config.dim, config.k, config.m, config.padded_dim
     fixed = config.binning is Binning.FIXED
-    index, R = _oporp_draws(plan_rng(config.seed), m, Dp, k, config.dist, fixed)
+    index, R = row_draws(plan_rng(config.seed), m, Dp, k, config.dist, fixed)
     W = np.pad(M, ((0, 0), (0, Dp - dim)))
     out = np.empty((M.shape[0], m, k))
     for t, (idx, r) in enumerate(zip(index, R)):
@@ -375,7 +389,7 @@ def test_plan_apply_equals_the_reshape_sum_reference(monkeypatch, dim, k, binnin
     # 100 entries per tile at Dp = 24: 4 repetitions of one row, or 4 rows;
     # 18 entries per bin run through two groups of 8 and a tail of 2
     if block is not None:
-        monkeypatch.setattr(oporp.sketch, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
     M = np.random.default_rng(18).standard_normal((N, dim))
     if N > 1:
         M[-1] = -0.0  # every bin sums to +0.0, as add.reduce gives
@@ -627,6 +641,59 @@ def test_a_large_plan_leaves_nothing_held():
     assert sk.values.shape == (5120,)
 
 
+@pytest.mark.parametrize("dim, m, dist", [
+    (1 << 18, 20, rademacher()), (1 << 17, 4, gaussian()),
+], ids=["rademacher", "gaussian"])
+def test_building_a_fixed_plan_peaks_near_the_arrays_it_holds(dim, m, dist):
+    # the bin-major index was once a contiguous copy of the drawn rows, made
+    # while they were alive, and so were unfolded multipliers: a peak of
+    # twice what the plan holds (40 MiB for 20 MiB at the Rademacher
+    # shape); both plans have int32 indices
+    config = SketchConfig(dim=dim, k=256, binning=Binning.FIXED, dist=dist, m=m)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plan = SketchPlan(config)
+        held, peak = (x - before for x in tracemalloc.get_traced_memory())
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    arrays = sum(a.nbytes for a in plan_arrays(plan))
+    assert plan._indices.dtype == np.int32 and held >= arrays == _plan_bytes(config, "oporp")
+    assert peak <= 1.5 * arrays, f"{peak / 2**20:.1f} MiB peak for {arrays / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("Dp, c, k, dist, folded", [
+    (16, 3, 4, rademacher(), True),
+    (23 * 6, 5, 6, gaussian(), False),
+    (40_000, 2, 8, rademacher(), False),  # a 2 Dp-valued index would need int32
+    (70_000, 2, 7, rademacher(), True),
+    (30, 4, 30, scaled_uniform(), False),
+    (40, 9, 8, sparse(3.0), False),
+    (42, 9, 6, sparse(1.0), False),  # 42 bytes a row: row blocks would draw other bytes
+], ids=["rademacher", "gaussian", "rademacher-unfolded", "rademacher-int32", "one-per-bin",
+        "sparse", "sparse-1"])
+@pytest.mark.parametrize("block", [None, 50], ids=["default-blocks", "row-blocks"])
+def test_fixed_draws_are_the_row_draws_bin_major(monkeypatch, Dp, c, k, dist, folded, block):
+    # 50 entries per block: one row per block, so the normal and uniform
+    # multipliers are drawn row by row, as one call would draw them
+    if block is not None:
+        monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
+    index, r = _oporp_draws(generator(3), c, Dp, k, dist, True)
+    want_index, want_r = row_draws(generator(3), c, Dp, k, dist, True)
+    # entry (l, t, b) is position b * L + l of row t
+    rows = lambda a: a.transpose(1, 2, 0).reshape(c, Dp)
+    assert index.shape == (Dp // k, c, k) and (r is None) == folded
+    if folded:
+        # a negative sign reads row p + Dp of the kernel's signed block
+        want_index = want_index + Dp * (want_r < 0)
+    else:
+        assert r.dtype == want_r.dtype and np.array_equal(rows(r), want_r)
+    assert np.array_equal(rows(index), want_index)
+
+
 @pytest.mark.parametrize("binning", list(Binning), ids=lambda b: b.value)
 def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
     config = cfg(m=3, binning=binning, seed=8)
@@ -642,7 +709,7 @@ def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
     index, signs = plan_draws(plan)
     assert set(np.unique(signs)) == {-1, 1}
     # the arrays hold the values of the one int32 and float draw they narrow
-    want_index, R = _oporp_draws(plan_rng(8), 3, 16, 4, rademacher(), fixed)
+    want_index, R = row_draws(plan_rng(8), 3, 16, 4, rademacher(), fixed)
     assert np.array_equal(index, want_index) and np.array_equal(signs, R)
     assert sum(a.nbytes for a in plan_arrays(plan)) == (2 if fixed else 3) * 3 * 16
 
@@ -858,6 +925,9 @@ def _bits(x):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(config=_configs(), flavor=st.sampled_from(["oporp", "vsrp"]), data=st.data())
 def test_value_files_round_trip_bit_for_bit(tmp_path, config, flavor, data):
+    if flavor == "vsrp":
+        # a vsrp sketch is stored under vsrp_config's (k = 1, variable, sparse) shape
+        config = vsrp_config(config.dim, config.m, data.draw(st.floats(1.0, 1e300)), config.seed)
     n = config.k * config.m
     values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                          min_size=n, max_size=n)), dtype=np.float64)
@@ -885,6 +955,38 @@ def test_sign_files_round_trip_bit_for_bit(tmp_path, config, data):
     back, back_config = load_sign_sketch(str(path))
     assert back_config == config
     assert back.dtype == np.int8 and np.array_equal(back, bits)
+
+
+def test_unknown_flavors_and_non_vsrp_configs_are_refused(tmp_path):
+    # Sketch took any flavor, and save_sketch then raised KeyError on it
+    with pytest.raises(ValueError, match="unknown sketch flavor"):
+        Sketch(np.zeros(4), cfg(), "bogus")
+    # a vsrp sketch is k = 1 bin, variable binning and sparse columns
+    for config in (cfg(), cfg(k=1, binning=Binning.VARIABLE), cfg(k=1, dist=sparse(3.0))):
+        with pytest.raises(ValueError, match="vsrp_config"):
+            Sketch(np.zeros(config.k), config, "vsrp")
+    Sketch(np.zeros(4), vsrp_config(16, 4, 3.0, 0), "vsrp")
+
+
+def test_loaders_refuse_a_flavor_the_header_cannot_have(tmp_path):
+    # a vsrp flavor byte on a k = 4, fixed, Rademacher file loaded, and estimated
+    u = np.random.default_rng(29).standard_normal(16)
+    path = tmp_path / "v.bin"
+    save_sketch(str(path), oporp_sketch(u, cfg(seed=6)))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:7] + b"\x01" + raw[8:])
+    with pytest.raises(SketchFileError, match="vsrp_config"):
+        load_sketch(str(path))
+    # load_sign_sketch read past the flavor byte, whatever it held
+    spath = tmp_path / "s.bin"
+    config = vsrp_config(16, 4, 3.0, 0)
+    save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), config)
+    raw = spath.read_bytes()
+    assert load_sign_sketch(str(spath))[1] == config
+    for flavor, error in ((b"\x01", "not 'vsrp'"), (b"\x07", "header field")):
+        spath.write_bytes(raw[:7] + flavor + raw[8:])
+        with pytest.raises(SketchFileError, match=error):
+            load_sign_sketch(str(spath))
 
 
 def test_sign_save_rejects_non_sign_values(tmp_path):
