@@ -20,10 +20,8 @@ trials, k = 64 bins, VSRP k = 16 samples at s = 3), in ms:
 - raw_words_2mb: 2**18 full-range uint64 draws, the generator's own speed
 - rademacher: ``draw_multipliers`` of a (2000, 1024) Rademacher block
 - draws_fixed, draws_variable: ``sketch._oporp_draws`` of 2000 Rademacher
-  trials in the layout the bin-sum kernel reads: the permutations, bin-major
-  with the signs folded in, or the bin indices in [0, 64) and the signs
-  (on trees that drew row-major rows first, those rows and their
-  ``_gather_rows``)
+  trials: the permutations with the signs folded in, or the bin indices in
+  [0, 64) and the signs
 - chunk_fixed, chunk_variable: one ``_oporp_chunk`` of 2000 Rademacher
   trials, its draws and the bin sums of both sides of a pair
 - sums_fixed, sums_variable: the chunk's bin sums alone, its median less
@@ -87,10 +85,7 @@ def _worker() -> None:
     sign = rademacher()
 
     def draws(rng, fixed):
-        index, r = sketch._oporp_draws(rng, TRIALS, D, K, sign, fixed)
-        if fixed and hasattr(sketch, "_gather_rows"):  # row-major draws, then the kernel's view
-            return sketch._gather_rows(index, r, K, sign)
-        return index, r
+        return sketch._oporp_draws(rng, TRIALS, D, K, sign, fixed)
 
     cells = {
         "raw_words_2mb": lambda rng: rng.integers(0, 1 << 64, size=1 << 18, dtype=np.uint64),

@@ -215,6 +215,11 @@ def _cmd_sketch(args) -> int:
     M = load_matrix(args.input)
     u = _row(M, args.row, args.input)
     if args.vsrp:
+        # k samples of sparse(--s) columns: no repetitions, bins or other multipliers.
+        if args.m != 1 or args.scheme == "variable" or args.dist in ("gaussian", "scaled-uniform"):
+            raise ValueError("--vsrp takes only --m 1, --scheme fixed and --dist rademacher "
+                             f"or sparse, got --m {args.m} --scheme {args.scheme} "
+                             f"--dist {args.dist}")
         sk = vsrp_sketch(u, u.shape[0], args.k, args.s, args.seed)
     else:
         sk = oporp_sketch(u, _config_from_args(args, u.shape[0]))

@@ -166,8 +166,8 @@ def _oporp_chunk(
 
     Only the draws are chunk-sized: the draw of an m = c plan, one
     permutation (fixed binning) or bin-index row (variable binning) and one
-    multiplier row per trial, made in the layout the plan's kernel reads.
-    The pair is sketched as that kernel sketches two rows.
+    multiplier row per trial. The pair is sketched as the plan's kernel
+    sketches two rows.
     """
     fixed = scheme is Binning.FIXED
     index, R = _oporp_draws(rng, c, _padded_dim(u.shape[0], k, scheme), k, dist, fixed)
@@ -175,27 +175,10 @@ def _oporp_chunk(
     return X.reshape(c, k), Y.reshape(c, k)
 
 
-def _vsrp_chunk(
-    u: np.ndarray, v: np.ndarray, k: int, s: float, c: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """c independent k-sample sparse-projection pairs, shapes (c, k).
-
-    Each sample is sqrt(s) times the sum of u (and v) over a random
-    ternary row: sign +-1 with probability 1/s per coordinate, else 0 (Li,
-    Hastie and Church, KDD 2006). Below ``_DENSE_VSRP_BELOW`` the dense
-    byte kernel draws one random byte per coordinate; from there on the
-    gap kernel draws only the nonzero entries, which is cheaper when they
-    are rare.
-    """
-    if s < _DENSE_VSRP_BELOW:
-        return _vsrp_dense(u, v, k, s, c, rng)
-    return _vsrp_gaps(u, v, k, s, c, rng)
-
-
 def _vsrp_dense(
     u: np.ndarray, v: np.ndarray, k: int, s: float, c: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense kernel of :func:`_vsrp_chunk`: one random byte per (sample, coordinate).
+    """c k-sample VSRP pairs, shapes (c, k), from one random byte per (sample, coordinate).
 
     The chunk's {-1, 0, +1} entries come from the package's one sparse
     sampler, :func:`~oporp.projection._sparse_signs`. Each block of whole
@@ -222,7 +205,7 @@ def _vsrp_dense(
 def _vsrp_gaps(
     u: np.ndarray, v: np.ndarray, k: int, s: float, c: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gap kernel of :func:`_vsrp_chunk`, for s > 1.
+    """c k-sample VSRP pairs, shapes (c, k), from the nonzero entries alone, for s > 1.
 
     Only the nonzero entries of the flattened (c, k, D) projection are
     drawn: geometric gaps between them by inversion, one sign bit each,
@@ -284,17 +267,23 @@ def _cell_draws(family: str, u, v, k: int, s: float, dist, scheme: Binning):
 
     ``draw(c, rng)`` returns c independent single-repetition sketch pairs,
     shapes (c, k): OPORP sketches, or k-sample VSRP sketches pooled as one
-    repetition each.
+    repetition each. A VSRP sample is sqrt(s) times the sum of u (and v)
+    over a random ternary row: sign +-1 with probability 1/s per
+    coordinate, else 0 (Li, Hastie and Church, KDD 2006). Below
+    ``_DENSE_VSRP_BELOW`` the dense byte kernel draws one random byte per
+    coordinate (:func:`_vsrp_dense`); from there on the gap kernel draws
+    only the nonzero entries, which is cheaper when they are rare
+    (:func:`_vsrp_gaps`).
     """
     D = u.shape[0]
     if family == "vsrp":
         if s < _DENSE_VSRP_BELOW:
             # _CHUNK_ELEMENTS random bytes per chunk.
-            chunk = max(1, _CHUNK_ELEMENTS // (D * k))
+            chunk, kernel = max(1, _CHUNK_ELEMENTS // (D * k)), _vsrp_dense
         else:
             # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
-            chunk = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k))
-        return chunk, lambda c, rng: _vsrp_chunk(u, v, k, s, c, rng)
+            chunk, kernel = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k)), _vsrp_gaps
+        return chunk, lambda c, rng: kernel(u, v, k, s, c, rng)
     chunk = max(1, _CHUNK_ELEMENTS // _padded_dim(D, k, scheme))
     return chunk, lambda c, rng: _oporp_chunk(u, v, k, dist, scheme, c, rng)
 

@@ -18,10 +18,11 @@ multipliers as float64 (:func:`_multiplier_dtype`), and indices
 (permutations of range(Dp), or bin indices in [0, k)) as uint16 up to
 2**16 values, else int32. Multiplying by +-1 is exact in any dtype, and
 gathers and bin counts widen indices to intp, so no result depends on the
-storage. An OPORP draw is made straight into the layout the sketch kernel
-reads (:func:`oporp.sketch._oporp_draws`): this module supplies the
-multipliers, the bin-index rows and the one block-size rule
-(:func:`_block_rows`) that the index draws and the kernels share.
+storage. An OPORP draw (:func:`oporp.sketch._oporp_draws`) keeps the
+(c, Dp) rows numpy makes: this module supplies the multipliers, the
+permutation and bin-index rows (:func:`_permutations`, :func:`_bin_rows`)
+and the one block-size rule (:func:`_block_rows`) that the index draws and
+the kernels share.
 """
 
 from __future__ import annotations
@@ -145,7 +146,10 @@ def draw_multipliers(
     if dist.kind is ProjectionKind.GAUSSIAN:
         return rng.standard_normal(shape)
     if dist.kind is ProjectionKind.SCALED_UNIFORM:
-        return np.sqrt(3.0) * rng.uniform(-1.0, 1.0, size=shape)
+        # Scaled in place: the same products, without a second array.
+        r = rng.uniform(-1.0, 1.0, size=shape)
+        r *= math.sqrt(3.0)
+        return r
     return math.sqrt(dist.sparsity) * _sparse_signs(rng, shape, dist.sparsity)
 
 
@@ -235,4 +239,23 @@ def _bin_rows(rng: np.random.Generator, c: int, Dp: int, k: int) -> np.ndarray:
     for lo in range(0, c, step):
         rows = min(step, c - lo)
         index[lo : lo + rows] = rng.integers(0, k, size=(rows, Dp), dtype=np.int32)
+    return index
+
+
+def _permutations(rng: np.random.Generator, c: int, Dp: int, dtype) -> np.ndarray:
+    """(c, Dp) permutations of range(Dp), stored as ``dtype``: one int32 tile shuffled along its rows.
+
+    numpy shuffles 8-byte items on a fast path, so blocks of rows are
+    shuffled as int64: the same draws, and stream position after, as
+    shuffling the int32 tile.
+    """
+    index = np.empty((c, Dp), dtype=dtype)
+    step = _block_rows(Dp, c)
+    shuffle = np.empty((step, Dp), dtype=np.int64)
+    identity = np.arange(Dp, dtype=np.int64)
+    for lo in range(0, c, step):
+        perms = shuffle[: min(step, c - lo)]
+        perms[:] = identity
+        rng.permuted(perms, axis=1, out=perms)
+        index[lo : lo + perms.shape[0]] = perms
     return index

@@ -33,16 +33,15 @@ package keeps the plans of the last ``_PLAN_CACHE_SIZE`` = 2 (config, flavor)
 pairs it used (:func:`_plan`, an LRU cache): ``oporp_sketch``,
 ``vsrp_sketch``, the DP releases and ``similarity_matrix`` all go through
 it, and sketching many vectors one call at a time draws each config once.
-Draws are made in the layout the kernel reads (:func:`_oporp_draws`) and
-stored compactly (:func:`_draw_dtypes`). An OPORP plan holds m*padded_dim
-indices, uint16 while they take at most 65536 values and int32 beyond,
-and, unless they are folded into the index, as many multipliers, int8 for
-Rademacher signs and float64 otherwise. A fixed-binning draw writes its
-permutations bin-major as it shuffles them, with no second copy, and
-folds Rademacher signs into them: index p + padded_dim reads -x_p, so the
-index takes 2*padded_dim values. It folds only where that keeps the
-index's dtype, so a Rademacher plan holds 2 bytes per entry up to 32768
-positions, 3 up to 65536 and 4 beyond. A variable-binning plan keeps its
+Draws are kept as numpy makes them, (m, padded_dim) rows
+(:func:`_oporp_draws`), and stored compactly (:func:`_draw_dtypes`). An
+OPORP plan holds m*padded_dim indices, uint16 while they take at most
+65536 values and int32 beyond, and, unless they are folded into the
+index, as many multipliers, int8 for Rademacher signs and float64
+otherwise. A fixed-binning draw folds Rademacher signs into its
+permutations: index p + padded_dim reads -x_p, so the index takes
+2*padded_dim values, and a Rademacher plan holds 2 bytes per entry up to
+32768 positions and 4 beyond. A variable-binning plan keeps its
 k-valued bin indices beside the multipliers: 3 bytes per entry for
 Rademacher signs (5 with int32 indices). Any other distribution takes 10
 bytes per entry (12). A VSRP plan holds the dim x m float64 matrix (8
@@ -55,9 +54,10 @@ The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
 shared by the plan and the Monte-Carlo sweep (a sweep chunk is a plan of
 c repetitions applied to its pair of rows). It works in tiles of about
 ``projection._BLOCK_ELEMENTS`` entries (:func:`_tile`): repetitions
-first, then as many rows as still fit. Fixed binning writes a tile's rows transposed,
-with their negations, copies whole rows of that block with one gather
-per tile, bin-major, and sums every bin with vector adds in numpy's own
+first, then as many rows as still fit. Fixed binning reads the draws
+bin-major (:func:`_bin_major`), writes a tile's rows transposed, with
+their negations, copies whole rows of that block with one gather per
+tile, bin-major, and sums every bin with vector adds in numpy's own
 pairwise order (:func:`_pairwise_rows`), so each bin has the bits of
 ``np.sum`` over its products. Variable binning sums a tile's products
 with one ``bincount``. Every bin sums its own entries in a fixed order,
@@ -112,7 +112,7 @@ from .projection import (
     _block_rows,
     _index_dtype,
     _multiplier_dtype,
-    _sparse_signs,
+    _permutations,
     check_seed,
     derive_seed,
     draw_multipliers,
@@ -295,11 +295,11 @@ def _check_flavor(config: SketchConfig, flavor: str) -> None:
 class SketchPlan:
     """A config's randomness, drawn once and applied to any number of rows.
 
-    An ``"oporp"`` plan holds the repetitions' draws as the kernel reads
-    them (:func:`_oporp_draws`): (m, padded_dim) bin indices and
-    multipliers under variable binning; under fixed binning an (L, m, k)
-    bin-major index with its multipliers in the same layout, or with
-    Rademacher signs folded into it. A ``"vsrp"`` plan, built
+    An ``"oporp"`` plan holds the repetitions' draws as drawn
+    (:func:`_oporp_draws`): (m, padded_dim) bin indices (variable binning)
+    or permutations (fixed binning) and as many multipliers; a
+    fixed-binning Rademacher plan folds its signs into the permutations
+    and holds no multipliers. A ``"vsrp"`` plan, built
     on a :func:`vsrp_config`, holds the dim x m sparse projection matrix.
     Each plan draws from one generator keyed by its seed and flavor, the
     stream the single-vector functions use, so all rows sketched under one
@@ -424,73 +424,39 @@ def _tile(N: int, m: int, Dp: int) -> tuple[int, int]:
 def _draw_dtypes(dist: ProjectionDistribution, Dp: int, k: int, fixed: bool):
     """(index, multiplier) dtypes of :func:`_oporp_draws`; None for signs folded into the index.
 
-    Bin indices take k values and permutations Dp. A fixed-binning draw
-    folds Rademacher signs into its index, which then takes 2*Dp values,
-    when that needs no wider dtype than the permutation's, so no plan grows.
+    Bin indices take k values and permutations Dp; a fixed-binning draw
+    folds Rademacher signs into its permutations, which then take 2*Dp.
     """
-    index = _index_dtype(Dp if fixed else k)
-    folds = fixed and dist.kind is ProjectionKind.RADEMACHER and _index_dtype(2 * Dp) == index
-    return index, None if folds else _multiplier_dtype(dist)
+    folds = fixed and dist.kind is ProjectionKind.RADEMACHER
+    values = (2 * Dp if folds else Dp) if fixed else k
+    return _index_dtype(values), None if folds else _multiplier_dtype(dist)
 
 
 def _oporp_draws(rng: np.random.Generator, c: int, Dp: int, k: int, dist, fixed: bool):
-    """c OPORP draws, a plan's m repetitions or a sweep chunk's trials, as _bin_sums reads them.
+    """c OPORP draws, a plan's m repetitions or a sweep chunk's trials, as (c, Dp) rows.
 
-    The stream holds c index rows, then (c, Dp) multipliers. Variable
-    binning keeps both as rows. Fixed binning draws c permutations into an
-    (L, c, k) bin-major index (:func:`_permutations`), and float
-    multipliers into that layout a block of rows at a time (normal and
-    uniform ones take one stream value each; sparse ones scale the int8
-    signs of one draw, as draw_multipliers does). Rademacher signs are
-    viewed in it, or, where :func:`_draw_dtypes` folds them, added to the
-    index in place: a negative sign reads row p + Dp of the kernel's
-    signed block, which holds -x_p, and the multipliers come back as None.
+    The stream holds c index rows, permutations of range(Dp) under fixed
+    binning (:func:`_permutations`) or bin indices in [0, k) under variable
+    binning (:func:`_bin_rows`), then the (c, Dp) multipliers of one
+    ``draw_multipliers`` call. Fixed binning adds Rademacher signs to its
+    permutations in place, one block of rows at a time: a negative sign
+    makes index p read p + Dp, the row of the kernel's signed block that
+    holds -x_p, and the multipliers come back as None.
     """
-    if not fixed:
-        return _bin_rows(rng, c, Dp, k), draw_multipliers(rng, (c, Dp), dist)
     dtype, r_dtype = _draw_dtypes(dist, Dp, k, fixed)
-    index = _permutations(rng, c, Dp, k, dtype)
-    step = _block_rows(Dp, c)
-    if r_dtype == np.float64:
-        sparse_kind = dist.kind is ProjectionKind.SPARSE
-        signs = _sparse_signs(rng, (c, Dp), dist.sparsity) if sparse_kind else None
-        r = np.empty(index.shape)
-        for lo in range(0, c, step):
-            h = min(step, c - lo)
-            block = (draw_multipliers(rng, (h, Dp), dist) if signs is None
-                     else math.sqrt(dist.sparsity) * signs[lo : lo + h])
-            r[:, lo : lo + h] = _bin_major(block, k)
-        return index, r
+    index = _permutations(rng, c, Dp, dtype) if fixed else _bin_rows(rng, c, Dp, k)
     r = draw_multipliers(rng, (c, Dp), dist)
     if r_dtype is not None:
-        return index, _bin_major(r, k)
+        return index, r
+    step = _block_rows(Dp, c)
     negative = np.empty((step, Dp), dtype=dtype)
     for lo in range(0, c, step):
         # -1 is the int8 byte 255, whose top bit marks a negative sign.
         block = r[lo : lo + step].view(np.uint8)
         mask = np.right_shift(block, 7, out=negative[: block.shape[0]])
         mask *= Dp
-        index[:, lo : lo + step] += _bin_major(mask, k)
+        index[lo : lo + step] += mask
     return index, None
-
-
-def _permutations(rng: np.random.Generator, c: int, Dp: int, k: int, dtype) -> np.ndarray:
-    """c permutations of range(Dp), drawn in row order into an (L, c, k) bin-major index.
-
-    numpy shuffles 8-byte items on a fast path, so blocks of rows are shuffled
-    as int64: the same draws, and stream position after, as shuffling one
-    int32 tile along its rows. Entry (l, t, b) is position b*L + l of row t.
-    """
-    index = np.empty((Dp // k, c, k), dtype=dtype)
-    step = _block_rows(Dp, c)
-    shuffle = np.empty((step, Dp), dtype=np.int64)
-    identity = np.arange(Dp, dtype=dtype)
-    for lo in range(0, c, step):
-        perms = shuffle[: min(step, c - lo)]
-        perms[:] = identity
-        rng.permuted(perms, axis=1, out=perms)
-        index[:, lo : lo + perms.shape[0]] = _bin_major(perms, k)
-    return index
 
 
 def _bin_major(rows: np.ndarray, k: int) -> np.ndarray:
@@ -502,13 +468,14 @@ def _bin_sums(M: np.ndarray, index: np.ndarray, r, k: int, fixed: bool) -> np.nd
     """(N, c*k) bin sums of the rows of M under c draws, each row repetition-major.
 
     The gather x multiply -> bin sum kernel of a plan and of a sweep chunk
-    (a plan of c repetitions applied to two rows), reading the draws of
-    :func:`_oporp_draws`. The rows need no padding: fixed binning
+    (a plan of c repetitions applied to two rows), reading the (c, Dp)
+    rows of :func:`_oporp_draws`; fixed binning reads them bin-major
+    (:func:`_bin_major`). The rows of M need no padding: fixed binning
     zero-pads them to padded_dim itself.
     """
-    out = np.empty((M.shape[0], index.shape[1 if fixed else 0] * k))
+    out = np.empty((M.shape[0], index.shape[0] * k))
     if fixed:
-        _fixed_sums(M, index, r, out)
+        _fixed_sums(M, _bin_major(index, k), None if r is None else _bin_major(r, k), out)
     else:
         _variable_sums(M, index, r, k, out)
     return out
@@ -517,7 +484,7 @@ def _bin_sums(M: np.ndarray, index: np.ndarray, r, k: int, fixed: bool) -> np.nd
 def _fixed_sums(M: np.ndarray, index: np.ndarray, r, out: np.ndarray) -> None:
     """Fixed-binning bin sums of the rows of M into out, (N, c*k) repetition-major.
 
-    ``index`` and ``r`` are the (L, c, k) :func:`_oporp_draws`. A tile of rows
+    ``index`` and ``r`` are the (L, c, k) views of the draws. A tile of rows
     is written transposed into T: [W^T; -W^T] when the signs are folded
     (r is None), else W^T, zero-padded to Dp rows either way (0.0 and
     -0.0, as a padded zero times -1). One ``np.take`` per tile copies

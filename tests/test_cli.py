@@ -124,6 +124,24 @@ def test_vsrp_sketch_and_estimate(tmp_path, capsys, matrix_file):
     assert -1.0 <= float(out.split()[-1]) <= 1.0
 
 
+@pytest.mark.parametrize("flags", [
+    ["--m", "5"], ["--scheme", "variable"], ["--dist", "gaussian"],
+    ["--dist", "scaled-uniform"], ["--dist", "gaussian", "--m", "5", "--scheme", "variable"],
+], ids=["m", "scheme", "gaussian", "scaled-uniform", "all"])
+def test_vsrp_sketch_refuses_oporp_only_flags(tmp_path, capsys, matrix_file, flags):
+    # these flags were once ignored: a k = 8 sparse(1) sketch came out regardless
+    path, _ = matrix_file
+    out = str(tmp_path / "x.sk")
+    argv = ["sketch", "--input", path, "--k", "8", "--vsrp", "--out", out] + flags
+    assert run(argv) == 4
+    assert "--vsrp" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # the flags that fit a VSRP sketch still run
+    for ok in (["--dist", "sparse", "--s", "3"], ["--m", "1", "--scheme", "fixed"]):
+        run_ok(capsys, argv[:-len(flags)] + ok)
+        assert load_sketch(out).values.shape == (8,)
+
+
 def test_estimate_refuses_the_other_familys_sketches(tmp_path, capsys, matrix_file):
     path, _ = matrix_file
     x, y = str(tmp_path / "x.sk"), str(tmp_path / "y.sk")

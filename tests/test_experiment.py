@@ -14,8 +14,8 @@ import pytest
 from oporp.estimate import inner_product_hat
 from oporp.experiment import (
     ConvergenceError,
+    _cell_draws,
     _ranked,
-    _vsrp_chunk,
     PRPoint,
     area_under_pr,
     distribution_for_moment,
@@ -45,6 +45,11 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 from oporp.variance import pair_statistics, var_inner
+
+
+def vsrp_pairs(u, v, k, s, c, rng):
+    """c k-sample VSRP pairs from the kernel a sweep cell picks for s."""
+    return _cell_draws("vsrp", u, v, k, s, None, Binning.VARIABLE)[1](c, rng)
 
 
 # --- synthetic pairs -----------------------------------------------------------
@@ -146,7 +151,7 @@ def test_sparse_vsrp_empty_samples_are_exactly_zero():
     u = np.array([1.0, 2.0, 4.0, 8.0])
     v = np.array([1.0, 3.0, 9.0, 27.0])
     s, c, k = 50.0, 2000, 2
-    X, Y = _vsrp_chunk(u, v, k, s, c, generator(derive_seed(5)))
+    X, Y = vsrp_pairs(u, v, k, s, c, generator(derive_seed(5)))
     assert X.shape == Y.shape == (c, k)
     empty = X == 0.0
     assert np.array_equal(empty, Y == 0.0)
@@ -167,7 +172,7 @@ def test_dense_vsrp_entries_have_rate_one_in_s_and_balanced_signs():
     s, D, c, k = 3.0, 21, 12_000, 8
     u = np.ones(D)
     v = 3.0 ** np.arange(D)
-    X, Y = _vsrp_chunk(u, v, k, s, c, generator(derive_seed(12)))
+    X, Y = vsrp_pairs(u, v, k, s, c, generator(derive_seed(12)))
     x = np.rint(Y.ravel() / math.sqrt(s)).astype(np.int64)
     digits = np.empty((x.shape[0], D), dtype=np.int64)
     for j in range(D):
@@ -200,7 +205,7 @@ def test_sparse_vsrp_products_have_the_paper_moments(s, D):
     """E[XY] = a and Var[XY] = |u|^2 |v|^2 + a^2 + (s - 3) sum u^2 v^2 per sample."""
     rng = np.random.default_rng(14)
     u, v = rng.standard_normal(D), rng.standard_normal(D)
-    X, Y = _vsrp_chunk(u, v, 8, s, 25_000, generator(derive_seed(6, int(s))))
+    X, Y = vsrp_pairs(u, v, 8, s, 25_000, generator(derive_seed(6, int(s))))
     Z = (X * Y).ravel()
     n = Z.shape[0]
     a = float(u @ v)
@@ -257,12 +262,11 @@ def test_permutation_rows_match_one_shuffled_int32_tile(monkeypatch, Dp, c, k, b
     index, R = _oporp_draws(rng, c, Dp, k, gaussian(), True)
     ref = np.tile(np.arange(Dp, dtype=np.int32), (c, 1))
     ref_rng.permuted(ref, axis=1, out=ref)
-    # drawn bin-major: entry (l, t, b) is position b * L + l of permutation
-    # t; stored as uint16 up to Dp = 2**16, as int32 beyond
-    assert index.shape == (Dp // k, c, k)
+    # one row per permutation, stored as uint16 up to Dp = 2**16, as int32 beyond
+    assert index.shape == R.shape == (c, Dp)
     assert index.dtype == (np.uint16 if Dp <= 1 << 16 else np.int32)
-    assert np.array_equal(index.transpose(1, 2, 0).reshape(c, Dp), ref)
-    assert np.array_equal(R.transpose(1, 2, 0).reshape(c, Dp), ref_rng.standard_normal((c, Dp)))
+    assert np.array_equal(index, ref)
+    assert np.array_equal(R, ref_rng.standard_normal((c, Dp)))
     assert rng.random() == ref_rng.random()
 
 

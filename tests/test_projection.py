@@ -29,13 +29,12 @@ from oporp.sketch import Binning, SketchConfig, _oporp_draws
 
 
 def permutation_rows(rng, c, D):
-    """The c permutations of a fixed-binning draw with one bin, as (c, D) rows.
+    """The c permutations of a fixed-binning draw, (c, D) rows.
 
-    With k = 1 the bin-major (L, c, k) index is (D, c, 1); Gaussian
-    multipliers keep the signs out of it.
+    Gaussian multipliers keep the signs out of them.
     """
     index, _ = _oporp_draws(rng, c, D, 1, gaussian(), fixed=True)
-    return index[:, :, 0].T
+    return index
 
 
 def test_fourth_moments_exact():

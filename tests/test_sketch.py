@@ -518,20 +518,16 @@ def plan_arrays(plan):
 
 
 def plan_draws(plan):
-    """The (m, Dp) index and multiplier rows a plan stores, decoded.
+    """The (m, Dp) index and multiplier rows a plan stores, its folded signs taken out.
 
-    A fixed-binning plan stores them bin-major, (L, m, k), and a folded
-    Rademacher plan keeps no multipliers: an index p + Dp reads -x_p.
+    A fixed-binning Rademacher plan keeps no multipliers: an index p + Dp
+    reads -x_p.
     """
     index, r = plan._indices, plan._multipliers
-    if plan.config.binning is Binning.VARIABLE:
+    if r is not None:
         return index, r
-    m, Dp = plan.config.m, plan.config.padded_dim
-    rows = lambda a: a.transpose(1, 2, 0).reshape(m, Dp)
-    if r is None:
-        index = rows(index)
-        return index % Dp, np.where(index < Dp, 1, -1).astype(np.int8)
-    return rows(index), rows(r)
+    Dp = plan.config.padded_dim
+    return index % Dp, np.where(index < Dp, 1, -1).astype(np.int8)
 
 
 CACHE_CASES = [
@@ -642,14 +638,17 @@ def test_a_large_plan_leaves_nothing_held():
 
 
 @pytest.mark.parametrize("dim, m, dist", [
-    (1 << 18, 20, rademacher()), (1 << 17, 4, gaussian()),
-], ids=["rademacher", "gaussian"])
-def test_building_a_fixed_plan_peaks_near_the_arrays_it_holds(dim, m, dist):
-    # the bin-major index was once a contiguous copy of the drawn rows, made
-    # while they were alive, and so were unfolded multipliers: a peak of
-    # twice what the plan holds (40 MiB for 20 MiB at the Rademacher
-    # shape); both plans have int32 indices
-    config = SketchConfig(dim=dim, k=256, binning=Binning.FIXED, dist=dist, m=m)
+    (1 << 18, 20, rademacher()), (1 << 17, 4, gaussian()), (1 << 17, 4, scaled_uniform()),
+    (1 << 17, 4, sparse(3.0)),
+], ids=["rademacher", "gaussian", "scaled_uniform", "sparse"])
+@pytest.mark.parametrize("binning", list(Binning), ids=lambda b: b.value)
+def test_building_a_fixed_plan_peaks_near_the_arrays_it_holds(dim, m, dist, binning):
+    # a fixed plan's bin-major index was once a contiguous copy of the
+    # drawn rows, made while they were alive, and so were unfolded
+    # multipliers: a peak of twice what the plan holds (40 MiB for 20 MiB
+    # at the fixed Rademacher shape); scaled-uniform multipliers were once
+    # scaled into a second array (1.8x for a variable plan)
+    config = SketchConfig(dim=dim, k=256, binning=binning, dist=dist, m=m)
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
@@ -661,37 +660,39 @@ def test_building_a_fixed_plan_peaks_near_the_arrays_it_holds(dim, m, dist):
         if not was_tracing:
             tracemalloc.stop()
     arrays = sum(a.nbytes for a in plan_arrays(plan))
-    assert plan._indices.dtype == np.int32 and held >= arrays == _plan_bytes(config, "oporp")
+    # fixed plans have int32 indices, variable ones uint16 bin indices
+    fixed = binning is Binning.FIXED
+    assert plan._indices.dtype == (np.int32 if fixed else np.uint16)
+    assert held >= arrays == _plan_bytes(config, "oporp")
     assert peak <= 1.5 * arrays, f"{peak / 2**20:.1f} MiB peak for {arrays / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("Dp, c, k, dist, folded", [
     (16, 3, 4, rademacher(), True),
     (23 * 6, 5, 6, gaussian(), False),
-    (40_000, 2, 8, rademacher(), False),  # a 2 Dp-valued index would need int32
+    (40_000, 2, 8, rademacher(), True),  # the 2 Dp-valued index is int32
     (70_000, 2, 7, rademacher(), True),
     (30, 4, 30, scaled_uniform(), False),
     (40, 9, 8, sparse(3.0), False),
     (42, 9, 6, sparse(1.0), False),  # 42 bytes a row: row blocks would draw other bytes
-], ids=["rademacher", "gaussian", "rademacher-unfolded", "rademacher-int32", "one-per-bin",
+], ids=["rademacher", "gaussian", "rademacher-40000", "rademacher-int32", "one-per-bin",
         "sparse", "sparse-1"])
 @pytest.mark.parametrize("block", [None, 50], ids=["default-blocks", "row-blocks"])
-def test_fixed_draws_are_the_row_draws_bin_major(monkeypatch, Dp, c, k, dist, folded, block):
-    # 50 entries per block: one row per block, so the normal and uniform
-    # multipliers are drawn row by row, as one call would draw them
+def test_fixed_draws_are_the_row_draws(monkeypatch, Dp, c, k, dist, folded, block):
+    # 50 entries per block: one row per block, so the permutations are
+    # shuffled and the signs folded row by row
     if block is not None:
         monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
     index, r = _oporp_draws(generator(3), c, Dp, k, dist, True)
     want_index, want_r = row_draws(generator(3), c, Dp, k, dist, True)
-    # entry (l, t, b) is position b * L + l of row t
-    rows = lambda a: a.transpose(1, 2, 0).reshape(c, Dp)
-    assert index.shape == (Dp // k, c, k) and (r is None) == folded
+    assert index.shape == (c, Dp) and (r is None) == folded
     if folded:
         # a negative sign reads row p + Dp of the kernel's signed block
         want_index = want_index + Dp * (want_r < 0)
+        assert index.dtype == (np.uint16 if 2 * Dp <= 1 << 16 else np.int32)
     else:
-        assert r.dtype == want_r.dtype and np.array_equal(rows(r), want_r)
-    assert np.array_equal(rows(index), want_index)
+        assert r.dtype == want_r.dtype and np.array_equal(r, want_r)
+    assert np.array_equal(index, want_index)
 
 
 @pytest.mark.parametrize("binning", list(Binning), ids=lambda b: b.value)
@@ -703,7 +704,7 @@ def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
     # a fixed plan folds its int8 signs into the index (2 bytes per entry),
     # a variable one keeps them next to it (3 bytes per entry)
     if fixed:
-        assert plan._multipliers is None and plan._indices.shape == (4, 3, 4)
+        assert plan._multipliers is None and plan._indices.shape == (3, 16)
     else:
         assert plan._multipliers.dtype == np.int8
     index, signs = plan_draws(plan)
@@ -715,14 +716,19 @@ def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
 
 
 @pytest.mark.parametrize("config, dtype", [
-    (cfg(dim=1 << 16, k=1), np.uint16),
+    (cfg(dim=1 << 15, k=1), np.uint16),
+    (cfg(dim=(1 << 15) + 1, k=1), np.int32),
+    (cfg(dim=1 << 16, k=1), np.int32),
     (cfg(dim=(1 << 16) + 1, k=1), np.int32),
+    (cfg(dim=1 << 16, k=1, dist=gaussian()), np.uint16),
+    (cfg(dim=(1 << 16) + 1, k=1, dist=gaussian()), np.int32),
     (cfg(dim=3, k=1 << 16, binning=Binning.VARIABLE), np.uint16),
     (cfg(dim=3, k=(1 << 16) + 1, binning=Binning.VARIABLE), np.int32),
-], ids=["fixed-65536", "fixed-65537", "variable-65536", "variable-65537"])
+], ids=["fixed-32768", "fixed-32769", "fixed-65536", "fixed-65537", "fixed-gaussian-65536",
+        "fixed-gaussian-65537", "variable-65536", "variable-65537"])
 def test_plan_indices_are_int32_beyond_65536_values(config, dtype):
-    # a permutation of range(Dp) takes Dp values, a bin index k; signs fold
-    # into a fixed plan's index only when its 2 Dp values keep that dtype
+    # a permutation of range(Dp) takes Dp values, a bin index k; Rademacher
+    # signs always fold into a fixed plan's index, which then takes 2 Dp
     plan = SketchPlan(config)
     assert plan._indices.dtype == dtype
     index, _ = plan_draws(plan)
@@ -730,7 +736,8 @@ def test_plan_indices_are_int32_beyond_65536_values(config, dtype):
     assert 0 <= index.min() and index.max() < top
     if config.binning is Binning.FIXED:
         assert np.array_equal(np.sort(index[0]), np.arange(top))
-        assert (plan._multipliers is None) == (dtype == np.int32)
+        rademacher_kind = config.dist.kind is ProjectionKind.RADEMACHER
+        assert (plan._multipliers is None) == rademacher_kind
 
 
 @pytest.mark.parametrize("dist", PLAN_DISTS, ids=lambda d: d.kind.value)
