@@ -22,12 +22,16 @@ The build cells are three shapes times three multiplier distributions
 - cli_pairs: D = 16384, k = 1024, m = 1, fixed bins (the bench CLI config)
 
 The apply cells time ``plan.apply(M)`` of a Rademacher plan on N standard
-normal rows:
+normal rows, each cell its own number of times:
 
 - apply/retrieval_fixed, apply/retrieval_variable: N = 660 (the bench's
   600 base and 60 query rows), D = 1024, k = 64, m = 8, either binning
 - apply/cli_pairs: N = 1, D = 16384, k = 1024, m = 1, fixed bins
 - apply/criterion_06: N = 1, D = 64, k = 1, m = 16, variable bins
+- apply/long_bins_k16, apply/k1, apply/k1_m16: N = 1 with fixed bins of
+  4096 entries (D = 65536, k = 16, m = 1), 4096 (D = 4096, k = 1, m = 1)
+  and 65536 (D = 65536, k = 1, m = 16), where the order of the bin sum
+  shows; fewer applications, as one took up to 0.2 s under format 3
 
 Only the public ``SketchPlan``, ``SketchConfig``, ``Binning`` and
 distribution constructors are used, so any version of the package can be
@@ -50,16 +54,17 @@ SHAPES = {
     "cli_pairs": (16384, 1024, 1, "fixed"),
 }
 DISTS = ("rademacher", "sparse3", "sparse10")
-# Apply cells: (N, D, k, m, binning).
+# Apply cells: (N, D, k, m, binning, applications).
 APPLY_SHAPES = {
-    "retrieval_fixed": (660, 1024, 64, 8, "fixed"),
-    "retrieval_variable": (660, 1024, 64, 8, "variable"),
-    "cli_pairs": (1, 16384, 1024, 1, "fixed"),
-    "criterion_06": (1, 64, 1, 16, "variable"),
+    "retrieval_fixed": (660, 1024, 64, 8, "fixed", 41),
+    "retrieval_variable": (660, 1024, 64, 8, "variable", 41),
+    "cli_pairs": (1, 16384, 1024, 1, "fixed", 1001),
+    "criterion_06": (1, 64, 1, 16, "variable", 1001),
+    "long_bins_k16": (1, 65536, 16, 1, "fixed", 201),
+    "k1": (1, 4096, 1, 1, "fixed", 201),
+    "k1_m16": (1, 65536, 1, 16, "fixed", 11),
 }
 BUILDS, ROUNDS = 41, 10
-# Applications per apply cell: (many rows, one row).
-APPLIES = (41, 1001)
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_plan.json"
 
@@ -82,13 +87,13 @@ def _worker() -> None:
                 SketchPlan(config)
                 times.append((time.perf_counter() - start) * 1e3)
             out[f"{shape}/{name}"] = statistics.median(times)
-    for shape, (N, D, k, m, binning) in APPLY_SHAPES.items():
+    for shape, (N, D, k, m, binning, applies) in APPLY_SHAPES.items():
         plan = SketchPlan(SketchConfig(dim=D, k=k, binning=Binning(binning), dist=rademacher(),
                                        m=m, seed=1))
         M = np.random.default_rng(2).standard_normal((N, D))
         plan.apply(M)
         times = []
-        for _ in range(APPLIES[N == 1]):
+        for _ in range(applies):
             start = time.perf_counter()
             plan.apply(M)
             times.append((time.perf_counter() - start) * 1e3)
@@ -101,10 +106,10 @@ if __name__ == "__main__":
         __doc__, _worker, OUT, ROUNDS,
         what=f"SketchPlan(config) build time: median over {ROUNDS} rounds of each round's "
              f"median of {BUILDS} builds under fresh seeds; plan.apply(M) time: the same "
-             f"over {APPLIES[0]} (N > 1) or {APPLIES[1]} (N = 1) applications of one "
-             "Rademacher plan; trees alternate per round",
+             "over the cell's applications of one Rademacher plan; trees alternate per round",
         shapes={**{name: dict(zip(("D", "k", "m", "binning"), shape))
                    for name, shape in SHAPES.items()},
-                **{f"apply/{name}": dict(zip(("N", "D", "k", "m", "binning"), shape))
+                **{f"apply/{name}": dict(zip(("N", "D", "k", "m", "binning", "applications"),
+                                              shape))
                    for name, shape in APPLY_SHAPES.items()}},
     )

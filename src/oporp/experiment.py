@@ -135,11 +135,12 @@ def generate_pair_with_cosine(
         u = rng.standard_normal(D)
         w = rng.standard_normal(D)
         v = rho_target * u + mix * w
-        ssu = float(np.dot(u, u))
-        ssv = float(np.dot(v, v))
+        # einsum, not BLAS (np.dot), whose sums depend on the CPU kernel it picks.
+        ssu = float(np.einsum("i,i->", u, u))
+        ssv = float(np.einsum("i,i->", v, v))
         if ssu == 0.0 or ssv == 0.0:
             continue
-        cos = float(np.dot(u, v)) / math.sqrt(ssu * ssv)
+        cos = float(np.einsum("i,i->", u, v)) / math.sqrt(ssu * ssv)
         if abs(cos - rho_target) <= tol:
             return u / math.sqrt(ssu), v / math.sqrt(ssv)
     raise ConvergenceError(

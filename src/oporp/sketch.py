@@ -57,26 +57,29 @@ c repetitions applied to its pair of rows). It works in tiles of about
 first, then as many rows as still fit. Fixed binning reads the draws
 bin-major (:func:`_bin_major`), writes a tile's rows transposed, with
 their negations, copies whole rows of that block with one gather per
-tile, bin-major, and sums every bin with vector adds in numpy's own
-pairwise order (:func:`_pairwise_rows`), so each bin has the bits of
-``np.sum`` over its products. Variable binning sums a tile's products
-with one ``bincount``. Every bin sums its own entries in a fixed order,
+tile, bin-major, and sums every bin with one ``np.add.reduce`` over the
+bin axis. Variable binning sums a tile's products with one ``bincount``.
+Both sum every bin left to right from +0.0, in the order of its entries,
 so the tile size decides only where temporaries live and never changes
 a result. Each thread keeps the kernels' buffers between calls (up to
 1 MiB each, :func:`_buffer`), so that repeated sketches of a few rows
 reuse their memory instead of faulting fresh pages in.
 
 Sketch file layout (little-endian, 64-byte header). The version names the
-stream the sketch was drawn from: version 1 drew each repetition from its
-own Philox streams, version 2 a plan's repetitions from one Philox stream
-with one int32 draw per Rademacher sign, and version 3 draws from SFC64
-streams with one random bit per sign. A sketch of another version shares
-no randomness with this version's sketches, so an estimate from the pair
-would be silently wrong, and loading refuses it:
+stream the sketch was drawn from and how its bins were summed: version 1
+drew each repetition from its own Philox streams, version 2 a plan's
+repetitions from one Philox stream with one int32 draw per Rademacher
+sign, version 3 from SFC64 streams with one random bit per sign, and
+version 4 draws as version 3 does but sums every fixed bin left to
+right, where version 3 summed it in numpy's pairwise order, which can
+differ in the last bits once a bin holds 8 entries. A sketch of another
+version shares no randomness with this version's sketches (versions 1
+and 2) or was summed in another order (version 3), so an estimate from
+the pair would be silently wrong, and loading refuses it:
 
     offset  size  field
     0       4     magic b"OPRP"
-    4       2     u16 format version (3)
+    4       2     u16 format version (4)
     6       1     u8 payload kind (0 = float64 values, 1 = int8 sign bits)
     7       1     u8 flavor (0 = oporp, 1 = vsrp)
     8       1     u8 binning (0 = fixed, 1 = variable)
@@ -490,9 +493,10 @@ def _fixed_sums(M: np.ndarray, index: np.ndarray, r, out: np.ndarray) -> None:
     -0.0, as a padded zero times -1). One ``np.take`` per tile copies
     whole rows of T into G, shape (L, h, k, n) for h repetitions of n
     rows, so that G[l] holds entry l of every bin; unfolded multipliers
-    multiply G in the same order. :func:`_pairwise_rows` then sums every
-    bin in numpy's own order, so each bin has the bits of ``np.sum`` over
-    its L products.
+    multiply G in the same order. One ``np.add.reduce`` over G's first
+    axis then adds G[1], ..., G[L-1] to G[0] one row at a time, so every
+    bin is summed left to right from +0.0, as ``bincount`` sums a
+    variable bin.
     """
     N, dim = M.shape
     L, c, k = index.shape
@@ -516,15 +520,9 @@ def _fixed_sums(M: np.ndarray, index: np.ndarray, r, out: np.ndarray) -> None:
     single = block(0) if N <= rows else None
     for t in range(0, c, g):
         h = min(g, c - t)
-        # Widened to intp here, in tree order: np.take would widen it in a
-        # temporary on every call.
+        # Widened to intp here: np.take would widen it in a temporary on every call.
         tile = ibuf[: Dp * h].reshape(L, h, k)
-        groups, tail = _tree_rows(index[:, t : t + h])
-        full = L - tail.shape[0]
-        np.copyto(tile[:full].reshape(groups.shape), groups)
-        np.copyto(tile[full:], tail)
-        if r is not None:
-            groups, tail = _tree_rows(r[:, t : t + h, :, None])
+        np.copyto(tile, index[:, t : t + h])
         for start in range(0, N, rows):
             T = single if single is not None else block(start)
             n = T.shape[1]
@@ -533,61 +531,13 @@ def _fixed_sums(M: np.ndarray, index: np.ndarray, r, out: np.ndarray) -> None:
             # the default mode would gather through a temporary.
             np.take(T, tile, axis=0, out=G, mode="wrap")
             if r is not None:
-                G[:full].reshape(groups.shape[:-1] + (n,))[...] *= groups
-                G[full:] *= tail
-            sums = _pairwise_rows(G.reshape(L, h * k * n)).reshape(h, k, n)
-            # add.reduce starts from +0.0, so a bin of only -0.0 sums to +0.0.
-            np.add(sums.transpose(2, 0, 1), 0.0, out=out[start : start + n, t * k : (t + h) * k]
-                   .reshape(n, h, k))
-
-
-def _tree_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``a`` in tree order: its full groups of 8, and its last L % 8 rows.
-
-    Below 8 rows there is no group. The groups view is (L // 8, 2, 2, 2,
-    ...) with each group's 3-bit row number reversed, so that row l of
-    ``a`` sits at position 8*(l // 8) + rev(l % 8): :func:`_pairwise_rows`
-    keeps its running sums r0..r7 at rows 0, 4, 2, 6, 1, 5, 3, 7, where
-    each step of its tree adds two contiguous blocks.
-    """
-    full = a.shape[0] - a.shape[0] % 8 if a.shape[0] >= 8 else 0
-    groups = a[:full].reshape(full // 8, 2, 2, 2, *a.shape[1:]).swapaxes(1, 3)
-    return groups, a[full:]
-
-
-def _pairwise_rows(G: np.ndarray) -> np.ndarray:
-    """Sum of the rows of G, in tree order (:func:`_tree_rows`), in numpy's pairwise order.
-
-    Works in place and returns a view of G[0]. numpy reduces a contiguous
-    run of n entries as ``pairwise_sum`` does: below 8 left to right; up
-    to 128 in 8 running sums, joined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-    before the tail of n % 8; above 128 as the sum of its halves, split at
-    n/2 rounded down to a multiple of 8. Here every step adds whole rows,
-    so each column of G is summed in the order ``np.sum`` sums that column
-    in row order, bar the reduction's initial +0.0 (Higham, "The accuracy
-    of floating point summation", SIAM J. Sci. Comput. 1993). Halves start
-    at multiples of 8, so the groups of a half are groups of the whole.
-    """
-    n = G.shape[0]
-    if n < 8:
-        for i in range(1, n):
-            G[0] += G[i]
-    elif n <= 128:
-        acc = G[:8]
-        tail = n - n % 8
-        for i in range(8, tail, 8):
-            acc += G[i : i + 8]
-        # rows 0-3 hold r0, r4, r2, r6 and rows 4-7 hold r1, r5, r3, r7
-        np.add(acc[:4], acc[4:], out=acc[:4])
-        np.add(acc[:2], acc[2:4], out=acc[:2])
-        G[0] += G[1]
-        for i in range(tail, n):
-            G[0] += G[i]
-    else:
-        half = n // 2 - n // 2 % 8
-        _pairwise_rows(G[:half])
-        G[0] += _pairwise_rows(G[half:])
-    return G[0]
+                G *= r[:, t : t + h, :, None]
+            G = G.reshape(L, h * k * n)
+            # numpy would sum a single column pairwise; accumulate adds its rows in order.
+            sums = np.add.reduce(G) if G.shape[1] > 1 else np.add.accumulate(G)[-1]
+            # Both start from G[0], so +0.0 turns a bin of only -0.0 into +0.0.
+            np.add(sums.reshape(h, k, n).transpose(2, 0, 1), 0.0,
+                   out=out[start : start + n, t * k : (t + h) * k].reshape(n, h, k))
 
 
 def _variable_sums(M: np.ndarray, index: np.ndarray, r: np.ndarray, k: int, out: np.ndarray) -> None:
@@ -657,7 +607,7 @@ def check_compatible(x: Sketch, y: Sketch) -> None:
 # --- file format ------------------------------------------------------------
 
 _MAGIC = b"OPRP"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sHBBBBB5xQQQQdd")
 _PAYLOAD_VALUES = 0
 _PAYLOAD_SIGNS = 1

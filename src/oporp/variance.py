@@ -58,11 +58,12 @@ def pair_statistics(u: np.ndarray, v: np.ndarray) -> PairStatistics:
         raise ValueError(f"need two equal-length vectors, got {u.shape} and {v.shape}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("pair statistics need finite vectors, got inf or NaN entries")
-    sumsq_u = float(np.dot(u, u))
-    sumsq_v = float(np.dot(v, v))
+    # einsum, not BLAS (np.dot), whose sums depend on the CPU kernel it picks.
+    sumsq_u = float(np.einsum("i,i->", u, u))
+    sumsq_v = float(np.einsum("i,i->", v, v))
     if sumsq_u == 0.0 or sumsq_v == 0.0:
         raise ZeroNormError("pair statistics need two nonzero vectors")
-    a = float(np.dot(u, v))
+    a = float(np.einsum("i,i->", u, v))
     rho = float(np.clip(a / math.sqrt(sumsq_u * sumsq_v), -1.0, 1.0))
     diff = u - v
     un = u / math.sqrt(sumsq_u)
@@ -80,7 +81,7 @@ def pair_statistics(u: np.ndarray, v: np.ndarray) -> PairStatistics:
         sum_uv3=float(np.sum(u * v**3)),
         sum_diff4=float(np.sum(diff**4)),
         rho=rho,
-        d=float(np.dot(diff, diff)),
+        d=float(np.einsum("i,i->", diff, diff)),
         A=float(np.sum(curvature * curvature)),
     )
 

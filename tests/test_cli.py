@@ -172,7 +172,7 @@ def _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file
     ])
     for old in (x, signs):
         raw = old.read_bytes()
-        assert raw[4:6] == (3).to_bytes(2, "little")
+        assert raw[4:6] == (4).to_bytes(2, "little")
         old.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
         assert run(["estimate", "--x", str(old), "--y", str(y), "--estimator", "inner"]) == 3
         assert f"version {version}" in capsys.readouterr().err
@@ -183,8 +183,13 @@ def test_estimate_refuses_version_1_files(tmp_path, capsys, matrix_file, bounded
 
 
 def test_estimate_refuses_version_2_files(tmp_path, capsys, matrix_file, bounded_matrix_file):
-    # version 2 files were drawn from Philox streams; version 3 draws SFC64
+    # version 2 files were drawn from Philox streams; versions 3 and 4 draw SFC64
     _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, 2)
+
+
+def test_estimate_refuses_version_3_files(tmp_path, capsys, matrix_file, bounded_matrix_file):
+    # version 3 files summed fixed bins in numpy's pairwise order; version 4 left to right
+    _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, 3)
 
 
 # --- variance tables -----------------------------------------------------------------

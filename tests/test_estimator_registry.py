@@ -6,7 +6,10 @@ two sketches, cosine-type values in [-1, 1], exact recovery at k = D with
 fixed binning and Rademacher multipliers, and positive-scale equivariance.
 Scales are powers of two, so a scaled sketch is exact and the equivariance
 holds bit for bit. The pinned outputs are frozen-seed estimates recorded
-under sketch format version 3, one SFC64 generator per plan.
+under sketch format version 3, one SFC64 generator per plan, and held
+under version 4: every pinned fixed-binning config has bins of 5
+entries, which numpy's pairwise sum (version 3) adds left to right as
+well (version 4).
 """
 
 import contextlib
@@ -163,7 +166,7 @@ def test_estimates_are_positive_scale_equivariant(est, case, a, b):
     assert scaled == base * factor
 
 
-# --- outputs pinned under format version 3 ---------------------------------------------
+# --- outputs pinned under format versions 3 and 4 --------------------------------------
 
 CONFIGS = {
     "fixed_m1": SketchConfig(dim=40, k=8, binning=Binning.FIXED, dist=rademacher(), m=1, seed=3),

@@ -3,13 +3,19 @@
 The golden hash covers sketches, a sketch file, a batch plan, the
 retrieval estimators and Monte-Carlo sweep rows. A change that moves any
 of them by one bit fails here; a change that is meant to move them must
-say so and update the hash. The block tests shrink the buffer size of the
-gather x multiply -> bin sum kernel to one row (one sample for VSRP) and
-require the same bits, since blocks decide only where temporaries live.
+say so and update the hash. The sweep rows are recomputed under OpenBLAS's
+Haswell kernel and must not move. The block tests shrink the buffer size
+of the gather x multiply -> bin sum kernel to one row (one sample for
+VSRP) and require the same bits, since blocks decide only where
+temporaries live.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +33,7 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 
-GOLDEN_SHA256 = "3dd0657ae5c54e317935e92cb04993a1d6daa435adb8d3e49a6f7c39d098d6f6"
+GOLDEN_SHA256 = "2d19857982df56ce41088bd10990151b3e5765547e4c210e358f041961ce2f19"
 
 DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 SIMILARITY_ESTIMATORS = (
@@ -76,6 +82,14 @@ def _golden_parts(tmp_path):
                 for dim, u in ((24, u24), (23, u23)):
                     config = SketchConfig(dim=dim, k=6, binning=binning, dist=dist, m=m, seed=7)
                     parts.append(oporp_sketch(u, config).values)
+    # fixed bins of 16, of 18 (two groups of 8 and a tail, one padded zero)
+    # and of 96 at k = 1, long enough for their summation order to show
+    u96 = np.random.default_rng(2025).standard_normal(96)
+    for dist in (rademacher(), gaussian()):
+        for m in (1, 3):
+            for dim, k in ((96, 6), (89, 5), (96, 1)):
+                config = SketchConfig(dim=dim, k=k, binning=Binning.FIXED, dist=dist, m=m, seed=9)
+                parts.append(oporp_sketch(u96[:dim], config).values)
     for s in (1.0, 3.0):
         parts.append(vsrp_sketch(u23, 23, 10, s, seed=9).values)
     path = tmp_path / "golden.sk"
@@ -99,6 +113,21 @@ def test_golden_hash(tmp_path):
             part = np.ascontiguousarray(part).tobytes()
         digest.update(part)
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_sweep_rows_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel by CPU, and an AVX2-only machine gets
+    # Haswell's; the sweep reduces in numpy's own loops (einsum, never BLAS),
+    # so forcing that kernel must leave every row's bits as they are
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import test_golden; print(repr(test_golden._sweep_rows()))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == repr(_sweep_rows())
 
 
 def test_sweep_rows_and_plans_do_not_depend_on_the_block_size(monkeypatch):

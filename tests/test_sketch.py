@@ -43,12 +43,11 @@ from oporp.sketch import (
     SketchFileError,
     SketchMismatchError,
     SketchPlan,
+    _bin_sums,
     _cached_plan,
     _oporp_draws,
-    _pairwise_rows,
     _plan,
     _plan_bytes,
-    _tree_rows,
     check_compatible,
     load_sign_sketch,
     load_sketch,
@@ -329,11 +328,14 @@ PLAN_DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 @pytest.mark.parametrize("m", (1, 3))
 @pytest.mark.parametrize(
     "dim, k, binning",
-    [(24, 6, Binning.FIXED), (23, 6, Binning.FIXED), (23, 6, Binning.VARIABLE)],
-    ids=["fixed", "fixed-padded", "variable"],
+    [(24, 6, Binning.FIXED), (23, 6, Binning.FIXED), (12, 1, Binning.FIXED),
+     (260, 2, Binning.FIXED), (23, 6, Binning.VARIABLE)],
+    ids=["fixed", "fixed-padded", "fixed-k1", "fixed-130-per-bin", "variable"],
 )
 def test_plan_is_bit_identical_to_per_row_sketches(monkeypatch, dim, k, binning, m, dist):
-    # 30 elements per block: one row per block, so 7 rows span 7 blocks
+    # 30 elements per block: one row per block, so 7 rows span 7 blocks;
+    # at k = 1, m = 1 a block holds two rows of 12, so the plan sums bins
+    # two columns wide where a lone row's sketch sums a single column
     monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", 30)
     M = np.random.default_rng(15).standard_normal((7, dim))
     config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=41)
@@ -356,10 +358,11 @@ def test_plan_repetitions_are_one_sweep_chunk(binning, dist):
 
 
 def reference_apply(config, M):
-    """Gather x multiply -> ``reshape(...).sum`` (or per-row bincount) of every repetition.
+    """Gather x multiply -> left-to-right bin sums (or per-row bincount) of every repetition.
 
-    The draw is the plan's one draw on its documented stream; each bin is
-    one numpy reduction, whose order the kernel's vector tree reproduces.
+    The draw is the plan's one draw on its documented stream. A fixed bin
+    is the last running sum of its products in bin order, plus +0.0: the
+    sum from +0.0 one product at a time, as ``bincount`` sums a variable bin.
     """
     dim, k, m, Dp = config.dim, config.k, config.m, config.padded_dim
     fixed = config.binning is Binning.FIXED
@@ -368,7 +371,8 @@ def reference_apply(config, M):
     out = np.empty((M.shape[0], m, k))
     for t, (idx, r) in enumerate(zip(index, R)):
         if fixed:
-            out[:, t] = (W[:, idx] * r).reshape(-1, Dp // k).sum(axis=1).reshape(-1, k)
+            products = (W[:, idx] * r).reshape(-1, k, Dp // k)
+            out[:, t] = np.add.accumulate(products, axis=-1)[..., -1] + 0.0
         else:
             out[:, t] = [np.bincount(idx, weights=r * w, minlength=k) for w in W]
     return out.reshape(M.shape[0], m * k)
@@ -381,13 +385,15 @@ def reference_apply(config, M):
 @pytest.mark.parametrize(
     "dim, k, binning",
     [(24, 6, Binning.FIXED), (23, 6, Binning.FIXED), (70, 4, Binning.FIXED),
-     (23, 6, Binning.VARIABLE)],
-    ids=["fixed", "fixed-padded", "fixed-18-per-bin", "variable"],
+     (130, 1, Binning.FIXED), (260, 2, Binning.FIXED), (23, 6, Binning.VARIABLE)],
+    ids=["fixed", "fixed-padded", "fixed-18-per-bin", "fixed-k1", "fixed-130-per-bin",
+         "variable"],
 )
 def test_plan_apply_equals_the_reshape_sum_reference(monkeypatch, dim, k, binning, m, N, dist,
                                                      block):
-    # 100 entries per tile at Dp = 24: 4 repetitions of one row, or 4 rows;
-    # 18 entries per bin run through two groups of 8 and a tail of 2
+    # 100 entries per tile at Dp = 24: 4 repetitions of one row, or 4 rows,
+    # and at Dp = 130 or 260 one row and one repetition; with k = 1 such a
+    # tile sums one column, which numpy's reduce alone would add pairwise
     if block is not None:
         monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
     M = np.random.default_rng(18).standard_normal((N, dim))
@@ -399,44 +405,27 @@ def test_plan_apply_equals_the_reshape_sum_reference(monkeypatch, dim, k, binnin
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
-def tree_order(A):
-    """A copy of A's rows in :func:`_tree_rows` order, which ``_pairwise_rows`` sums."""
-    groups, tail = _tree_rows(A)
-    return np.concatenate([groups.reshape(-1, *A.shape[1:]), tail])
-
-
 SPECIAL_SUMMANDS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300])
 
 
-@settings(max_examples=300, deadline=None)
-@given(L=st.one_of(st.integers(1, 300), st.just(16)), width=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1), special=st.floats(0.0, 1.0))
-def test_pairwise_rows_is_numpy_sum_bit_for_bit(L, width, seed, special):
-    # width columns of L summands over the whole float range, a share of
-    # them signed zeros, subnormals or +-1e300; the kernel's tree plus the
-    # reduction's +0.0 must give the bits of A.reshape(-1, L).sum(axis=1)
+@settings(max_examples=200, deadline=None)
+@given(L=st.one_of(st.integers(1, 300), st.just(16)), k=st.integers(1, 3), n=st.integers(1, 3),
+       dist=st.sampled_from([rademacher(), gaussian()]), seed=st.integers(0, 2**32 - 1),
+       special=st.floats(0.0, 1.0))
+def test_fixed_bins_are_left_to_right_sums_bit_for_bit(L, k, n, dist, seed, special):
+    # n rows of summands over the whole float range, a share of them signed
+    # zeros, subnormals or +-1e300, in bins of L under folded signs and
+    # float multipliers; k = n = 1 sums a single column
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((width, L)) * 10.0 ** rng.integers(-320, 308, (width, L))
-    mask = rng.random((width, L)) < special
-    A[mask] = rng.choice(SPECIAL_SUMMANDS, mask.sum())
+    M = rng.standard_normal((n, L * k)) * 10.0 ** rng.integers(-320, 308, (n, L * k))
+    mask = rng.random(M.shape) < special
+    M[mask] = rng.choice(SPECIAL_SUMMANDS, mask.sum())
+    config = SketchConfig(dim=L * k, k=k, binning=Binning.FIXED, dist=dist, seed=seed % 1000)
+    plan = SketchPlan(config)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = A.reshape(-1, L).sum(axis=1)
-        got = np.add(_pairwise_rows(tree_order(A.T)), 0.0)
+        got = _bin_sums(M, plan._indices, plan._multipliers, k, True)
+        want = reference_apply(config, M)
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-def test_pairwise_rows_matches_numpy_at_long_runs():
-    rng = np.random.default_rng(19)
-    for L in (1000, 1024, 4099):
-        A = rng.standard_normal((3, L)) * 10.0 ** rng.integers(-200, 200, (3, L))
-        got = np.add(_pairwise_rows(tree_order(A.T)), 0.0)
-        assert got.view(np.int64).tolist() == A.sum(axis=1).view(np.int64).tolist()
-
-
-def test_tree_order_reverses_the_bits_of_each_group_of_8():
-    for L, want in [(5, [0, 1, 2, 3, 4]), (8, [0, 4, 2, 6, 1, 5, 3, 7]),
-                    (19, [0, 4, 2, 6, 1, 5, 3, 7, 8, 12, 10, 14, 9, 13, 11, 15, 16, 17, 18])]:
-        assert tree_order(np.arange(L)[:, None])[:, 0].tolist() == want
 
 
 def sparse_matrix_reference(seed, D, k, s):
@@ -1055,7 +1044,7 @@ def _refuses_version(tmp_path, version):
     vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"
     save_sketch(str(vpath), oporp_sketch(u, cfg(seed=6)))
     save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), cfg(seed=6))
-    assert vpath.read_bytes()[4:6] == b"\x03\x00"
+    assert vpath.read_bytes()[4:6] == b"\x04\x00"
     for path, load in ((vpath, load_sketch), (spath, load_sign_sketch)):
         raw = path.read_bytes()
         path.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
@@ -1065,14 +1054,20 @@ def _refuses_version(tmp_path, version):
 
 def test_version_1_files_are_refused(tmp_path):
     # v1 files hold sketches of the per-repetition streams, which this
-    # version cannot rebuild; comparing them with v3 sketches would be wrong
+    # version cannot rebuild; comparing them with v4 sketches would be wrong
     _refuses_version(tmp_path, 1)
 
 
 def test_version_2_files_are_refused(tmp_path):
     # v2 files hold sketches of Philox streams with one int32 draw per
-    # Rademacher sign; v3 draws SFC64 streams with one bit per sign
+    # Rademacher sign; v3 and v4 draw SFC64 streams with one bit per sign
     _refuses_version(tmp_path, 2)
+
+
+def test_version_3_files_are_refused(tmp_path):
+    # v3 files share v4's draws but summed fixed bins in numpy's pairwise
+    # order, so their values can differ from v4 sketches in the last bits
+    _refuses_version(tmp_path, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
