@@ -1,4 +1,4 @@
-"""Time SketchPlan construction and application on one or more source trees and write BENCH_plan.json.
+"""Time SketchPlan construction and application and similarity matrices on source trees; write BENCH_plan.json.
 
 Run from the root of a checkout:
 
@@ -33,10 +33,18 @@ normal rows, each cell its own number of times:
   and 65536 (D = 65536, k = 1, m = 16), where the order of the bin sum
   shows; fewer applications, as one took up to 0.2 s under format 3
 
-Only the public ``SketchPlan``, ``SketchConfig``, ``Binning`` and
-distribution constructors are used, so any version of the package can be
-timed. It takes about a minute for two trees and is not part of the test
-suite.
+The similarity cells time ``similarity_matrix(base, queries, config,
+name)`` at the bench retrieval shape (600 base and 60 query rows of
+standard normals, D = 1024), sketching included, SIMILARITIES times each:
+
+- similarity/exact: the true cosines
+- similarity/cosine: k = 64, m = 8, fixed bins, Rademacher multipliers
+- similarity/vsrp_cosine: 64 samples of sparse(3) rows
+
+Only the public ``SketchPlan``, ``SketchConfig``, ``Binning``,
+``similarity_matrix`` and distribution constructors are used, so any
+version of the package can be timed. It takes about a minute for two
+trees and is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -64,7 +72,13 @@ APPLY_SHAPES = {
     "k1": (1, 4096, 1, 1, "fixed", 201),
     "k1_m16": (1, 65536, 1, 16, "fixed", 11),
 }
-BUILDS, ROUNDS = 41, 10
+# Similarity cells: (k, m, distribution) of the config each scores under.
+SIMILARITY = {
+    "exact": (64, 8, "rademacher"),
+    "cosine": (64, 8, "rademacher"),
+    "vsrp_cosine": (64, 1, "sparse3"),
+}
+BUILDS, ROUNDS, SIMILARITIES = 41, 10, 41
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_plan.json"
 
@@ -73,7 +87,7 @@ def _worker() -> None:
     """Print {cell: median build or apply ms} for the oporp on sys.path."""
     import numpy as np
 
-    from oporp import Binning, SketchConfig, SketchPlan, rademacher, sparse
+    from oporp import Binning, SketchConfig, SketchPlan, rademacher, similarity_matrix, sparse
 
     dists = {"rademacher": rademacher(), "sparse3": sparse(3.0), "sparse10": sparse(10.0)}
     out = {}
@@ -98,6 +112,17 @@ def _worker() -> None:
             plan.apply(M)
             times.append((time.perf_counter() - start) * 1e3)
         out[f"apply/{shape}"] = statistics.median(times)
+    rng = np.random.default_rng(3)
+    base, queries = rng.standard_normal((600, 1024)), rng.standard_normal((60, 1024))
+    for name, (k, m, dist) in SIMILARITY.items():
+        config = SketchConfig(dim=1024, k=k, binning=Binning.FIXED, dist=dists[dist], m=m, seed=1)
+        similarity_matrix(base, queries, config, name)
+        times = []
+        for _ in range(SIMILARITIES):
+            start = time.perf_counter()
+            similarity_matrix(base, queries, config, name)
+            times.append((time.perf_counter() - start) * 1e3)
+        out[f"similarity/{name}"] = statistics.median(times)
     print(json.dumps(out))
 
 
@@ -106,10 +131,14 @@ if __name__ == "__main__":
         __doc__, _worker, OUT, ROUNDS,
         what=f"SketchPlan(config) build time: median over {ROUNDS} rounds of each round's "
              f"median of {BUILDS} builds under fresh seeds; plan.apply(M) time: the same "
-             "over the cell's applications of one Rademacher plan; trees alternate per round",
+             "over the cell's applications of one Rademacher plan; similarity_matrix time: "
+             f"the same over {SIMILARITIES} calls; trees alternate per round",
         shapes={**{name: dict(zip(("D", "k", "m", "binning"), shape))
                    for name, shape in SHAPES.items()},
                 **{f"apply/{name}": dict(zip(("N", "D", "k", "m", "binning", "applications"),
                                               shape))
-                   for name, shape in APPLY_SHAPES.items()}},
+                   for name, shape in APPLY_SHAPES.items()},
+                **{f"similarity/{name}": {"base": 600, "queries": 60, "D": 1024, "k": k, "m": m,
+                                          "dist": dist, "calls": SIMILARITIES}
+                   for name, (k, m, dist) in SIMILARITY.items()}},
     )

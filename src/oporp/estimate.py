@@ -3,13 +3,14 @@
 Every estimate is a function of per-repetition pair sums: with X and Y the
 repetition blocks of two sketches, sxy, sxx and syy are the sums of X*Y,
 X*X and Y*Y over each block and sdd the sum of (X - Y)^2
-(:func:`_pair_sums`). One private registry, ``_REGISTRY``, keyed by
-:class:`Estimator`, holds each estimator's plan family ("oporp" or "vsrp"),
-the :class:`~oporp.variance.PairStatistics` field it estimates, its
-variance oracle, its kernel from pair sums to per-repetition estimates and
-the matrix form ``similarity_matrix`` scores with. The public functions
-below, ``mse_sweep``, ``similarity_matrix`` and the CLI all read it, so
-adding an estimator means adding one entry.
+(:func:`_pair_sums`; :func:`_matrix_sums` for all row pairs of two
+matrices). One private registry, ``_REGISTRY``, keyed by :class:`Estimator`,
+holds each estimator's plan family ("oporp" or "vsrp"), the
+:class:`~oporp.variance.PairStatistics` field it estimates, its variance
+oracle and its kernel from pair sums to per-repetition estimates, the one
+place its math is written. The public functions below, ``mse_sweep``,
+``similarity_matrix`` and the CLI all read it, so adding an estimator means
+adding one entry.
 
 All estimators require the two sketches to share config and flavor (same
 randomness), and the flavor must be the estimator's family. OPORP
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import variance as var
 from .projection import sparse
-from .sketch import Sketch, SketchMismatchError, ZeroNormError, check_compatible, row_norms
+from .sketch import _TINY, Sketch, SketchMismatchError, ZeroNormError, check_compatible
 
 
 class Estimator(enum.Enum):
@@ -55,6 +56,26 @@ class _PairSums(NamedTuple):
     yy: np.ndarray
     dd: np.ndarray
     n: int
+
+
+class _MatrixSums(NamedTuple):
+    """Pair sums of every row pair of two blocks: xy (nq, nb), xx (nq, 1) and yy (1, nb)."""
+
+    xy: np.ndarray
+    xx: np.ndarray
+    yy: np.ndarray
+    n: int
+
+    @property
+    def dd(self) -> np.ndarray:
+        # formed only where a kernel reads it
+        return self.xx + self.yy - 2.0 * self.xy
+
+
+def _matrix_sums(X: np.ndarray, Y: np.ndarray) -> _MatrixSums:
+    """All-pairs sums of the rows of X and Y: one BLAS product and two row sums of squares."""
+    xx, yy = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Y, Y)
+    return _MatrixSums(X @ Y.T, xx[:, None], yy[None, :], X.shape[1])
 
 
 def _pair_sums(X: np.ndarray, Y: np.ndarray) -> _PairSums:
@@ -120,65 +141,37 @@ def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
 
 
 def _cosines(s: _PairSums, E=None, F=None) -> np.ndarray:
-    denom = np.sqrt(s.xx * s.yy)
+    with np.errstate(over="ignore", under="ignore"):
+        squares = s.xx * s.yy
+        denom = np.sqrt(squares)
+        if squares.size and not _TINY <= squares.min() <= squares.max() < math.inf:
+            # A product outside the normal range is taken norm by norm; no other entry moves.
+            odd = ~(squares >= _TINY) | (squares == math.inf)
+            denom[odd] = (np.sqrt(s.xx) * np.sqrt(s.yy))[odd]
     if np.any(denom == 0.0):
         raise ZeroNormError("cosine estimate undefined for a zero-norm repetition")
     return np.clip(s.xy / denom, -1.0, 1.0)
 
 
-def _normalized_inners(s: _PairSums, E: float, F: float) -> np.ndarray:
-    return _cosines(s) * (math.sqrt(E) * math.sqrt(F))
-
-
-def _mle_inners(s: _PairSums, E: float, F: float) -> np.ndarray:
-    return likelihood_roots(s.xy, s.xx, s.yy, E, F)
-
-
-# --- similarity matrices: (queries, base) sketch matrices -> scores ------------
-# Q and B hold m repetition blocks per row (a VSRP sketch is one block); the
-# raw rows are passed for the estimators that rescale by the data norms.
-
-
-def _block_normalize(values: np.ndarray, m: int, what: str) -> np.ndarray:
-    n = values.shape[0]
-    blocks = values.reshape(n, m, values.shape[1] // m)
-    norms = np.linalg.norm(blocks, axis=2)
-    if np.any(norms == 0.0):
-        raise ZeroNormError(f"a {what} sketch repetition has zero norm")
-    return (blocks / norms[:, :, None]).reshape(n, -1)
-
-
-def _distance_scores(Q, B, m, queries, base) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", Q, Q)
-    sb = np.einsum("ij,ij->i", B, B)
-    return -(sq[:, None] + sb[None, :] - 2.0 * Q @ B.T) / m
-
-
-def _cosine_scores(Q, B, m, queries, base) -> np.ndarray:
-    return (_block_normalize(Q, m, "query") @ _block_normalize(B, m, "base").T) / m
-
-
-def _normalized_scores(Q, B, m, queries, base) -> np.ndarray:
-    cosines = _cosine_scores(Q, B, m, queries, base)
-    return cosines * (row_norms(queries)[:, None] * row_norms(base)[None, :])
+def _normalized_inners(s: _PairSums, E, F) -> np.ndarray:
+    return _cosines(s) * (np.sqrt(E) * np.sqrt(F))
 
 
 @dataclass(frozen=True)
 class _Entry:
-    """One estimator: its plan family, truth field, kernel, oracle and matrix form.
+    """One estimator: its plan family, truth field, kernel and oracle.
 
-    ``kernel(sums, E, F)`` maps pair sums to per-repetition estimates; E and
-    F are the squared data norms, read only when ``margins`` is set.
+    ``kernel(sums, E, F)`` maps pair sums to per-repetition estimates, for
+    one sketch pair, a batch of trials or every pair of two matrices' rows;
+    E and F are the squared data norms, read only when ``margins`` is set.
     ``oracle(stats, k, s, scheme)`` is the variance of one repetition, None
-    where no closed form exists, and ``scores`` is None where
-    ``similarity_matrix`` has no matrix form.
+    where no closed form exists.
     """
 
     family: str
     truth: str
     kernel: Callable
     oracle: Callable | None
-    scores: Callable | None
     margins: bool = False
 
     def variance(self, stats, k: int, s: float, scheme, m: int) -> float:
@@ -190,27 +183,21 @@ class _Entry:
 
 
 _REGISTRY = {
-    Estimator.INNER: _Entry(
-        "oporp", "a", lambda s, E, F: s.xy, var.var_inner,
-        lambda Q, B, m, queries, base: (Q @ B.T) / m,
-    ),
-    Estimator.DISTANCE: _Entry(
-        "oporp", "d", lambda s, E, F: s.dd, var.var_distance, _distance_scores
-    ),
-    Estimator.COSINE: _Entry("oporp", "rho", _cosines, var.var_cosine, _cosine_scores),
+    Estimator.INNER: _Entry("oporp", "a", lambda s, E, F: s.xy, var.var_inner),
+    Estimator.DISTANCE: _Entry("oporp", "d", lambda s, E, F: s.dd, var.var_distance),
+    Estimator.COSINE: _Entry("oporp", "rho", _cosines, var.var_cosine),
     Estimator.NORMALIZED_INNER: _Entry(
-        "oporp", "a", _normalized_inners, var.var_normalized_inner, _normalized_scores,
-        margins=True,
+        "oporp", "a", _normalized_inners, var.var_normalized_inner, margins=True
     ),
-    Estimator.MLE_INNER: _Entry("oporp", "a", _mle_inners, None, None, margins=True),
+    Estimator.MLE_INNER: _Entry(
+        "oporp", "a", lambda s, E, F: likelihood_roots(s.xy, s.xx, s.yy, E, F), None, margins=True
+    ),
     Estimator.VSRP_INNER: _Entry(
         "vsrp", "a", lambda s, E, F: s.xy / s.n,
         lambda stats, k, s, scheme: var.var_inner_vsrp(stats, k, s),
-        lambda Q, B, m, queries, base: (Q @ B.T) / B.shape[1],
     ),
     Estimator.VSRP_COSINE: _Entry(
-        "vsrp", "rho", _cosines,
-        lambda stats, k, s, scheme: var.var_cosine_vsrp(stats, k, s), _cosine_scores,
+        "vsrp", "rho", _cosines, lambda stats, k, s, scheme: var.var_cosine_vsrp(stats, k, s)
     ),
 }
 

@@ -19,8 +19,9 @@ Everything estimator-specific comes from the registry in
 its pair sums are taken once, and each requested estimator's kernel maps
 them to one estimate per trial (the likelihood cubic of every trial in one
 closed-form pass); the entry's truth field and oracle fill in the row.
-``similarity_matrix`` takes the plan family and matrix form from the same
-entry, scoring a VSRP sketch as one pooled repetition.
+``similarity_matrix`` applies the same kernels to all-pairs sums, one
+repetition block at a time (a VSRP sketch as one pooled block, the
+``exact`` pass as the cosine kernel on the raw rows).
 
 A chunk's draws are its only chunk-sized arrays. The OPORP products and
 their bin sums go through the plan's tiled kernel
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variance as var
-from .estimate import _REGISTRY, Estimator, _pair_sums
+from .estimate import _REGISTRY, Estimator, _matrix_sums, _pair_sums
 from .projection import (
     ProjectionDistribution,
     ProjectionKind,
@@ -64,11 +65,12 @@ from .sketch import (
     SketchConfig,
     SketchPlan,
     ZeroNormError,
+    _as_matrix,
     _bin_sums,
-    _check_finite,
     _oporp_draws,
     _padded_dim,
     _plan,
+    row_norms,
     vsrp_config,
 )
 
@@ -391,31 +393,34 @@ def similarity_matrix(
     """(n_queries, n_base) matrix of estimated similarities (bigger = closer).
 
     ``exact`` scores by true cosine; the sketch estimators score from one
-    shared-randomness sketch per row. ``distance`` scores by negated
-    squared-distance estimates. mle_inner is not supported here.
+    shared-randomness sketch per row, each entry as for one sketch pair.
+    ``distance`` scores by negated squared-distance estimates; mle_inner is refused.
     """
-    base = np.asarray(base, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    if base.ndim != 2 or queries.ndim != 2 or base.shape[1] != queries.shape[1]:
-        raise ValueError("base and queries must be 2-d with matching width")
-    if base.shape[1] != config.dim:
-        raise ValueError(
-            f"config.dim={config.dim} does not match data width {base.shape[1]}"
-        )
+    # Checked once here for every estimator; the plans below apply unchecked.
+    base, queries = _as_matrix(base, config.dim), _as_matrix(queries, config.dim)
     name = estimator.value if isinstance(estimator, Estimator) else str(estimator)
     if name == "exact":
-        _check_finite(base)
-        _check_finite(queries)
-        return _unit_rows(queries, "queries") @ _unit_rows(base, "base").T
-    entry = _REGISTRY[Estimator(name)]
-    if entry.scores is None:
-        raise ValueError(f"estimator {name!r} is not supported for retrieval")
-    if entry.family == "vsrp":
-        # A VSRP sketch is scored as one pooled repetition.
-        plan, m = _vsrp_plan(config), 1
+        # The true cosine: the cosine kernel on the raw rows as one repetition.
+        est, Q, B, m = Estimator.COSINE, queries, base, 1
     else:
-        plan, m = _plan(config, "oporp"), config.m
-    return entry.scores(plan.apply(queries), plan.apply(base), m, queries, base)
+        est = Estimator(name)
+        if est is Estimator.MLE_INNER:
+            raise ValueError(f"estimator {name!r} is not supported for retrieval")
+        if _REGISTRY[est].family == "vsrp":
+            # A VSRP sketch is scored as one pooled repetition.
+            plan, m = _vsrp_plan(config), 1
+        else:
+            plan, m = _plan(config, "oporp"), config.m
+        Q, B = plan._apply(queries), plan._apply(base)
+    entry = _REGISTRY[est]
+    E = F = None
+    if entry.margins:
+        E, F = row_norms(queries)[:, None] ** 2, row_norms(base)[None, :] ** 2
+    # One repetition block at a time keeps the temporaries to a few (nq, nb) arrays.
+    w = Q.shape[1] // m
+    total = sum(entry.kernel(_matrix_sums(Q[:, r : r + w], B[:, r : r + w]), E, F)
+                for r in range(0, Q.shape[1], w)) / m
+    return -total if est is Estimator.DISTANCE else total
 
 
 def _ranked(scores: np.ndarray) -> np.ndarray:
@@ -450,6 +455,8 @@ def retrieval_eval(
     base = np.asarray(base, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
     n = base.shape[0]
+    if queries.size == 0:
+        raise ValueError("need at least one query row")
     if not 1 <= top_n <= n:
         raise ValueError(f"top_n must be in [1, {n}], got {top_n}")
     exact = similarity_matrix(base, queries, config, "exact")
@@ -492,6 +499,8 @@ def knn_eval(
     test_labels = np.asarray(test_labels)
     if train_labels.shape[0] != train.shape[0] or test_labels.shape[0] != test.shape[0]:
         raise ValueError("labels must align with their data rows")
+    if test.shape[0] == 0:
+        raise ValueError("need at least one test row")
     if not np.issubdtype(train_labels.dtype, np.integer) or np.any(train_labels < 0):
         raise ValueError("labels must be nonnegative integers")
     if not 1 <= K <= train.shape[0]:
@@ -520,6 +529,8 @@ def make_clusters(
     """
     if n_clusters < 1 or n_points < 1 or D < 2:
         raise ValueError("need D >= 2, n_points >= 1, n_clusters >= 1")
+    if not math.isfinite(noise):
+        raise ValueError(f"noise must be finite, got {noise}")
     lo, hi = norm_range
     if not 0.0 < lo <= hi:
         raise ValueError(f"norm_range must satisfy 0 < lo <= hi, got {norm_range}")

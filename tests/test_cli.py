@@ -338,6 +338,19 @@ def test_knn_synthetic(capsys):
     assert 0.5 <= accuracy <= 1.0
 
 
+def test_retrieval_and_knn_refuse_an_empty_query_set(capsys):
+    assert run([
+        "retrieval", "--dim", "16", "--base-size", "20", "--query-size", "0",
+        "--k", "4", "--top-n", "3", "--estimator", "inner",
+    ]) == 4
+    assert run([
+        "knn", "--dim", "16", "--train-size", "20", "--test-size", "0",
+        "--k", "4", "--estimator", "inner",
+    ]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("at least one") == 2
+
+
 # --- dp -------------------------------------------------------------------------------
 
 

@@ -11,7 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from oporp.estimate import inner_product_hat
+from oporp.estimate import (
+    _REGISTRY,
+    Estimator,
+    cosine_hat,
+    distance_hat,
+    inner_product_hat,
+    vsrp_cosine_hat,
+    vsrp_inner_product_hat,
+)
 from oporp.experiment import (
     ConvergenceError,
     _cell_draws,
@@ -353,18 +361,80 @@ def test_similarity_matrix_exact_rejects_non_finite_rows(side):
 
 
 def test_similarity_matrix_equals_per_row_sketch_scores():
-    """One plan for base and queries scores exactly as per-row sketches do."""
+    """One plan for base and queries scores as per-row sketches do."""
     rng = np.random.default_rng(12)
     base = rng.standard_normal((15, 20)) * rng.uniform(0.5, 2.0, (15, 1))
     queries = rng.standard_normal((4, 20))
     config = SketchConfig(dim=20, k=6, binning=Binning.FIXED, dist=rademacher(), m=3, seed=2)
-    SB = np.stack([oporp_sketch(u, config).values for u in base])
-    SQ = np.stack([oporp_sketch(u, config).values for u in queries])
-    assert np.array_equal(similarity_matrix(base, queries, config, "inner"), (SQ @ SB.T) / 3)
+    SB = [oporp_sketch(u, config) for u in base]
+    SQ = [oporp_sketch(u, config) for u in queries]
+    want = [[inner_product_hat(q, b) for b in SB] for q in SQ]
+    assert np.allclose(similarity_matrix(base, queries, config, "inner"), want, rtol=1e-12, atol=0)
     vsrp = SketchConfig(dim=20, k=4, binning=Binning.FIXED, dist=sparse(3.0), m=2, seed=2)
-    VB = np.stack([vsrp_sketch(u, 20, 8, 3.0, 2).values for u in base])
-    VQ = np.stack([vsrp_sketch(u, 20, 8, 3.0, 2).values for u in queries])
-    assert np.array_equal(similarity_matrix(base, queries, vsrp, "vsrp_inner"), (VQ @ VB.T) / 8)
+    VB = [vsrp_sketch(u, 20, 8, 3.0, 2) for u in base]
+    VQ = [vsrp_sketch(u, 20, 8, 3.0, 2) for u in queries]
+    want = [[vsrp_inner_product_hat(q, b) for b in VB] for q in VQ]
+    assert np.allclose(similarity_matrix(base, queries, vsrp, "vsrp_inner"), want, rtol=1e-12, atol=0)
+
+
+# Each estimator similarity_matrix supports (all but mle_inner), as the
+# public pair functions give it from the two rows' sketches (bigger =
+# closer, so distance is negated).
+PAIR_SCORES = {
+    Estimator.INNER: inner_product_hat,
+    Estimator.DISTANCE: lambda x, y: -distance_hat(x, y),
+    Estimator.COSINE: cosine_hat,
+    Estimator.NORMALIZED_INNER: lambda x, y: cosine_hat(x, y) * x.stored_norm * y.stored_norm,
+    Estimator.VSRP_INNER: vsrp_inner_product_hat,
+    Estimator.VSRP_COSINE: vsrp_cosine_hat,
+}
+
+
+@pytest.mark.parametrize("binning", [Binning.FIXED, Binning.VARIABLE], ids=lambda b: b.value)
+@pytest.mark.parametrize("name", ["exact"] + [e.value for e in PAIR_SCORES])
+def test_similarity_matrix_entries_are_pair_estimates(name, binning):
+    assert set(PAIR_SCORES) == set(Estimator) - {Estimator.MLE_INNER}
+    rng = np.random.default_rng(14)
+    base = rng.standard_normal((7, 20)) * rng.uniform(0.5, 2.0, (7, 1))
+    queries = rng.standard_normal((3, 20)) * rng.uniform(0.5, 2.0, (3, 1))
+    config = SketchConfig(dim=20, k=6, binning=binning, dist=sparse(3.0), m=3, seed=4)
+    if name == "exact":
+        want = [[(q @ b) / (np.linalg.norm(q) * np.linalg.norm(b)) for b in base] for q in queries]
+    else:
+        est = Estimator(name)
+        if _REGISTRY[est].family == "vsrp":
+            SB, SQ = ([vsrp_sketch(u, 20, 18, 3.0, 4) for u in M] for M in (base, queries))
+        else:
+            SB, SQ = ([oporp_sketch(u, config) for u in M] for M in (base, queries))
+        want = [[PAIR_SCORES[est](q, b) for b in SB] for q in SQ]
+    got = similarity_matrix(base, queries, config, name)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scale", [2.0**270, 2.0**-270])
+def test_cosine_scores_hold_where_sxx_times_syy_leaves_the_normal_range(scale):
+    # sxx * syy overflows (underflows) at these scales while each sum is
+    # normal; the cosine kernel then takes the two norms one at a time
+    rng = np.random.default_rng(17)
+    base, queries = rng.standard_normal((5, 8)), rng.standard_normal((2, 8))
+    config = SketchConfig(dim=8, k=4, binning=Binning.FIXED, dist=rademacher(), m=2)
+    for name in ("exact", "cosine"):
+        want = similarity_matrix(base, queries, config, name)
+        got = similarity_matrix(scale * base, scale * queries, config, name)
+        assert np.allclose(got, want, rtol=1e-14, atol=0), name
+    x, y = oporp_sketch(scale * base[0], config), oporp_sketch(scale * queries[0], config)
+    assert cosine_hat(x, y) == pytest.approx(want[0, 0], rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["exact", "cosine"])
+@pytest.mark.parametrize("side", ["base", "queries"])
+def test_similarity_matrix_refuses_a_zero_row(side, name):
+    rng = np.random.default_rng(15)
+    data = {"base": rng.standard_normal((3, 8)), "queries": rng.standard_normal((2, 8))}
+    data[side][1] = 0.0
+    config = SketchConfig(dim=8, k=4, binning=Binning.FIXED, dist=rademacher(), m=2)
+    with pytest.raises(ZeroNormError):
+        similarity_matrix(data["base"], data["queries"], config, name)
 
 
 def test_similarity_matrix_rejects_non_finite_rows():
@@ -444,6 +514,18 @@ def test_retrieval_top_n_validation():
         retrieval_eval(base, queries, config, "exact", top_n=11)
 
 
+@pytest.mark.parametrize("name", ["exact", "inner", "cosine"])
+def test_retrieval_and_knn_refuse_an_empty_query_set(name):
+    # an empty set once averaged to NaN precision, recall and accuracy
+    rng = np.random.default_rng(16)
+    base, labels = rng.standard_normal((10, 8)), np.arange(10) % 2
+    config = SketchConfig(dim=8, k=4, binning=Binning.FIXED, dist=rademacher(), m=2)
+    with pytest.raises(ValueError, match="at least one"):
+        retrieval_eval(base, base[:0], config, name, top_n=3)
+    with pytest.raises(ValueError, match="at least one"):
+        knn_eval(base, labels, base[:0], labels[:0], 3, config, name)
+
+
 def test_area_under_pr_hand_example():
     points = [PRPoint(0.5, 1.0), PRPoint(1.0, 0.5)]
     # anchored at (0, 1): 0.5 * (1+1)/2 + 0.5 * (1+0.5)/2
@@ -508,6 +590,9 @@ def test_make_clusters_validation():
         make_clusters(16, 10, 2, 0.5, 0, norm_range=(0.0, 1.0))
     with pytest.raises(ValueError):
         make_clusters(16, 10, 2, 0.5, 0, norm_range=(2.0, 1.0))
+    for noise in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise"):
+            make_clusters(16, 10, 2, noise, 0)
 
 
 def test_sweep_row_against_direct_oracle_call():

@@ -33,7 +33,7 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 
-GOLDEN_SHA256 = "2d19857982df56ce41088bd10990151b3e5765547e4c210e358f041961ce2f19"
+GOLDEN_SHA256 = "f4af62e0b4c577c6f634499653ba666db49c95081a28706a6850266008defaa2"
 
 DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 SIMILARITY_ESTIMATORS = (
