@@ -49,6 +49,7 @@ import numpy as np
 from . import variance as var
 from .estimate import _REGISTRY, Estimator, _matrix_sums, _pair_sums
 from .projection import (
+    _STREAMS,
     ProjectionDistribution,
     ProjectionKind,
     _block_rows,
@@ -74,17 +75,13 @@ from .sketch import (
     vsrp_config,
 )
 
-# Stream tags for sub-seed derivation.
-_PAIR = 0
-_CELL = 1
-_DATA = 2
-
 # Target entries per sweep chunk of draws; fixed, because the rows depend on it.
 _CHUNK_ELEMENTS = 4_000_000
 
 # VSRP sweep cells with s below this use the dense byte kernel, the others
-# the gap kernel; BENCH_sweep_vsrp.json times the dense one as faster at
-# s = 8 and the gap one from s = 10 on. Fixed, because the rows depend on it.
+# the gap kernel. BENCH_kernels.json times the two within a few percent of
+# each other at s = 8 (its crossover_s reads 8 or 10 from run to run) and
+# the gap kernel faster from s = 10 on. Fixed, because the rows depend on it.
 _DENSE_VSRP_BELOW = 10.0
 
 class ConvergenceError(RuntimeError):
@@ -129,9 +126,9 @@ def generate_pair_with_cosine(
         raise ValueError(f"D must be >= 2, got {D}")
     if not -1.0 <= rho_target <= 1.0:
         raise ValueError(f"rho_target must be in [-1, 1], got {rho_target}")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    rng = generator(derive_seed(seed, _PAIR))
+    rng = generator(derive_seed(seed, _STREAMS["pair"]))
     mix = math.sqrt(max(0.0, 1.0 - rho_target * rho_target))
     for _ in range(max_attempts):
         u = rng.standard_normal(D)
@@ -339,7 +336,7 @@ def mse_sweep(
             if not members:
                 continue
             chunk, draw = _cell_draws(family, u, v, k, s, dist, scheme)
-            rng = generator(derive_seed(seed, _CELL, k, stream))
+            rng = generator(derive_seed(seed, _STREAMS["cell"], k, stream))
             for pos in range(0, trials, chunk):
                 c = min(chunk, trials - pos)
                 sums = _pair_sums(*draw(c, rng))
@@ -396,8 +393,14 @@ def similarity_matrix(
     shared-randomness sketch per row, each entry as for one sketch pair.
     ``distance`` scores by negated squared-distance estimates; mle_inner is refused.
     """
-    # Checked once here for every estimator; the plans below apply unchecked.
-    base, queries = _as_matrix(base, config.dim), _as_matrix(queries, config.dim)
+    return _similarity(_as_matrix(base, config.dim), _as_matrix(queries, config.dim), config,
+                       estimator)
+
+
+def _similarity(
+    base: np.ndarray, queries: np.ndarray, config: SketchConfig, estimator
+) -> np.ndarray:
+    """similarity_matrix of rows already checked by ``_as_matrix``; the plans apply unchecked."""
     name = estimator.value if isinstance(estimator, Estimator) else str(estimator)
     if name == "exact":
         # The true cosine: the cosine kernel on the raw rows as one repetition.
@@ -452,18 +455,18 @@ def retrieval_eval(
     precision and recall at every depth, then averages across queries at
     fixed depth. Returns one PRPoint per depth (n_base points).
     """
-    base = np.asarray(base, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
+    # Checked once here for both scorings below.
+    base, queries = _as_matrix(base, config.dim), _as_matrix(queries, config.dim)
     n = base.shape[0]
     if queries.size == 0:
         raise ValueError("need at least one query row")
     if not 1 <= top_n <= n:
         raise ValueError(f"top_n must be in [1, {n}], got {top_n}")
-    exact = similarity_matrix(base, queries, config, "exact")
+    exact = _similarity(base, queries, config, "exact")
     gold_idx = _ranked(exact)[:, :top_n]
     in_gold = np.zeros(exact.shape, dtype=bool)
     np.put_along_axis(in_gold, gold_idx, True, axis=1)
-    scores = similarity_matrix(base, queries, config, estimator)
+    scores = _similarity(base, queries, config, estimator)
     order = _ranked(scores)
     hits = np.cumsum(np.take_along_axis(in_gold, order, axis=1), axis=1)
     depths = np.arange(1, n + 1)
@@ -474,6 +477,8 @@ def retrieval_eval(
 
 def area_under_pr(points: list[PRPoint]) -> float:
     """Trapezoidal area under a walked PR curve, anchored at recall 0."""
+    if not points:
+        raise ValueError("need at least one PR point")
     recall = np.array([0.0] + [p.recall for p in points])
     precision = np.array([points[0].precision] + [p.precision for p in points])
     return float(np.sum(np.diff(recall) * 0.5 * (precision[1:] + precision[:-1])))
@@ -532,9 +537,9 @@ def make_clusters(
     if not math.isfinite(noise):
         raise ValueError(f"noise must be finite, got {noise}")
     lo, hi = norm_range
-    if not 0.0 < lo <= hi:
-        raise ValueError(f"norm_range must satisfy 0 < lo <= hi, got {norm_range}")
-    rng = generator(derive_seed(seed, _DATA))
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"norm_range must satisfy 0 < lo <= hi < inf, got {norm_range}")
+    rng = generator(derive_seed(seed, _STREAMS["data"]))
     centers = _unit_rows(rng.standard_normal((n_clusters, D)), "centers")
     labels = np.arange(n_points, dtype=np.int64) % n_clusters
     points = _unit_rows(centers[labels] + noise * rng.standard_normal((n_points, D)), "points")

@@ -36,6 +36,12 @@ import numpy as np
 
 _MAX_SEED = 2**64
 
+# Spawn-key tag of each of the package's streams, the first entry of a
+# derive_seed path: the sweep's pair search, its cells and the synthetic
+# corpora (oporp.experiment), and each plan flavor (oporp.sketch). Kept in
+# one table so no two purposes share a stream; the values fix every draw.
+_STREAMS = {"pair": 0, "cell": 1, "data": 2, "vsrp": 3, "oporp": 4}
+
 
 class ProjectionKind(enum.Enum):
     """Supported multiplier distributions."""

@@ -109,6 +109,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .projection import (
+    _STREAMS,
     ProjectionDistribution,
     ProjectionKind,
     _bin_rows,
@@ -122,10 +123,6 @@ from .projection import (
     generator,
     sparse,
 )
-
-# Stream tag per flavor: a plan draws from generator(derive_seed(seed, tag)).
-# Tags 0-2 key the experiment module's own streams.
-_STREAMS = {"vsrp": 3, "oporp": 4}
 
 # Plans kept by _plan. Two, because loops that sketch pairs under one OPORP
 # and one VSRP config (and retrieval_eval over both kinds) alternate them.
@@ -288,7 +285,7 @@ def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
 
 def _check_flavor(config: SketchConfig, flavor: str) -> None:
     """Raise ValueError unless ``flavor`` is known, and a "vsrp" config vsrp_config's shape."""
-    if flavor not in _STREAMS:
+    if flavor not in _FLAVOR_CODES:
         raise ValueError(f"unknown sketch flavor {flavor!r}")
     shape = (config.k, config.binning, config.dist.kind)
     if flavor == "vsrp" and shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):

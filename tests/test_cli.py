@@ -351,6 +351,20 @@ def test_retrieval_and_knn_refuse_an_empty_query_set(capsys):
     assert captured.out == "" and captured.err.count("at least one") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["retrieval", "--dim", "8", "--base-size", "10", "--query-size", "2", "--k", "2",
+     "--norm-max", "inf", "--top-n", "2"],
+    ["knn", "--dim", "8", "--train-size", "10", "--test-size", "2", "--k", "2",
+     "--norm-max", "inf"],
+    ["variance", "--dim", "64", "--rho", "0.5", "--tol", "nan", "--k-list", "8"],
+])
+def test_non_finite_synthetic_parameters_exit_four(capsys, argv):
+    # used to escape as OverflowError (--norm-max inf) or exit 5 (--tol nan)
+    assert run(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: invalid: ")
+
+
 # --- dp -------------------------------------------------------------------------------
 
 

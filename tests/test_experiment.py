@@ -77,8 +77,9 @@ def test_generate_pair_validation_and_convergence():
         generate_pair_with_cosine(1, 0.5, 0.01, 0)
     with pytest.raises(ValueError):
         generate_pair_with_cosine(16, 1.5, 0.01, 0)
-    with pytest.raises(ValueError):
-        generate_pair_with_cosine(16, 0.5, 0.0, 0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            generate_pair_with_cosine(16, 0.5, tol, 0)
     with pytest.raises(ConvergenceError):
         generate_pair_with_cosine(16, 0.5, 1e-9, 0, max_attempts=5)
 
@@ -530,6 +531,8 @@ def test_area_under_pr_hand_example():
     points = [PRPoint(0.5, 1.0), PRPoint(1.0, 0.5)]
     # anchored at (0, 1): 0.5 * (1+1)/2 + 0.5 * (1+0.5)/2
     assert area_under_pr(points) == pytest.approx(0.875, abs=1e-15)
+    with pytest.raises(ValueError, match="at least one"):
+        area_under_pr([])
 
 
 def test_knn_separable_clusters():
@@ -588,8 +591,9 @@ def test_make_clusters_validation():
         make_clusters(16, 0, 2, 0.5, 0)
     with pytest.raises(ValueError):
         make_clusters(16, 10, 2, 0.5, 0, norm_range=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        make_clusters(16, 10, 2, 0.5, 0, norm_range=(2.0, 1.0))
+    for norm_range in ((2.0, 1.0), (1.0, math.inf), (math.inf, math.inf)):
+        with pytest.raises(ValueError, match="norm_range"):
+            make_clusters(16, 10, 2, 0.5, 0, norm_range=norm_range)
     for noise in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="noise"):
             make_clusters(16, 10, 2, noise, 0)

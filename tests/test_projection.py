@@ -14,6 +14,7 @@ import pytest
 from scipy import stats
 
 from oporp.projection import (
+    _STREAMS,
     ProjectionDistribution,
     ProjectionKind,
     check_seed,
@@ -25,7 +26,7 @@ from oporp.projection import (
     scaled_uniform,
     sparse,
 )
-from oporp.sketch import Binning, SketchConfig, _oporp_draws
+from oporp.sketch import _FLAVOR_CODES, Binning, SketchConfig, _oporp_draws
 
 
 def permutation_rows(rng, c, D):
@@ -88,6 +89,12 @@ def test_derive_seed_deterministic_and_path_sensitive():
         derive_seed(8, 0, 0),
     }
     assert len(seen) == 6
+
+
+def test_stream_tags_are_distinct():
+    # Two purposes on one tag would draw the same stream.
+    assert len(set(_STREAMS.values())) == len(_STREAMS)
+    assert set(_FLAVOR_CODES) <= set(_STREAMS)
 
 
 def test_generator_reproducible():
