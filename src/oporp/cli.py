@@ -24,6 +24,7 @@ shortest round-trip precision.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import stat
@@ -49,13 +50,7 @@ from .privacy import (
     dp_sign_oporp_rr_smooth,
     flip_probability,
 )
-from .projection import (
-    ProjectionDistribution,
-    gaussian,
-    rademacher,
-    scaled_uniform,
-    sparse,
-)
+from .projection import ProjectionDistribution, ProjectionKind
 from .sketch import (
     Binning,
     Sketch,
@@ -71,11 +66,10 @@ from .variance import pair_statistics
 
 _MATRIX_MAGIC = b"OPMX"
 
-_DIST_CHOICES = {
-    "rademacher": rademacher,
-    "gaussian": gaussian,
-    "scaled-uniform": scaled_uniform,
-}
+# The CLI's names come from the enums, in their order; --dist spells scaled-uniform with a hyphen.
+_SCHEMES = [scheme.value for scheme in Binning]
+_ESTIMATORS = [est.value for est in Estimator]
+_DISTS = {kind.value.replace("_", "-"): kind for kind in ProjectionKind}
 
 
 def _fmt(x: float) -> str:
@@ -154,33 +148,37 @@ def _row(M: np.ndarray, index: int, path: str) -> np.ndarray:
     return M[index]
 
 
-def _dist_from_args(args) -> ProjectionDistribution:
-    if args.dist == "sparse":
-        return sparse(args.s)
-    return _DIST_CHOICES[args.dist]()
+def _input_row(args) -> np.ndarray:
+    """Row --row of the --input matrix."""
+    return _row(load_matrix(args.input), args.row, args.input)
 
 
 def _config_from_args(args, dim: int) -> SketchConfig:
+    kind = _DISTS[args.dist]
     return SketchConfig(
         dim=dim,
         k=args.k,
         binning=Binning(args.scheme),
-        dist=_dist_from_args(args),
+        # Only the sparse family reads --s.
+        dist=ProjectionDistribution(kind, args.s if kind is ProjectionKind.SPARSE else 1.0),
         m=args.m,
         seed=args.seed,
     )
 
 
-def _add_sketch_params(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, required=True, help="number of bins (samples for --vsrp)")
-    p.add_argument("--scheme", choices=["fixed", "variable"], default="fixed")
-    p.add_argument(
-        "--dist",
-        choices=["rademacher", "gaussian", "scaled-uniform", "sparse"],
-        default="rademacher",
-    )
-    p.add_argument("--s", type=float, default=1.0, help="sparse distribution parameter")
-    p.add_argument("--m", type=int, default=1, help="independent repetitions")
+def _add_input_row(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="CSV or binary matrix, one vector per row")
+    p.add_argument("--row", type=int, default=0)
+
+
+def _add_sketch_params(p: argparse.ArgumentParser, dist: bool = True) -> None:
+    """--k, --scheme and --seed; with ``dist``, also --dist, --s and --m."""
+    p.add_argument("--k", type=int, required=True, help="number of bins")
+    p.add_argument("--scheme", choices=_SCHEMES, default=Binning.FIXED.value)
+    if dist:
+        p.add_argument("--dist", choices=list(_DISTS), default="rademacher")
+        p.add_argument("--s", type=float, default=1.0, help="sparse distribution parameter")
+        p.add_argument("--m", type=int, default=1, help="independent repetitions")
     p.add_argument("--seed", type=int, default=0, help="sketch randomness seed")
 
 
@@ -195,11 +193,13 @@ def _add_synthetic_split(p: argparse.ArgumentParser, *sizes: tuple[str, int]) ->
     p.add_argument("--norm-max", type=float, default=1.0, help="largest point norm")
     p.add_argument("--data-seed", type=int, default=0)
     _add_sketch_params(p)
-    p.add_argument("--estimator", default=Estimator.COSINE.value,
-                   choices=["exact"] + [est.value for est in Estimator])
+    p.add_argument("--estimator", default=Estimator.COSINE.value, choices=["exact"] + _ESTIMATORS)
 
 
-def _csv_out(lines: list[str], out: str | None) -> None:
+def _write_table(header: str, rows, out: str | None) -> None:
+    """CSV to ``out`` (stdout if None): floats by :func:`_fmt`, anything else by str."""
+    lines = [header]
+    lines += [",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -212,11 +212,11 @@ def _csv_out(lines: list[str], out: str | None) -> None:
 
 
 def _cmd_sketch(args) -> int:
-    M = load_matrix(args.input)
-    u = _row(M, args.row, args.input)
+    u = _input_row(args)
     if args.vsrp:
         # k samples of sparse(--s) columns: no repetitions, bins or other multipliers.
-        if args.m != 1 or args.scheme == "variable" or args.dist in ("gaussian", "scaled-uniform"):
+        if (args.m != 1 or Binning(args.scheme) is not Binning.FIXED
+                or _DISTS[args.dist] not in (ProjectionKind.RADEMACHER, ProjectionKind.SPARSE)):
             raise ValueError("--vsrp takes only --m 1, --scheme fixed and --dist rademacher "
                              f"or sparse, got --m {args.m} --scheme {args.scheme} "
                              f"--dist {args.dist}")
@@ -249,13 +249,19 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _parse_list(text: str, flag: str, kind: type) -> list:
-    """A comma-separated list of ``kind`` (int or float); empty parts are skipped."""
+def _parse_list(text: str, flag: str, kind) -> list:
+    """The comma-separated entries of ``text``, each converted by ``kind``.
+
+    ``kind`` is int, float or an enum such as Binning. Blank entries are
+    skipped, and a list with no entry left is refused.
+    """
     try:
-        return [kind(part) for part in text.split(",") if part.strip() != ""]
+        items = [kind(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        noun = "integer" if kind is int else "number"
-        raise ValueError(f"{flag} must be a comma-separated {noun} list") from exc
+        raise ValueError(f"{flag}: {exc}") from exc
+    if not items:
+        raise ValueError(f"{flag} needs at least one entry")
+    return items
 
 
 def _resolve_pair(args) -> tuple[np.ndarray, np.ndarray]:
@@ -282,9 +288,9 @@ def _cmd_variance(args) -> int:
     stats = pair_statistics(u, v)
     k_list = _parse_list(args.k_list, "--k-list", int)
     s_list = _parse_list(args.s_list, "--s-list", float)
-    schemes = [Binning(s.strip()) for s in args.scheme_list.split(",") if s.strip()]
-    estimators = [Estimator(e.strip()) for e in args.estimators.split(",") if e.strip()]
-    lines = ["estimator,scheme,k,s,m,value"]
+    schemes = _parse_list(args.scheme_list, "--scheme-list", Binning)
+    estimators = _parse_list(args.estimators, "--estimators", Estimator)
+    rows = []
     for est in estimators:
         entry = _REGISTRY[est]
         if entry.oracle is None:
@@ -295,31 +301,25 @@ def _cmd_variance(args) -> int:
             for k in k_list:
                 for s in s_list:
                     value = entry.variance(stats, k, s, scheme, args.m)
-                    lines.append(f"{est.value},{label},{k},{_fmt(s)},{args.m},{_fmt(value)}")
-    _csv_out(lines, args.out)
+                    rows.append((est.value, label, k, s, args.m, value))
+    _write_table("estimator,scheme,k,s,m,value", rows, args.out)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     u, v = _resolve_pair(args)
-    estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
     rows = mse_sweep(
         u,
         v,
         _parse_list(args.k_list, "--k-list", int),
         args.s,
         Binning(args.scheme),
-        estimators,
+        _parse_list(args.estimators, "--estimators", Estimator),
         args.trials,
         args.seed,
     )
-    lines = ["estimator,scheme,k,s,trials,empirical_mse,empirical_bias,theoretical_var"]
-    lines += [
-        f"{r.estimator},{r.scheme},{r.k},{_fmt(r.s)},{r.trials},"
-        f"{_fmt(r.empirical_mse)},{_fmt(r.empirical_bias)},{_fmt(r.theoretical_var)}"
-        for r in rows
-    ]
-    _csv_out(lines, args.out)
+    header = "estimator,scheme,k,s,trials,empirical_mse,empirical_bias,theoretical_var"
+    _write_table(header, (dataclasses.astuple(r) for r in rows), args.out)
     return 0
 
 
@@ -344,12 +344,8 @@ def _cmd_retrieval(args) -> int:
     config = _config_from_args(args, base.shape[1])
     points_list = retrieval_eval(base, queries, config, args.estimator, args.top_n)
     print(f"aupr {_fmt(area_under_pr(points_list))}")
-    lines = ["depth,recall,precision"]
-    lines += [
-        f"{d},{_fmt(p.recall)},{_fmt(p.precision)}"
-        for d, p in enumerate(points_list, start=1)
-    ]
-    _csv_out(lines, args.out)
+    rows = ((d, p.recall, p.precision) for d, p in enumerate(points_list, start=1))
+    _write_table("depth,recall,precision", rows, args.out)
     return 0
 
 
@@ -381,16 +377,8 @@ def _cmd_dp(args) -> int:
             "anyone who knows the seed can subtract it",
             file=sys.stderr,
         )
-    M = load_matrix(args.input)
-    u = _row(M, args.row, args.input)
-    config = SketchConfig(
-        dim=u.shape[0],
-        k=args.k,
-        binning=Binning(args.scheme),
-        dist=rademacher(),
-        m=1,
-        seed=args.seed,
-    )
+    u = _input_row(args)
+    config = _config_from_args(args, u.shape[0])
     if args.mechanism == "gaussian":
         if args.delta is None:
             raise ValueError("the gaussian mechanism needs --delta")
@@ -424,12 +412,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Binned random-projection sketches, estimators, and variance oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    estimators = [est.value for est in Estimator]
     default_pair = f"{Estimator.INNER.value},{Estimator.COSINE.value}"
 
     p = sub.add_parser("sketch", help="sketch one row of a matrix file")
-    p.add_argument("--input", required=True, help="CSV or binary matrix, one vector per row")
-    p.add_argument("--row", type=int, default=0)
+    _add_input_row(p)
     _add_sketch_params(p)
     p.add_argument("--vsrp", action="store_true", help="sparse-projection sketch (--k samples)")
     p.add_argument("--out", required=True, help="output sketch file")
@@ -438,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate similarity from two sketch files")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--estimator", choices=estimators, required=True)
+    p.add_argument("--estimator", choices=_ESTIMATORS, required=True)
     p.add_argument("--sumsq-u", type=float, default=None, help="override sum u^2")
     p.add_argument("--sumsq-v", type=float, default=None, help="override sum v^2")
     p.set_defaults(func=_cmd_estimate)
@@ -447,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pair_source(p)
     p.add_argument("--k-list", required=True, help="comma-separated bin counts")
     p.add_argument("--s-list", default="1", help="comma-separated fourth moments")
-    p.add_argument("--scheme-list", default="fixed,variable")
+    p.add_argument("--scheme-list", default=",".join(_SCHEMES))
     p.add_argument("--estimators", default=default_pair)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -457,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pair_source(p)
     p.add_argument("--k-list", required=True)
     p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--scheme", choices=["fixed", "variable"], default="fixed")
+    p.add_argument("--scheme", choices=_SCHEMES, default=Binning.FIXED.value)
     p.add_argument("--estimators", default=default_pair)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
@@ -482,11 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_knn)
 
     p = sub.add_parser("dp", help="differentially private sketch release")
-    p.add_argument("--input", required=True)
-    p.add_argument("--row", type=int, default=0)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--scheme", choices=["fixed", "variable"], default="fixed")
-    p.add_argument("--seed", type=int, default=0, help="sketch randomness seed")
+    _add_input_row(p)
+    _add_sketch_params(p, dist=False)
     p.add_argument("--mechanism", choices=["gaussian", "rr", "rr-smooth"], required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=None)
@@ -497,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "of the release against anyone who knows the seed (default: fresh OS entropy)",
     )
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dp)
+    # Releases always use one repetition of Rademacher multipliers.
+    p.set_defaults(func=_cmd_dp, dist="rademacher", s=1.0, m=1)
 
     return parser
 
@@ -511,10 +495,7 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except SketchFileError as exc:
-        print(f"error: file: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (SketchFileError, OSError) as exc:
         print(f"error: file: {exc}", file=sys.stderr)
         return 3
     except (EstimationError, ConvergenceError) as exc:

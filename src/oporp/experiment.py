@@ -312,10 +312,14 @@ def mse_sweep(
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
-    scheme = Binning(scheme) if not isinstance(scheme, Binning) else scheme
+    scheme = Binning(scheme)
     ests = [Estimator(est) for est in estimators]
     if not ests:
         raise ValueError("need at least one estimator")
+    # operator.index, as SketchConfig: a k of 8.7 is refused, not run as 8.
+    k_list = [operator.index(k) for k in k_list]
+    if not k_list:
+        raise ValueError("need at least one k")
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     stats = var.pair_statistics(u, v)
@@ -324,8 +328,6 @@ def mse_sweep(
 
     rows: list[SweepRow] = []
     for k in k_list:
-        # operator.index, as SketchConfig: a k of 8.7 is refused, not run as 8.
-        k = operator.index(k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if "oporp" in families and scheme is Binning.FIXED and k > stats.dim:

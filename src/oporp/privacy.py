@@ -115,7 +115,9 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
     """Minimal Gaussian noise scale achieving (epsilon, delta)-DP.
 
     Bisects the exact trade-off equation; its left side decreases strictly
-    from 1 (sigma -> 0) to 0 (sigma -> inf), so the root is unique. The
+    from 1 (sigma -> 0) to 0 (sigma -> inf), so the root is unique, and
+    returns the upper end of the final bracket, where the gap is at most
+    delta (within 1e-14 relative of the root). The
     result is tight: unlike the classical sqrt(2 log(1.25/delta)) recipe it
     is valid for every epsilon > 0 and never larger where both apply.
     Raises ValueError when sigma or its bisection bracket leaves the float
@@ -147,6 +149,7 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
         hi *= 2.0
         if hi == math.inf:
             raise unrepresentable
+    # The gap at hi stays <= delta throughout: hi is the end that meets delta.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _tradeoff_gap(mid, delta2, epsilon) > delta:
@@ -155,10 +158,9 @@ def solve_gaussian_sigma(delta2: float, epsilon: float, delta: float) -> float:
             hi = mid
         if hi - lo <= 1e-14 * hi:
             break
-    sigma = 0.5 * (lo + hi)
-    if not 0.0 < sigma < math.inf:
+    if not 0.0 < hi < math.inf:
         raise unrepresentable
-    return sigma
+    return hi
 
 
 def flip_probability(epsilon):

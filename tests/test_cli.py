@@ -272,6 +272,23 @@ def test_variance_rejects_impossible_s(capsys, estimator, s):
     assert err.startswith("error: invalid: sparse parameter must be finite and >= 1")
 
 
+@pytest.mark.parametrize("argv", [
+    ["variance", "--k-list", ""],
+    ["variance", "--k-list", "4", "--s-list", " "],
+    ["variance", "--k-list", "4", "--scheme-list", ""],
+    ["variance", "--k-list", "4", "--estimators", ","],
+    ["simulate", "--k-list", "", "--trials", "100"],
+])
+def test_an_empty_list_flag_exits_four(tmp_path, capsys, argv):
+    # each used to print only the CSV header and exit 0
+    out_path = tmp_path / "rows.csv"
+    assert run(argv + ["--dim", "16", "--rho", "0.5", "--out", str(out_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid: ") and captured.err.count("\n") == 1
+    assert not out_path.exists()
+
+
 # --- simulate -------------------------------------------------------------------------
 
 

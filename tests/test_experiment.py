@@ -249,6 +249,8 @@ def test_sweep_validation():
         mse_sweep(u, v, [32], 1.0, Binning.FIXED, ["inner"], 500, 0)  # k > D
     with pytest.raises(ValueError):
         mse_sweep(u, v, [4], 1.0, Binning.FIXED, [], 500, 0)
+    with pytest.raises(ValueError, match="at least one k"):
+        mse_sweep(u, v, [], 1.0, Binning.FIXED, ["inner"], 500, 0)
 
 
 def test_sweep_refuses_a_non_integer_k():

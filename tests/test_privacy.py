@@ -11,10 +11,13 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
@@ -188,6 +191,19 @@ def test_sigma_at_the_top_of_the_float_range():
     # a sigma below the float range is still refused
     with pytest.raises(ValueError, match="float"):
         solve_gaussian_sigma(5e-324, 1.7e308, 1e-6)
+
+
+def test_sigma_meets_delta_on_a_wide_grid():
+    # the solver returned its last bracket's midpoint, whose gap exceeded
+    # delta (by up to 1.4e-10 relative) in about half of these cases
+    violations = []
+    for delta2 in (0.25, 1.0, 3.7, 1e-3, 1e5):
+        for eps in np.logspace(-3.0, 4.0, 60).tolist():
+            for delta in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.3):
+                sigma = solve_gaussian_sigma(delta2, eps, delta)
+                if _tradeoff_gap(sigma, delta2, eps) > delta:
+                    violations.append((delta2, eps, delta))
+    assert violations == []
 
 
 def test_sigma_never_exceeds_classical_recipe():
@@ -402,6 +418,52 @@ def test_empty_bins_release_fair_coins():
     coin_mean = released[empty].mean()
     assert abs(coin_mean) < 4.0 / math.sqrt(empty.sum())
     assert released.dtype == np.int8
+
+
+def _nudge(x, ulps):
+    """The float ``ulps`` steps from x (toward +inf when positive)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _output_probs(x, eps, beta):
+    """P(+1), P(-1) of one released bit: sign(x) (-1 at 0) flipped by _flip_probs."""
+    p = float(_flip_probs(np.array([x]), eps, beta)[0])
+    return (1.0 - p, p) if x > 0.0 else (p, 1.0 - p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    beta=st.floats(1e-6, 1e6),
+    eps=st.floats(1e-3, 10.0),
+    n=st.integers(0, 50),
+    ulps=st.integers(-3, 3),
+    negative=st.booleans(),
+)
+def test_rr_levels_and_likelihood_ratios_over_adjacent_inputs(beta, eps, n, ulps, negative):
+    # x sits at or a few floats off n * beta, where ceil decides the level;
+    # n = 0 gives 0, -0.0 and subnormals. Every x' within beta of x, checked
+    # in exact rational arithmetic, is one adjacent step away.
+    x = _nudge(n * beta, ulps)
+    x = -x if negative else x
+    candidates = [0.0, -0.0]
+    for u in (-2, -1, 0, 1, 2):
+        for step in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            candidates.append(_nudge(x + step * beta, u))
+        for m in (n - 1, n, n + 1):
+            candidates += [_nudge(m * beta, u), -_nudge(m * beta, u)]
+    neighbours = [y for y in candidates if abs(Fraction(y) - Fraction(x)) <= Fraction(beta)]
+    assert neighbours
+    bound = math.exp(eps) * (1.0 + 1e-12)  # rounding of the float probabilities
+    for y in neighbours:
+        # a beta step moves the rr-smooth level ceil(|x|/beta) by at most one
+        levels = np.ceil(np.abs([x, y]) / beta)
+        assert abs(levels[0] - levels[1]) <= 1, (x, y, beta)
+        for level_beta in (None, beta):  # rr, rr-smooth
+            px, py = _output_probs(x, eps, level_beta), _output_probs(y, eps, level_beta)
+            for a, b in ((px, py), (py, px)):
+                assert a[0] <= bound * b[0] and a[1] <= bound * b[1], (x, y, eps, level_beta)
 
 
 def test_smooth_large_magnitude_probs_underflow_to_zero():
