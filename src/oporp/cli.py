@@ -155,11 +155,13 @@ def _input_row(args) -> np.ndarray:
 
 def _config_from_args(args, dim: int) -> SketchConfig:
     kind = _DISTS[args.dist]
+    # Only the sparse family reads --s; any other dist refuses a value it would ignore.
+    if kind is not ProjectionKind.SPARSE and args.s != 1.0:
+        raise ValueError(f"--s {args.s:g} needs --dist sparse, got --dist {args.dist}")
     return SketchConfig(
         dim=dim,
         k=args.k,
         binning=Binning(args.scheme),
-        # Only the sparse family reads --s.
         dist=ProjectionDistribution(kind, args.s if kind is ProjectionKind.SPARSE else 1.0),
         m=args.m,
         seed=args.seed,

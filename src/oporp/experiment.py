@@ -28,7 +28,11 @@ their bin sums go through the plan's tiled kernel
 (:func:`~oporp.sketch._bin_sums`, the pair as two rows and the trials as
 repetitions) and the VSRP gather and segmented sums run over blocks of
 whole samples; tiles and blocks never change a result, while
-``_CHUNK_ELEMENTS`` fixes the draws and so the rows.
+``_CHUNK_ELEMENTS`` fixes the draws and so the rows. The dense VSRP kernel
+splits its sign pass and its float blocks between the calling thread and
+one lane thread (:func:`~oporp.projection._two_lanes`); the calling thread
+alone draws, so the rows are the same bits. The bin sums and the gap
+kernel stay on the calling thread.
 
 The retrieval and classification harnesses sketch through one
 :class:`~oporp.sketch.SketchPlan` per config, the cached one that
@@ -54,6 +58,7 @@ from .projection import (
     ProjectionKind,
     _block_rows,
     _sparse_signs,
+    _two_lanes,
     derive_seed,
     gaussian,
     generator,
@@ -79,9 +84,10 @@ from .sketch import (
 _CHUNK_ELEMENTS = 4_000_000
 
 # VSRP sweep cells with s below this use the dense byte kernel, the others
-# the gap kernel. BENCH_kernels.json times the two within a few percent of
-# each other at s = 8 (its crossover_s reads 8 or 10 from run to run) and
-# the gap kernel faster from s = 10 on. Fixed, because the rows depend on it.
+# the gap kernel. With the dense kernel in two lanes, BENCH_kernels.json
+# reads crossover_s = 16 (8 on one lane): at s = 10 the dense kernel took
+# 46.8 ms against the gap kernel's 50.4 ms, at s = 16 47.9 against 33.1 ms.
+# The switch stays at 10, because the rows depend on it.
 _DENSE_VSRP_BELOW = 10.0
 
 class ConvergenceError(RuntimeError):
@@ -183,7 +189,9 @@ def _vsrp_dense(
     The chunk's {-1, 0, +1} entries come from the package's one sparse
     sampler, :func:`~oporp.projection._sparse_signs`. Each block of whole
     samples becomes a float array, and every row is reduced on its own with
-    einsum, never BLAS, whose sums depend on the block shape.
+    einsum, never BLAS, whose sums depend on the block shape. The blocks are
+    split over two lanes (:func:`~oporp.projection._two_lanes`), each with
+    its own float block.
     """
     D = u.shape[0]
     samples = c * k
@@ -191,12 +199,18 @@ def _vsrp_dense(
     X = np.empty(samples)
     Y = np.empty(samples)
     rows = _block_rows(D, samples)
-    Z = np.empty((rows, D))
-    for lo in range(0, samples, rows):
-        block = Z[: min(rows, samples - lo)]
-        block[...] = signs[lo : lo + rows]
-        np.einsum("ij,j->i", block, u, out=X[lo : lo + rows])
-        np.einsum("ij,j->i", block, v, out=Y[lo : lo + rows])
+    # Both lanes' float blocks, lane 1's from row `rows` on (one block: no lane 1).
+    Z = np.empty((samples if samples <= rows else 2 * rows, D))
+
+    def dense(lane: int, lo: int, hi: int) -> None:
+        for a in range(lo, hi, rows):
+            r = min(rows, hi - a)
+            block = Z[lane * rows : lane * rows + r]
+            np.copyto(block, signs[a : a + r])  # a slice assignment holds the GIL
+            np.einsum("ij,j->i", block, u, out=X[a : a + r])
+            np.einsum("ij,j->i", block, v, out=Y[a : a + r])
+
+    _two_lanes(dense, samples, rows)
     X *= math.sqrt(s)
     Y *= math.sqrt(s)
     return X.reshape(c, k), Y.reshape(c, k)

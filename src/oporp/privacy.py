@@ -19,7 +19,8 @@ Three mechanisms:
   empty bin (exact zero), whose bit is then a fair coin, since
   ``flip_probability(0)`` is exactly 0.5. Elsewhere L is 1 under ``rr``,
   and ceil(|x|/beta) under ``rr-smooth``, since L adjacent steps are needed
-  to change the sign of a bin L*beta away from zero.
+  to change the sign of a bin L*beta away from zero, capped at
+  max(1, floor(9/eps)) (see :func:`_flip_probs`).
 
 Sign releases return only the int8 +-1 signs. The per-bit probabilities
 follow the private vector (they reveal the empty bins and, under
@@ -216,12 +217,22 @@ def _flip_probs(values: np.ndarray, epsilon: float, beta: float | None = None) -
     """Per-bit flip probabilities flip_probability(L * eps) of a sign release.
 
     L is 0 at an empty bin, 1 elsewhere under ``rr`` (``beta`` None), and
-    ceil(|x|/beta) under ``rr-smooth``, which is 0 at an empty bin too.
+    min(ceil(|x|/beta), max(1, floor(9/eps))) under ``rr-smooth``, which is 0
+    at an empty bin too. A bit flips when a uniform draw, a multiple of
+    2**-53, falls below its probability p, so it really flips with
+    probability ceil(p * 2**53) / 2**53. For eps <= 9 the cap keeps every
+    p at or above flip_probability(9), about 1.2e-4, where that rounding
+    moves a likelihood ratio by under 1e-12 relative; for eps > 9 it is 1,
+    as under ``rr``, whose levels 0 and 1 leave a factor 2 to spare.
+    Uncapped, small p broke eps-DP: at eps = 1, level 36 flips with
+    probability 3 * 2**-53 and level 37 with 2**-53 (ratio 3 > e), and
+    level 746 never flips at all.
     """
     if beta is None:
         levels = values != 0.0
     else:
-        levels = np.ceil(np.abs(values) / beta)
+        cap = max(1.0, np.floor(9.0 / epsilon))  # 9/eps may be inf
+        levels = np.minimum(np.ceil(np.abs(values) / beta), cap)
     return flip_probability(levels * epsilon)
 
 
@@ -263,8 +274,11 @@ def dp_sign_oporp_rr_smooth(
 
     A bin at distance L*beta from zero cannot change sign in fewer than L
     adjacent steps, so it may use the larger budget L*epsilon; its flip
-    probability 1/(e^(L*eps) + 1) never exceeds the plain RR one. Returns
-    the k int8 +-1 signs.
+    probability 1/(e^(L*eps) + 1) never exceeds the plain RR one. L is
+    capped at max(1, floor(9/epsilon)), so no flip probability falls below
+    about 1.2e-4 (or the plain RR one, where epsilon > 9), where the
+    2**-53 grid of the uniform draws would break the epsilon bound.
+    Returns the k int8 +-1 signs.
     """
     _check_positive("beta", beta)
     return _sign_release(u, config, epsilon, beta, noise_seed)

@@ -23,6 +23,13 @@ storage. An OPORP draw (:func:`oporp.sketch._oporp_draws`) keeps the
 permutation and bin-index rows (:func:`_permutations`, :func:`_bin_rows`)
 and the one block-size rule (:func:`_block_rows`) that the index draws and
 the kernels share.
+
+One private helper, :func:`_two_lanes`, splits a pure numpy pass over the
+calling thread and one lane thread, a single worker made on first use. The
+sparse sampler's sign pass and the dense VSRP sweep kernel
+(:func:`oporp.experiment._vsrp_dense`) use it; only the calling thread ever
+touches a generator, so no draw depends on it. The lane thread runs numpy
+calls on the caller's buffers and no function of the package's public API.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,22 +199,32 @@ def _sparse_signs(rng: np.random.Generator, shape, s: float) -> np.ndarray:
     nonzero comes from a tie). The low bit is the sign. All bytes are drawn
     first, then one uniform per tie in order. The bytes become signs in
     place, one ``_SIGN_BLOCK`` at a time, each block's ties set aside with
-    their bytes until the uniforms settle them.
+    their bytes until the uniforms settle them. The blocks are split over
+    two lanes (:func:`_two_lanes`); each writes its blocks' ties into their
+    blocks' slots, so the uniforms settle them in position order.
     """
     n = math.prod(np.broadcast_shapes(shape))  # refuses negative dimensions
     b = _random_bytes(rng, n)
     T = int(128.0 / s)
-    scratch = np.empty(min(n, _SIGN_BLOCK), dtype=np.uint8)
-    at, ties = [], []
-    for lo in range(0, n, _SIGN_BLOCK):
-        x = b[lo : lo + _SIGN_BLOCK]
-        t = np.right_shift(x, 1, out=scratch[: x.shape[0]])
-        if T < 128:  # at s = 1, T = 128 and no byte ties
-            j = np.flatnonzero(t == T)
-            at.append(lo + j)
-            ties.append(x[j])
-        _to_signs(x, np.less(t, T, out=t.view(np.bool_)))
-    if at:
+    # Scratch and tie masks of both lanes, lane 1's from _SIGN_BLOCK on (a
+    # one-block draw has no lane 1); a lane allocates only its tie arrays.
+    scratch = np.empty(n if n <= _SIGN_BLOCK else 2 * _SIGN_BLOCK, dtype=np.uint8)
+    tied = np.empty(scratch.shape, dtype=np.bool_)
+    blocks = -(-n // _SIGN_BLOCK)
+    at, ties = [None] * blocks, [None] * blocks
+
+    def signs(lane: int, lo: int, hi: int) -> None:
+        for a in range(lo, hi, _SIGN_BLOCK):
+            x = b[a : a + _SIGN_BLOCK]
+            own = slice(lane * _SIGN_BLOCK, lane * _SIGN_BLOCK + x.shape[0])
+            t = np.right_shift(x, 1, out=scratch[own])
+            if T < 128:  # at s = 1, T = 128 and no byte ties
+                j = np.flatnonzero(np.equal(t, T, out=tied[own]))
+                at[a // _SIGN_BLOCK], ties[a // _SIGN_BLOCK] = a + j, x[j]
+            _to_signs(x, np.less(t, T, out=t.view(np.bool_)))
+
+    _two_lanes(signs, n, _SIGN_BLOCK)
+    if T < 128 and blocks:
         at, ties = np.concatenate(at), np.concatenate(ties)
         _to_signs(ties, rng.random(at.shape[0]) < 128.0 / s - T)
         b[at] = ties
@@ -219,6 +238,77 @@ def _to_signs(b: np.ndarray, nonzero: np.ndarray) -> None:
     np.bitwise_and(b, nonzero, out=b)
     np.add(b, b, out=b)
     np.subtract(nonzero, b, out=b)
+
+
+# The second lane of _two_lanes: one worker thread, made on first use, and
+# dropped in a forked child, where the parent's thread does not run.
+_pool = None
+_pool_lock = threading.Lock()
+_in_lane = threading.local()
+
+
+def _lane_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # Imported here: importing the package should not load logging.
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="oporp-lane", initializer=setattr,
+                                       initargs=(_in_lane, "worker", True))
+        return _pool
+
+
+def _drop_lane_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_lane_pool)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _two_lanes(fn, n: int, step: int) -> None:
+    """Run ``fn(lane, lo, hi)`` over [0, n): lane 0 on this thread, lane 1 on the lane thread.
+
+    Each lane takes the next whole step [lo, lo + step) from one shared
+    counter until none is left, so a lane that starts late or is
+    descheduled (the host's other CPU may be busy) does less of the work
+    instead of holding up the other.
+    One lane, ``fn(0, 0, n)``, runs when n <= step, when the process may
+    use only one CPU, or when called from the lane thread itself. ``fn``
+    must use only numpy calls and buffers its caller made, never a
+    generator, so that the two lanes give the same result as one. Lane 1 is
+    waited for even when lane 0 raises, and then lane 0's exception
+    propagates; otherwise lane 1's does, if it raised.
+    """
+    if n <= step or _cpus() < 2 or getattr(_in_lane, "worker", False):
+        fn(0, 0, n)
+        return
+    starts, lock = iter(range(0, n, step)), threading.Lock()
+
+    def lane(k: int) -> None:
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            fn(k, lo, min(lo + step, n))
+
+    future = _lane_pool().submit(lane, 1)
+    try:
+        lane(0)
+    finally:
+        error = future.exception()  # lane 1 writes into the caller's buffers
+    if error is not None:
+        raise error
 
 
 # Target entries per block of the index draws and of the VSRP sweep

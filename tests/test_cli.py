@@ -142,6 +142,22 @@ def test_vsrp_sketch_refuses_oporp_only_flags(tmp_path, capsys, matrix_file, fla
         assert load_sketch(out).values.shape == (8,)
 
 
+@pytest.mark.parametrize("dist", ["rademacher", "gaussian", "scaled-uniform"])
+def test_sketch_refuses_s_without_the_sparse_dist(tmp_path, capsys, matrix_file, dist):
+    # --dist gaussian --s 3 used to exit 0 and write a Gaussian sketch
+    path, _ = matrix_file
+    out = str(tmp_path / "x.sk")
+    argv = ["sketch", "--input", path, "--k", "8", "--out", out]
+    assert run(argv + ["--dist", dist, "--s", "3"]) == 4
+    assert "--s 3 needs --dist sparse" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert run(["retrieval", "--dim", "16", "--k", "4", "--dist", dist, "--s", "3",
+                "--estimator", "vsrp_cosine"]) == 4
+    for ok in (["--dist", dist, "--s", "1"], ["--dist", "sparse", "--s", "3"]):
+        run_ok(capsys, argv + ok)
+        assert load_sketch(out).config.dist.sparsity == float(ok[-1])
+
+
 def test_estimate_refuses_the_other_familys_sketches(tmp_path, capsys, matrix_file):
     path, _ = matrix_file
     x, y = str(tmp_path / "x.sk"), str(tmp_path / "y.sk")

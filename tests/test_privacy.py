@@ -467,8 +467,8 @@ def test_rr_levels_and_likelihood_ratios_over_adjacent_inputs(beta, eps, n, ulps
 
 
 def test_smooth_large_magnitude_probs_underflow_to_zero():
-    # levels far above 1 push e^(L eps) past float range; the flip
-    # probability must saturate at exactly 0 instead of warning or NaN
+    # levels far above 1 would push e^(L eps) past float range; the capped
+    # flip probability must stay finite, without a warning or NaN
     u = np.ones(16)
     config = private_config(16, 2, seed=8)
     values = oporp_sketch(u, config).values
@@ -478,6 +478,22 @@ def test_smooth_large_magnitude_probs_underflow_to_zero():
         dp_sign_oporp_rr_smooth(u, config, 5.0, beta=1e-3, noise_seed=15)
     assert np.all(np.isfinite(smooth))
     assert smooth.min() >= 0.0
+
+
+@pytest.mark.parametrize("eps", [0.1, 1.0, 3.0, 12.0])
+def test_rr_smooth_levels_keep_eps_dp_on_the_uniform_draws_grid(eps):
+    # A bit flips when its uniform draw, a multiple of 2**-53, falls below
+    # p, so it flips w.p. ceil(p 2**53) / 2**53. Uncapped, at eps = 1
+    # levels 36 and 37 flipped w.p. 3 and 1 times 2**-53 (a ratio of 3 > e)
+    # and level 746 never. Adjacent inputs L and L + 1 (beta = 1) reach
+    # every pair of adjacent levels.
+    grid = 2**53
+    probs = _flip_probs(np.arange(801, dtype=np.float64), eps, beta=1.0)
+    flips = [Fraction(math.ceil(Fraction(float(p)) * grid), grid) for p in probs]
+    bound = Fraction(math.exp(eps)) * (1 + Fraction(1, 10**12))
+    for level, (a, b) in enumerate(zip(flips, flips[1:])):
+        for x, y in ((a, b), (1 - a, 1 - b)):  # flipped, kept
+            assert x <= bound * y and y <= bound * x, (eps, level)
 
 
 # --- sign similarity -----------------------------------------------------------------
