@@ -2,10 +2,12 @@
 VSRP is OPORP run k times with a single bin
 ===========================================
 
-The dense projection with sparse(s) entries and the binned sketch with
-k=1 and m=k repetitions have the same estimator distribution. The demo
-measures both MSEs, then checks the sample-based variance formulas on a
-pair with very unequal norms, where the sparse speedup actually matters.
+The classical very sparse projection, a D x k matrix with sparse(s)
+entries, and the binned sketch with k=1 and m=k repetitions have the same
+estimator distribution; the package's VSRP sketch is that binned sketch.
+The demo draws the classical matrix with numpy alone and measures both
+MSEs, then checks the sample-based variance formula on a pair with very
+unequal norms, where the sparse speedup actually matters.
 """
 
 import math
@@ -14,16 +16,13 @@ import numpy as np
 
 from oporp import (
     Binning,
-    SketchConfig,
-    distribution_for_moment,
     generate_pair_with_cosine,
     inner_product_hat,
     mse_sweep,
     oporp_sketch,
     pair_statistics,
-    var_inner_vsrp,
-    vsrp_inner_product_hat,
-    vsrp_sketch,
+    var_inner,
+    vsrp_config,
 )
 from oporp.projection import derive_seed
 
@@ -31,19 +30,21 @@ D, k, s = 64, 16, 10.0
 u, v = generate_pair_with_cosine(D, 0.7, tol=1e-3, seed=19)
 a = float(u @ v)
 
+# Li, Hastie and Church: sqrt(s) * {+1, 0, -1} w.p. 1/(2s), 1 - 1/s, 1/(2s)
+rng = np.random.default_rng(23)
+p = 1.0 / (2.0 * s)
 trials = 4000
 sq_v = np.empty(trials)
 sq_o = np.empty(trials)
 for t in range(trials):
-    seed_t = derive_seed(23, t)
-    xv, yv = vsrp_sketch(u, D, k, s, seed_t), vsrp_sketch(v, D, k, s, seed_t)
-    sq_v[t] = (vsrp_inner_product_hat(xv, yv) - a) ** 2
-    config = SketchConfig(dim=D, k=1, binning=Binning.VARIABLE,
-                          dist=distribution_for_moment(s), m=k, seed=seed_t)
+    R = math.sqrt(s) * rng.choice([1.0, 0.0, -1.0], size=(D, k), p=[p, 1.0 - 2.0 * p, p])
+    sq_v[t] = (float((u @ R) @ (v @ R)) / k - a) ** 2
+    # vsrp_sketch(u, D, k, s, seed) is oporp_sketch(u, vsrp_config(D, k, s, seed))
+    config = vsrp_config(D, k, s, derive_seed(23, t))
     sq_o[t] = (inner_product_hat(oporp_sketch(u, config), oporp_sketch(v, config)) - a) ** 2
 
 print(f"D={D}, {k} samples, sparse(s={s}) entries, {trials} trials")
-print("VSRP MSE           :", float(sq_v.mean()))
+print("classical VSRP MSE :", float(sq_v.mean()))
 print("OPORP(k=1,m=k) MSE :", float(sq_o.mean()))
 print("ratio              :", float(sq_v.mean() / sq_o.mean()))
 print()
@@ -57,5 +58,7 @@ print("unequal-norm pair: a =", round(stats.a, 1), " norms",
 for samples in (256, 1024):
     row = mse_sweep(u2, v2, [samples], 30.0, Binning.VARIABLE,
                     ["vsrp_inner"], trials=5000, seed=31)[0]
+    # k samples are k one-bin repetitions: the one-bin variance over k
+    formula = var_inner(stats, 1, 30.0, Binning.VARIABLE) / samples
     print(f"  {samples:5d} samples  empirical {row.empirical_mse:12.1f}"
-          f"  formula {var_inner_vsrp(stats, samples, 30.0):12.1f}")
+          f"  formula {formula:12.1f}")

@@ -226,7 +226,8 @@ def _cmd_sketch(args) -> int:
     else:
         sk = oporp_sketch(u, _config_from_args(args, u.shape[0]))
     save_sketch(args.out, sk)
-    print(f"wrote {args.out}: {sk.flavor} sketch, {sk.values.shape[0]} values")
+    k, m = sk.config.k, sk.config.m
+    print(f"wrote {args.out}: k={k}, m={m} sketch, {sk.values.shape[0]} values")
     return 0
 
 
@@ -297,8 +298,8 @@ def _cmd_variance(args) -> int:
         entry = _REGISTRY[est]
         if entry.oracle is None:
             raise ValueError(f"no closed-form variance for estimator {est.value!r}")
-        # VSRP oracles have no binning scheme.
-        for scheme in [None] if entry.family == "vsrp" else schemes:
+        # Pooled (VSRP) oracles have no binning scheme.
+        for scheme in [None] if entry.pooled else schemes:
             label = "" if scheme is None else scheme.value
             for k in k_list:
                 for s in s_list:
@@ -386,7 +387,7 @@ def _cmd_dp(args) -> int:
             raise ValueError("the gaussian mechanism needs --delta")
         spec = PrivacySpec(args.epsilon, args.delta, args.beta)
         noisy = dp_oporp(u, config, spec, noise_seed=args.noise_seed)
-        save_sketch(args.out, Sketch(noisy.values, config, "oporp", stored_norm=None))
+        save_sketch(args.out, Sketch(noisy.values, config, stored_norm=None))
         print(f"sigma {_fmt(noisy.sigma)}")
     elif args.mechanism == "rr":
         released = dp_sign_oporp_rr(u, config, args.epsilon, noise_seed=args.noise_seed)
@@ -419,7 +420,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sketch", help="sketch one row of a matrix file")
     _add_input_row(p)
     _add_sketch_params(p)
-    p.add_argument("--vsrp", action="store_true", help="sparse-projection sketch (--k samples)")
+    p.add_argument("--vsrp", action="store_true",
+                   help="very sparse projection: the k = 1 sketch of --k samples")
     p.add_argument("--out", required=True, help="output sketch file")
     p.set_defaults(func=_cmd_sketch)
 

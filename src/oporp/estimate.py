@@ -5,17 +5,19 @@ repetition blocks of two sketches, sxy, sxx and syy are the sums of X*Y,
 X*X and Y*Y over each block and sdd the sum of (X - Y)^2
 (:func:`_pair_sums`; :func:`_matrix_sums` for all row pairs of two
 matrices). One private registry, ``_REGISTRY``, keyed by :class:`Estimator`,
-holds each estimator's plan family ("oporp" or "vsrp"), the
+holds whether each estimator pools, the
 :class:`~oporp.variance.PairStatistics` field it estimates, its variance
 oracle and its kernel from pair sums to per-repetition estimates, the one
 place its math is written. The public functions below, ``mse_sweep``,
 ``similarity_matrix`` and the CLI all read it, so adding an estimator means
 adding one entry.
 
-All estimators require the two sketches to share config and flavor (same
-randomness), and the flavor must be the estimator's family. OPORP
-estimators average their kernel over the m repetitions; VSRP estimators
-pool every sample of a VSRP sketch as one repetition.
+All estimators require the two sketches to share a config (same
+randomness). Most average their kernel over the m repetitions; the pooled
+ones, ``vsrp_inner`` and ``vsrp_cosine``, read the m one-bin repetitions
+of a k = 1 (VSRP) sketch as one block of m samples. One check on the
+entry, :meth:`_Entry.check_bins`, keeps each estimator to the k it reads
+without bias.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import variance as var
 from .projection import sparse
-from .sketch import _TINY, Sketch, SketchMismatchError, ZeroNormError, check_compatible
+from .sketch import _TINY, Binning, Sketch, SketchMismatchError, ZeroNormError, check_compatible
 
 
 class Estimator(enum.Enum):
@@ -157,48 +159,63 @@ def _normalized_inners(s: _PairSums, E, F) -> np.ndarray:
     return _cosines(s) * (np.sqrt(E) * np.sqrt(F))
 
 
+def _pooled(oracle: Callable) -> Callable:
+    """The oracle of k pooled one-bin samples: the one-bin oracle over k."""
+    return lambda stats, k, s, scheme: oracle(stats, 1, s, Binning.VARIABLE) / k
+
+
 @dataclass(frozen=True)
 class _Entry:
-    """One estimator: its plan family, truth field, kernel and oracle.
+    """One estimator: whether it pools, its truth field, kernel and oracle.
 
     ``kernel(sums, E, F)`` maps pair sums to per-repetition estimates, for
     one sketch pair, a batch of trials or every pair of two matrices' rows;
     E and F are the squared data norms, read only when ``margins`` is set.
     ``oracle(stats, k, s, scheme)`` is the variance of one repetition, None
-    where no closed form exists.
+    where no closed form exists; a pooled estimator's repetition is its k
+    samples.
     """
 
-    family: str
+    pooled: bool
     truth: str
     kernel: Callable
     oracle: Callable | None
     margins: bool = False
 
+    def check_bins(self, est: Estimator, k: int) -> None:
+        """Raise SketchMismatchError where sketches of k bins would read biased.
+
+        A pooled estimator reads one-bin repetitions as samples, so it needs
+        k = 1. The cosine and the two margin estimators normalize by the
+        sketch norms, and a one-bin repetition's cosine is a sign, so they
+        refuse k = 1. inner and distance read any k; at k = 1, inner equals
+        vsrp_inner.
+        """
+        if self.pooled and k != 1:
+            raise SketchMismatchError(f"{est.value} pools one-bin sketches, got k={k}")
+        if not self.pooled and k == 1 and (self.margins or self.truth == "rho"):
+            raise SketchMismatchError(f"{est.value} needs k >= 2: a one-bin cosine is a sign")
+
     def variance(self, stats, k: int, s: float, scheme, m: int) -> float:
         """Variance of the average of m independent repetitions: the oracle's over m."""
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        if k < 1 or m < 1:
+            raise ValueError(f"k and m must be >= 1, got k={k}, m={m}")
         sparse(s)  # refuses an s no multiplier has, as the distribution does
         return self.oracle(stats, k, s, scheme) / m
 
 
 _REGISTRY = {
-    Estimator.INNER: _Entry("oporp", "a", lambda s, E, F: s.xy, var.var_inner),
-    Estimator.DISTANCE: _Entry("oporp", "d", lambda s, E, F: s.dd, var.var_distance),
-    Estimator.COSINE: _Entry("oporp", "rho", _cosines, var.var_cosine),
+    Estimator.INNER: _Entry(False, "a", lambda s, E, F: s.xy, var.var_inner),
+    Estimator.DISTANCE: _Entry(False, "d", lambda s, E, F: s.dd, var.var_distance),
+    Estimator.COSINE: _Entry(False, "rho", _cosines, var.var_cosine),
     Estimator.NORMALIZED_INNER: _Entry(
-        "oporp", "a", _normalized_inners, var.var_normalized_inner, margins=True
+        False, "a", _normalized_inners, var.var_normalized_inner, margins=True
     ),
     Estimator.MLE_INNER: _Entry(
-        "oporp", "a", lambda s, E, F: likelihood_roots(s.xy, s.xx, s.yy, E, F), None, margins=True
+        False, "a", lambda s, E, F: likelihood_roots(s.xy, s.xx, s.yy, E, F), None, margins=True
     ),
-    Estimator.VSRP_INNER: _Entry(
-        "vsrp", "a", lambda s, E, F: s.xy / s.n,
-        lambda stats, k, s, scheme: var.var_inner_vsrp(stats, k, s),
-    ),
-    Estimator.VSRP_COSINE: _Entry(
-        "vsrp", "rho", _cosines, lambda stats, k, s, scheme: var.var_cosine_vsrp(stats, k, s)
-    ),
+    Estimator.VSRP_INNER: _Entry(True, "a", lambda s, E, F: s.xy / s.n, _pooled(var.var_inner)),
+    Estimator.VSRP_COSINE: _Entry(True, "rho", _cosines, _pooled(var.var_cosine)),
 }
 
 
@@ -209,14 +226,8 @@ def _estimate(
     """One estimate from a sketch pair: check, take the pair sums, apply the kernel, average."""
     entry = _REGISTRY[est]
     check_compatible(x, y)
-    if x.flavor != entry.family:
-        # A cosine of one-sample repetitions is a sign, so a VSRP sketch read
-        # as an OPORP one would give a biased estimate.
-        raise SketchMismatchError(f"{est.value} needs {entry.family} sketches, got {x.flavor}")
-    if entry.family == "vsrp":
-        X, Y = x.values[None, :], y.values[None, :]
-    else:
-        X, Y = x.reps, y.reps
+    entry.check_bins(est, x.config.k)
+    X, Y = (x.values[None, :], y.values[None, :]) if entry.pooled else (x.reps, y.reps)
     if entry.margins and not (0.0 < sumsq_u < math.inf and 0.0 < sumsq_v < math.inf):
         raise ValueError("squared norms must be finite and positive")
     return float(np.mean(entry.kernel(_pair_sums(X, Y), sumsq_u, sumsq_v)))

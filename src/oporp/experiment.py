@@ -3,13 +3,15 @@
 The sweep measures empirical MSE/bias of each estimator over many
 independent sketch trials and reports the matching closed-form variance
 next to it. Trials are drawn batch-wise from one derived SFC64 stream
-(:func:`~oporp.projection.generator`) per estimator family and sweep cell,
-with a fixed trial-major layout and fixed internal chunk sizes, so a given
-(inputs, seed) always produces bit-identical rows. An OPORP chunk of c
-trials is the draw of a sketch plan with m = c repetitions. A VSRP cell
-with s below the fixed switch ``_DENSE_VSRP_BELOW`` draws one random byte
-per projection entry, by the package's one sparse sampler (the dense byte
-kernel); from the switch on it draws only the nonzero entries (geometric
+(:func:`~oporp.projection.generator`) per sweep cell for the averaging
+estimators and one for the pooled (VSRP) ones, with a fixed trial-major
+layout and fixed internal chunk sizes, so a given (inputs, seed) always
+produces bit-identical rows. An OPORP chunk of c trials is the draw of a
+sketch plan with m = c repetitions. A pooled cell of k samples, the k = 1
+sketch of k repetitions, has kernels of its own that draw only what one
+bin needs: with s below the fixed switch ``_DENSE_VSRP_BELOW`` one random
+byte per projection entry, by the package's one sparse sampler (the dense
+byte kernel), and from the switch on only the nonzero entries (geometric
 gaps, one sign bit each). OPORP rows whose s picks sparse multipliers
 use that sampler too. Every row changed with sketch format 3, whose
 streams are SFC64 and whose Rademacher signs take one bit each.
@@ -20,8 +22,8 @@ its pair sums are taken once, and each requested estimator's kernel maps
 them to one estimate per trial (the likelihood cubic of every trial in one
 closed-form pass); the entry's truth field and oracle fill in the row.
 ``similarity_matrix`` applies the same kernels to all-pairs sums, one
-repetition block at a time (a VSRP sketch as one pooled block, the
-``exact`` pass as the cosine kernel on the raw rows).
+repetition block at a time (a pooled estimator's k*m samples as one block
+of a k = 1 plan, the ``exact`` pass as the cosine kernel on the raw rows).
 
 A chunk's draws are its only chunk-sized arrays. The OPORP products and
 their bin sums go through the plan's tiled kernel
@@ -36,10 +38,12 @@ kernel stay on the calling thread.
 
 The retrieval and classification harnesses sketch through one
 :class:`~oporp.sketch.SketchPlan` per config, the cached one that
-``oporp_sketch`` and ``vsrp_sketch`` use: base and query rows share one
-draw of the permutations and projections (as the paper's scheme requires),
-drawn once per config rather than once per row, and each row's sketch is
-bit-identical to ``oporp_sketch`` or ``vsrp_sketch`` of that row.
+``oporp_sketch`` uses: base and query rows share one draw of the
+permutations and projections (as the paper's scheme requires), drawn once
+per config rather than once per row, and each row's sketch is
+bit-identical to ``oporp_sketch`` of that row. A pooled estimator scores
+the k*m samples of the VSRP config that stands in for a k > 1 one
+(:func:`_pooled_config`).
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ from .projection import (
 from .sketch import (
     Binning,
     SketchConfig,
-    SketchPlan,
     ZeroNormError,
     _as_matrix,
     _bin_sums,
@@ -98,8 +101,8 @@ class ConvergenceError(RuntimeError):
 class SweepRow:
     """One (estimator, k) cell of a Monte-Carlo sweep.
 
-    ``scheme`` is the binning scheme for OPORP estimators and "" for the
-    VSRP ones, which have no binning.
+    ``scheme`` is the binning scheme for the averaging estimators and "" for
+    the pooled (VSRP) ones, which have no binning.
     """
 
     estimator: str
@@ -276,8 +279,8 @@ def _vsrp_gaps(
     return sums[:, 0].reshape(c, k), sums[:, 1].reshape(c, k)
 
 
-def _cell_draws(family: str, u, v, k: int, s: float, dist, scheme: Binning):
-    """(trials per chunk, draw) for one family of a sweep cell.
+def _cell_draws(pooled: bool, u, v, k: int, s: float, dist, scheme: Binning):
+    """(trials per chunk, draw) for the averaging or the pooled estimators of a sweep cell.
 
     ``draw(c, rng)`` returns c independent single-repetition sketch pairs,
     shapes (c, k): OPORP sketches, or k-sample VSRP sketches pooled as one
@@ -290,7 +293,7 @@ def _cell_draws(family: str, u, v, k: int, s: float, dist, scheme: Binning):
     (:func:`_vsrp_gaps`).
     """
     D = u.shape[0]
-    if family == "vsrp":
+    if pooled:
         if s < _DENSE_VSRP_BELOW:
             # _CHUNK_ELEMENTS random bytes per chunk.
             chunk, kernel = max(1, _CHUNK_ELEMENTS // (D * k)), _vsrp_dense
@@ -314,15 +317,18 @@ def mse_sweep(
 ) -> list[SweepRow]:
     """Empirical MSE/bias against the variance oracles over a k sweep.
 
-    OPORP estimators use the multiplier distribution realizing fourth
-    moment s (Rademacher for 1, Gaussian for 3, scaled uniform for 9/5,
-    sparse otherwise); the VSRP estimators always use sparse(s) columns,
-    with k meaning the number of samples, drawn by the dense byte kernel
-    below ``_DENSE_VSRP_BELOW`` and by the gap kernel from there on.
+    The averaging estimators use the multiplier distribution realizing
+    fourth moment s (Rademacher for 1, Gaussian for 3, scaled uniform for
+    9/5, sparse otherwise); the pooled (VSRP) estimators always use
+    sparse(s) columns, with k meaning the number of samples of one bin,
+    drawn by the dense byte kernel below ``_DENSE_VSRP_BELOW`` and by the
+    gap kernel from there on. An estimator that refuses sketches of k bins
+    (:meth:`~oporp.estimate._Entry.check_bins`) is refused here too.
     Deterministic: the rows are a pure function of the inputs, the seed and
     the fixed ``_CHUNK_ELEMENTS`` and ``_DENSE_VSRP_BELOW`` (a cell's trials
-    are drawn from one stream per estimator family in chunks of that size,
-    so another chunk size or switch gives other rows).
+    are drawn from one stream for the averaging and one for the pooled
+    estimators in chunks of that size, so another chunk size or switch
+    gives other rows).
     """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
@@ -338,20 +344,23 @@ def mse_sweep(
     v = np.asarray(v, dtype=np.float64)
     stats = var.pair_statistics(u, v)
     dist = distribution_for_moment(s)
-    families = {_REGISTRY[est].family for est in ests}
+    averaging = any(not _REGISTRY[est].pooled for est in ests)
 
     rows: list[SweepRow] = []
     for k in k_list:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if "oporp" in families and scheme is Binning.FIXED and k > stats.dim:
+        if averaging and scheme is Binning.FIXED and k > stats.dim:
             raise ValueError(f"fixed-length binning needs k <= D, got k={k}, D={stats.dim}")
+        for est in ests:
+            # A pooled cell sketches k samples of one bin.
+            _REGISTRY[est].check_bins(est, 1 if _REGISTRY[est].pooled else k)
         estimates = {est: np.empty(trials) for est in ests}
-        for stream, family in enumerate(("oporp", "vsrp")):
-            members = [est for est in estimates if _REGISTRY[est].family == family]
+        for stream, pooled in enumerate((False, True)):
+            members = [est for est in estimates if _REGISTRY[est].pooled == pooled]
             if not members:
                 continue
-            chunk, draw = _cell_draws(family, u, v, k, s, dist, scheme)
+            chunk, draw = _cell_draws(pooled, u, v, k, s, dist, scheme)
             rng = generator(derive_seed(seed, _STREAMS["cell"], k, stream))
             for pos in range(0, trials, chunk):
                 c = min(chunk, trials - pos)
@@ -367,7 +376,7 @@ def mse_sweep(
             rows.append(
                 SweepRow(
                     estimator=est.value,
-                    scheme="" if entry.family == "vsrp" else scheme.value,
+                    scheme="" if entry.pooled else scheme.value,
                     k=k,
                     s=float(s),
                     trials=trials,
@@ -392,12 +401,11 @@ def _unit_rows(M: np.ndarray, what: str) -> np.ndarray:
     return M / norms[:, None]
 
 
-def _vsrp_plan(config: SketchConfig) -> SketchPlan:
-    """One VSRP plan with k*m samples, on the stream vsrp_sketch uses for them."""
+def _pooled_config(config: SketchConfig) -> SketchConfig:
+    """The VSRP config of k*m samples a pooled estimator scores in place of a k > 1 ``config``."""
     if config.dist.kind not in (ProjectionKind.SPARSE, ProjectionKind.RADEMACHER):
         raise ValueError("vsrp estimators need a sparse or Rademacher distribution")
-    samples = config.k * config.m
-    return _plan(vsrp_config(config.dim, samples, config.dist.sparsity, config.seed), "vsrp")
+    return vsrp_config(config.dim, config.k * config.m, config.dist.sparsity, config.seed)
 
 
 def similarity_matrix(
@@ -425,11 +433,12 @@ def _similarity(
         est = Estimator(name)
         if est is Estimator.MLE_INNER:
             raise ValueError(f"estimator {name!r} is not supported for retrieval")
-        if _REGISTRY[est].family == "vsrp":
-            # A VSRP sketch is scored as one pooled repetition.
-            plan, m = _vsrp_plan(config), 1
-        else:
-            plan, m = _plan(config, "oporp"), config.m
+        entry = _REGISTRY[est]
+        if entry.pooled and config.k > 1:
+            config = _pooled_config(config)
+        entry.check_bins(est, config.k)
+        # A pooled estimator scores all its samples as one block.
+        plan, m = _plan(config), 1 if entry.pooled else config.m
         Q, B = plan._apply(queries), plan._apply(base)
     entry = _REGISTRY[est]
     E = F = None

@@ -213,6 +213,10 @@ def dp_oporp(
     return NoisySketch(x.values + noise, sigma)
 
 
+# The smallest nonzero step of the uniform draws that decide the flips.
+_FLIP_FLOOR = 2.0**-53
+
+
 def _flip_probs(values: np.ndarray, epsilon: float, beta: float | None = None) -> np.ndarray:
     """Per-bit flip probabilities flip_probability(L * eps) of a sign release.
 
@@ -226,14 +230,18 @@ def _flip_probs(values: np.ndarray, epsilon: float, beta: float | None = None) -
     as under ``rr``, whose levels 0 and 1 leave a factor 2 to spare.
     Uncapped, small p broke eps-DP: at eps = 1, level 36 flips with
     probability 3 * 2**-53 and level 37 with 2**-53 (ratio 3 > e), and
-    level 746 never flips at all.
+    level 746 never flips at all. Every p is floored at 2**-53, the
+    smallest nonzero step of the draws, since from eps ~ 745 on p underflows
+    to 0 and a nonempty bin would never flip while an empty one is a fair
+    coin. The floor binds only where eps > ln(2**53 - 1) ~ 36.7, so the
+    ratio it leaves, (1 - 2**-53) / 2**-53, is below e^eps.
     """
     if beta is None:
         levels = values != 0.0
     else:
         cap = max(1.0, np.floor(9.0 / epsilon))  # 9/eps may be inf
         levels = np.minimum(np.ceil(np.abs(values) / beta), cap)
-    return flip_probability(levels * epsilon)
+    return np.maximum(flip_probability(levels * epsilon), _FLIP_FLOOR)
 
 
 def _sign_release(

@@ -12,27 +12,26 @@ is repetition t. Two binning schemes are supported:
   to one of the k bins, so bin lengths are jointly multinomial and k may
   exceed dim.
 
-A VSRP sketch is the classical very sparse random projection: k independent
-sparse columns, one output sample each. It is distribution-identical to an
-OPORP sketch with k=1 bin and m=k repetitions and is stored under that
-equivalent config, but it is computed by an independent code path and
-tagged with its own flavor so the two stream layouts cannot be mixed.
+A VSRP sketch, the classical very sparse random projection (Li, Hastie and
+Church, KDD 2006), is k independent sparse columns, one output sample each:
+an OPORP sketch with k=1 bin and m=k repetitions of sparse(s) multipliers.
+``vsrp_sketch`` is ``oporp_sketch`` under that config (:func:`vsrp_config`).
 
 All rows sketched under one config share one draw of the randomness. A
 :class:`SketchPlan` draws it once from one generator (an OPORP plan's m
 repetitions are the sweep's draw of m trials) and sketches an (N, dim)
-matrix in tiles; ``oporp_sketch`` and ``vsrp_sketch`` are its N = 1
-case, so a row sketched in a batch is bit-identical to the same vector
-sketched alone. Inputs holding inf or NaN are rejected, and so is a
-finite row whose sketch values overflow, by its row number.
+matrix in tiles; ``oporp_sketch`` is its N = 1 case, so a row sketched
+in a batch is bit-identical to the same vector sketched alone. Inputs
+holding inf or NaN are rejected, and so is a finite row whose sketch
+values overflow, by its row number.
 :func:`row_norms` scales a row by its largest entry only when its sum of
 squares would overflow or underflow, so ordinary norms keep their bits.
 
-The draws are a pure function of the frozen config and the flavor, so the
-package keeps the plans of the last ``_PLAN_CACHE_SIZE`` = 2 (config, flavor)
-pairs it used (:func:`_plan`, an LRU cache): ``oporp_sketch``,
-``vsrp_sketch``, the DP releases and ``similarity_matrix`` all go through
-it, and sketching many vectors one call at a time draws each config once.
+The draws are a pure function of the frozen config, so the package keeps
+the plans of the last ``_PLAN_CACHE_SIZE`` = 2 configs it used
+(:func:`_plan`, an LRU cache): ``oporp_sketch``, ``vsrp_sketch``, the DP
+releases and ``similarity_matrix`` all go through it, and sketching many
+vectors one call at a time draws each config once.
 Draws are kept as numpy makes them, (m, padded_dim) rows
 (:func:`_oporp_draws`), and stored compactly (:func:`_draw_dtypes`). An
 OPORP plan holds m*padded_dim indices, uint16 while they take at most
@@ -44,26 +43,29 @@ permutations: index p + padded_dim reads -x_p, so the index takes
 32768 positions and 4 beyond. A variable-binning plan keeps its
 k-valued bin indices beside the multipliers: 3 bytes per entry for
 Rademacher signs (5 with int32 indices). Any other distribution takes 10
-bytes per entry (12). A VSRP plan holds the dim x m float64 matrix (8
-bytes per entry). A plan above ``_PLAN_CACHE_BYTES`` = 16 MiB
-(:func:`_plan_bytes`) is drawn for its call and not kept. Every plan's
+bytes per entry (12). At k = 1 every coordinate falls in the one bin, so a
+k = 1 plan (a VSRP plan among them) draws no permutation or bin row and
+holds the dim x m float64 multiplier matrix, dim-major (8 bytes per
+entry). A plan above ``_PLAN_CACHE_BYTES`` = 16 MiB (:func:`_plan_bytes`)
+is drawn for its call and not kept. Every plan's
 arrays are read-only, whether cached or built directly, so a shared draw
 cannot be changed by a caller.
 
 The gather x multiply -> bin sum step is one kernel, :func:`_bin_sums`,
-shared by the plan and the Monte-Carlo sweep (a sweep chunk is a plan of
-c repetitions applied to its pair of rows). It works in tiles of about
-``projection._BLOCK_ELEMENTS`` entries (:func:`_tile`): repetitions
+shared by the plan and the Monte-Carlo sweep (a sweep chunk is a plan of c
+repetitions applied to its pair of rows). At k = 1 it is one matrix-vector
+product per row with the multiplier matrix. Otherwise it works in tiles of
+about ``projection._BLOCK_ELEMENTS`` entries (:func:`_tile`): repetitions
 first, then as many rows as still fit. Fixed binning reads the draws
 bin-major (:func:`_bin_major`), writes a tile's rows transposed, with
-their negations, copies whole rows of that block with one gather per
-tile, bin-major, and sums every bin with one ``np.add.reduce`` over the
-bin axis. Variable binning sums a tile's products with one ``bincount``.
-Both sum every bin left to right from +0.0, in the order of its entries,
-so the tile size decides only where temporaries live and never changes
-a result. Each thread keeps the kernels' buffers between calls (up to
-1 MiB each, :func:`_buffer`), so that repeated sketches of a few rows
-reuse their memory instead of faulting fresh pages in.
+their negations, copies whole rows of that block with one gather per tile,
+bin-major, and sums every bin with one ``np.add.reduce`` over the bin
+axis. Variable binning sums a tile's products with one ``bincount``. Both
+sum every bin left to right from +0.0, in the order of its entries, so the
+tile size decides only where temporaries live and never changes a result.
+Each thread keeps the kernels' buffers between calls (up to 1 MiB each,
+:func:`_buffer`), so that repeated sketches of a few rows reuse their
+memory instead of faulting fresh pages in.
 
 Sketch file layout (little-endian, 64-byte header). The version names the
 stream the sketch was drawn from and how its bins were summed: version 1
@@ -72,16 +74,20 @@ repetitions from one Philox stream with one int32 draw per Rademacher
 sign, version 3 from SFC64 streams with one random bit per sign, and
 version 4 draws as version 3 does but sums every fixed bin left to
 right, where version 3 summed it in numpy's pairwise order, which can
-differ in the last bits once a bin holds 8 entries. A sketch of another
-version shares no randomness with this version's sketches (versions 1
-and 2) or was summed in another order (version 3), so an estimate from
-the pair would be silently wrong, and loading refuses it:
+differ in the last bits once a bin holds 8 entries. Version 5 draws and
+sums a k > 1 sketch as version 4 does. It draws a k = 1 sketch, VSRP's
+among them, on the one sketch stream as a dim-major multiplier matrix,
+where VSRP had a stream of its own, and makes byte 7, which marked VSRP
+sketches, padding. A sketch of another version shares no randomness with
+this version's sketches (versions 1 and 2, and version 4 at k = 1) or was
+summed in another order (version 3), so an estimate from the pair would
+be silently wrong, and loading refuses it:
 
     offset  size  field
     0       4     magic b"OPRP"
-    4       2     u16 format version (4)
+    4       2     u16 format version (5)
     6       1     u8 payload kind (0 = float64 values, 1 = int8 sign bits)
-    7       1     u8 flavor (0 = oporp, 1 = vsrp)
+    7       1     zero padding
     8       1     u8 binning (0 = fixed, 1 = variable)
     9       1     u8 distribution (0 = rademacher, 1 = gaussian,
                                    2 = scaled_uniform, 3 = sparse)
@@ -124,8 +130,8 @@ from .projection import (
     sparse,
 )
 
-# Plans kept by _plan. Two, because loops that sketch pairs under one OPORP
-# and one VSRP config (and retrieval_eval over both kinds) alternate them.
+# Plans kept by _plan. Two, because loops that sketch pairs under two configs
+# (a k > 1 and a VSRP one, say) alternate them.
 _PLAN_CACHE_SIZE = 2
 
 # A plan whose arrays exceed this many bytes is not kept: the cache holds at most twice this.
@@ -149,7 +155,7 @@ class ZeroNormError(ValueError):
 
 
 class SketchMismatchError(ValueError):
-    """Two sketches built under different configs or flavors were combined."""
+    """Sketches of different configs were combined, or read by an estimator they would bias."""
 
 
 class SketchFileError(ValueError):
@@ -209,11 +215,9 @@ class Sketch:
 
     values: np.ndarray
     config: SketchConfig
-    flavor: str = "oporp"
     stored_norm: float | None = None
 
     def __post_init__(self) -> None:
-        _check_flavor(self.config, self.flavor)
         expected = self.config.k * self.config.m
         if np.ndim(self.values) != 1 or len(self.values) != expected:
             raise ValueError(
@@ -283,42 +287,26 @@ def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:
     )
 
 
-def _check_flavor(config: SketchConfig, flavor: str) -> None:
-    """Raise ValueError unless ``flavor`` is known, and a "vsrp" config vsrp_config's shape."""
-    if flavor not in _FLAVOR_CODES:
-        raise ValueError(f"unknown sketch flavor {flavor!r}")
-    shape = (config.k, config.binning, config.dist.kind)
-    if flavor == "vsrp" and shape != (1, Binning.VARIABLE, ProjectionKind.SPARSE):
-        raise ValueError("a vsrp sketch needs the config made by vsrp_config")
-
-
 class SketchPlan:
     """A config's randomness, drawn once and applied to any number of rows.
 
-    An ``"oporp"`` plan holds the repetitions' draws as drawn
-    (:func:`_oporp_draws`): (m, padded_dim) bin indices (variable binning)
-    or permutations (fixed binning) and as many multipliers; a
-    fixed-binning Rademacher plan folds its signs into the permutations
-    and holds no multipliers. A ``"vsrp"`` plan, built
-    on a :func:`vsrp_config`, holds the dim x m sparse projection matrix.
-    Each plan draws from one generator keyed by its seed and flavor, the
-    stream the single-vector functions use, so all rows sketched under one
-    config share one draw of the randomness and ``plan.apply(M)[i]`` equals
-    the sketch of ``M[i]`` bit for bit. The drawn arrays are read-only. A plan constructed
-    directly is not cached; ``oporp_sketch``, ``vsrp_sketch`` and
-    ``similarity_matrix`` share the cached plans of :func:`_plan`.
+    A plan holds the repetitions' draws as drawn (:func:`_oporp_draws`):
+    (m, padded_dim) bin indices (variable binning) or permutations (fixed
+    binning) and as many multipliers; a fixed-binning Rademacher plan folds
+    its signs into the permutations and holds no multipliers, and a k = 1
+    plan (a :func:`vsrp_config` plan among them) holds only the dim x m
+    multiplier matrix. Each plan draws from one generator keyed by its
+    seed, the stream the single-vector functions use, so all rows sketched
+    under one config share one draw of the randomness and
+    ``plan.apply(M)[i]`` equals the sketch of ``M[i]`` bit for bit. The
+    drawn arrays are read-only. A plan constructed directly is not cached;
+    ``oporp_sketch``, ``vsrp_sketch`` and ``similarity_matrix`` share the
+    cached plans of :func:`_plan`.
     """
 
-    def __init__(self, config: SketchConfig, flavor: str = "oporp") -> None:
-        _check_flavor(config, flavor)
+    def __init__(self, config: SketchConfig) -> None:
         self.config = config
-        self.flavor = flavor
-        rng = generator(derive_seed(config.seed, _STREAMS[flavor]))
-        if flavor == "vsrp":
-            self._projection = _read_only(
-                draw_multipliers(rng, (config.dim, config.m), config.dist)
-            )
-            return
+        rng = generator(derive_seed(config.seed, _STREAMS["oporp"]))
         fixed = config.binning is Binning.FIXED
         draws = _oporp_draws(rng, config.m, config.padded_dim, config.k, config.dist, fixed)
         self._indices, self._multipliers = (None if a is None else _read_only(a) for a in draws)
@@ -340,19 +328,14 @@ class SketchPlan:
         values, norm = self._apply(row)[0], float(row_norms(row)[0])
         if norm == math.inf:
             raise ValueError("the input's l2 norm overflows float64")
-        return Sketch(values, self.config, self.flavor, norm)
+        return Sketch(values, self.config, norm)
 
     def _apply(self, M: np.ndarray) -> np.ndarray:
         config = self.config
         # An overflow is reported once, by row, below.
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.flavor == "vsrp":
-                # One matrix-vector product per row: a single M @ R would sum in
-                # another order and differ from the one-vector sketch in the last bits.
-                out = np.matmul(M[:, None, :], self._projection)[:, 0, :]
-            else:
-                fixed = config.binning is Binning.FIXED
-                out = _bin_sums(M, self._indices, self._multipliers, config.k, fixed)
+            fixed = config.binning is Binning.FIXED
+            out = _bin_sums(M, self._indices, self._multipliers, config.k, fixed)
         if not np.isfinite(out).all():
             rows = np.flatnonzero(~np.isfinite(out).all(axis=1))
             raise ValueError(f"sketch values overflow float64 for input rows {_some(rows)}")
@@ -370,32 +353,28 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _plan(config: SketchConfig, flavor: str) -> SketchPlan:
-    """The plan of (config, flavor), shared with every other call that asks for it.
+def _plan(config: SketchConfig) -> SketchPlan:
+    """The plan of ``config``, shared with every other call that asks for it.
 
     A plan whose arrays would exceed ``_PLAN_CACHE_BYTES`` is drawn for this
     call only. A hit returns the arrays a miss would draw: the draws are a
     pure function of the key.
     """
-    if _plan_bytes(config, flavor) > _PLAN_CACHE_BYTES:
-        return SketchPlan(config, flavor)
-    return _cached_plan(config, flavor)
+    if _plan_bytes(config) > _PLAN_CACHE_BYTES:
+        return SketchPlan(config)
+    return _cached_plan(config)
 
 
-def _plan_bytes(config: SketchConfig, flavor: str) -> int:
-    """The bytes of the arrays a plan of (config, flavor) draws, known before it draws them."""
-    # The vsrp matrix is dim x m multipliers (padded_dim is dim under its
-    # variable binning); an oporp plan holds the arrays of _draw_dtypes.
+def _plan_bytes(config: SketchConfig) -> int:
+    """The bytes of the arrays a plan of ``config`` draws, known before it draws them."""
     Dp, fixed = config.padded_dim, config.binning is Binning.FIXED
-    dtypes = ((_multiplier_dtype(config.dist),) if flavor == "vsrp"
-              else _draw_dtypes(config.dist, Dp, config.k, fixed))
+    dtypes = _draw_dtypes(config.dist, Dp, config.k, fixed)
     return config.m * Dp * sum(d.itemsize for d in dtypes if d is not None)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _cached_plan(config: SketchConfig, flavor: str) -> SketchPlan:
-    # flavor is always passed positionally, so one pair has one key.
-    return SketchPlan(config, flavor)
+def _cached_plan(config: SketchConfig) -> SketchPlan:
+    return SketchPlan(config)
 
 
 def _buffer(name: str, size: int, dtype=np.float64) -> np.ndarray:
@@ -422,11 +401,14 @@ def _tile(N: int, m: int, Dp: int) -> tuple[int, int]:
 
 
 def _draw_dtypes(dist: ProjectionDistribution, Dp: int, k: int, fixed: bool):
-    """(index, multiplier) dtypes of :func:`_oporp_draws`; None for signs folded into the index.
+    """(index, multiplier) dtypes of :func:`_oporp_draws`; None for an array not stored.
 
     Bin indices take k values and permutations Dp; a fixed-binning draw
-    folds Rademacher signs into its permutations, which then take 2*Dp.
+    folds Rademacher signs into its permutations, which then take 2*Dp and
+    leave no multipliers. A k = 1 draw has no index and float64 multipliers.
     """
+    if k == 1:
+        return None, np.dtype(np.float64)
     folds = fixed and dist.kind is ProjectionKind.RADEMACHER
     values = (2 * Dp if folds else Dp) if fixed else k
     return _index_dtype(values), None if folds else _multiplier_dtype(dist)
@@ -441,8 +423,13 @@ def _oporp_draws(rng: np.random.Generator, c: int, Dp: int, k: int, dist, fixed:
     ``draw_multipliers`` call. Fixed binning adds Rademacher signs to its
     permutations in place, one block of rows at a time: a negative sign
     makes index p read p + Dp, the row of the kernel's signed block that
-    holds -x_p, and the multipliers come back as None.
+    holds -x_p, and the multipliers come back as None. At k = 1 every
+    coordinate falls in the one bin: the index is None, and the multipliers
+    are one (Dp, c) float64 draw, dim-major, as the kernel's matrix product
+    reads them.
     """
+    if k == 1:
+        return None, draw_multipliers(rng, (Dp, c), dist).astype(np.float64, copy=False)
     dtype, r_dtype = _draw_dtypes(dist, Dp, k, fixed)
     index = _permutations(rng, c, Dp, dtype) if fixed else _bin_rows(rng, c, Dp, k)
     r = draw_multipliers(rng, (c, Dp), dist)
@@ -471,8 +458,13 @@ def _bin_sums(M: np.ndarray, index: np.ndarray, r, k: int, fixed: bool) -> np.nd
     (a plan of c repetitions applied to two rows), reading the (c, Dp)
     rows of :func:`_oporp_draws`; fixed binning reads them bin-major
     (:func:`_bin_major`). The rows of M need no padding: fixed binning
-    zero-pads them to padded_dim itself.
+    zero-pads them to padded_dim itself. At k = 1, ``r`` is the (Dp, c)
+    multiplier matrix.
     """
+    if k == 1:
+        # One matrix-vector product per row: a single M @ r would sum in
+        # another order and differ from the one-vector sketch in the last bits.
+        return np.matmul(M[:, None, :], r)[:, 0, :]
     out = np.empty((M.shape[0], index.shape[0] * k))
     if fixed:
         _fixed_sums(M, _bin_major(index, k), None if r is None else _bin_major(r, k), out)
@@ -529,9 +521,8 @@ def _fixed_sums(M: np.ndarray, index: np.ndarray, r, out: np.ndarray) -> None:
             np.take(T, tile, axis=0, out=G, mode="wrap")
             if r is not None:
                 G *= r[:, t : t + h, :, None]
-            G = G.reshape(L, h * k * n)
-            # numpy would sum a single column pairwise; accumulate adds its rows in order.
-            sums = np.add.reduce(G) if G.shape[1] > 1 else np.add.accumulate(G)[-1]
+            # k >= 2 columns, so reduce adds the rows in order, never pairwise.
+            sums = np.add.reduce(G.reshape(L, h * k * n))
             # Both start from G[0], so +0.0 turns a bin of only -0.0 into +0.0.
             np.add(sums.reshape(h, k, n).transpose(2, 0, 1), 0.0,
                    out=out[start : start + n, t * k : (t + h) * k].reshape(n, h, k))
@@ -578,39 +569,31 @@ def oporp_sketch(u: np.ndarray, config: SketchConfig) -> Sketch:
     under one config draws them once. To sketch a whole matrix, apply a
     :class:`SketchPlan` to it: one call sketches every row.
     """
-    return _plan(config, "oporp").sketch(u)
+    return _plan(config).sketch(u)
 
 
 def vsrp_sketch(u: np.ndarray, D: int, k: int, s: float, seed: int) -> Sketch:
-    """Very sparse random projection: k independent samples u . r_col.
-
-    Stored under the equivalent (k=1, m=k) config, but computed by its own
-    direct matrix path on an independent stream and tagged with the "vsrp"
-    flavor, which only the vsrp estimators read.
-    """
-    return _plan(vsrp_config(D, k, s, seed), "vsrp").sketch(u)
+    """Very sparse random projection: k samples u . r_col, the k = 1 sketch of ``vsrp_config``."""
+    return oporp_sketch(u, vsrp_config(D, k, s, seed))
 
 
 def check_compatible(x: Sketch, y: Sketch) -> None:
-    """Raise unless two sketches share config and flavor (hence randomness)."""
+    """Raise unless two sketches share a config (hence randomness)."""
     if x.config != y.config:
         raise SketchMismatchError(
             f"sketch configs differ: {x.config} vs {y.config}"
         )
-    if x.flavor != y.flavor:
-        raise SketchMismatchError(f"sketch flavors differ: {x.flavor} vs {y.flavor}")
 
 
 # --- file format ------------------------------------------------------------
 
 _MAGIC = b"OPRP"
-_FORMAT_VERSION = 4
-_HEADER = struct.Struct("<4sHBBBBB5xQQQQdd")
+_FORMAT_VERSION = 5
+_HEADER = struct.Struct("<4sHBxBBB5xQQQQdd")
 _PAYLOAD_VALUES = 0
 _PAYLOAD_SIGNS = 1
 # Bytes per payload entry: float64 values, int8 signs.
 _PAYLOAD_ITEMSIZE = {_PAYLOAD_VALUES: 8, _PAYLOAD_SIGNS: 1}
-_FLAVOR_CODES = {"oporp": 0, "vsrp": 1}
 _BINNING_CODES = {Binning.FIXED: 0, Binning.VARIABLE: 1}
 _DIST_CODES = {
     ProjectionKind.RADEMACHER: 0,
@@ -618,17 +601,15 @@ _DIST_CODES = {
     ProjectionKind.SCALED_UNIFORM: 2,
     ProjectionKind.SPARSE: 3,
 }
-_FLAVORS = {v: n for n, v in _FLAVOR_CODES.items()}
 _BINNINGS = {v: b for b, v in _BINNING_CODES.items()}
 _DISTS = {v: d for d, v in _DIST_CODES.items()}
 
 
-def _pack_header(config: SketchConfig, payload: int, flavor: str, norm: float | None) -> bytes:
+def _pack_header(config: SketchConfig, payload: int, norm: float | None) -> bytes:
     return _HEADER.pack(
         _MAGIC,
         _FORMAT_VERSION,
         payload,
-        _FLAVOR_CODES[flavor],
         _BINNING_CODES[config.binning],
         _DIST_CODES[config.dist.kind],
         0 if norm is None else 1,
@@ -641,12 +622,12 @@ def _pack_header(config: SketchConfig, payload: int, flavor: str, norm: float | 
     )
 
 
-def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, str, float | None]:
+def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, float | None]:
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < _HEADER.size:
         raise SketchFileError("sketch file shorter than its header")
-    (magic, version, payload, flavor, binning, dist, has_norm,
+    (magic, version, payload, binning, dist, has_norm,
      dim, k, m, seed, sparsity, norm) = _HEADER.unpack_from(buf)
     if magic != _MAGIC:
         raise SketchFileError(f"bad magic {magic!r}, not a sketch file")
@@ -661,8 +642,6 @@ def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, str, float |
             m=m,
             seed=seed,
         )
-        flavor_name = _FLAVORS[flavor]
-        _check_flavor(config, flavor_name)
         itemsize = _PAYLOAD_ITEMSIZE[payload]
     except (KeyError, ValueError) as exc:
         raise SketchFileError(f"bad sketch header field: {exc}") from exc
@@ -674,7 +653,7 @@ def _read_sketch_file(path: str) -> tuple[bytes, SketchConfig, int, str, float |
         )
     if has_norm and not 0.0 <= norm < math.inf:
         raise SketchFileError(f"stored norm {norm} is not finite and >= 0")
-    return buf, config, payload, flavor_name, (float(norm) if has_norm else None)
+    return buf, config, payload, (float(norm) if has_norm else None)
 
 
 def save_sketch(path: str, sk: Sketch) -> None:
@@ -687,19 +666,19 @@ def save_sketch(path: str, sk: Sketch) -> None:
     if not np.isfinite(values).all():
         raise ValueError("sketch holds inf or NaN values")
     with open(path, "wb") as fh:
-        fh.write(_pack_header(sk.config, _PAYLOAD_VALUES, sk.flavor, sk.stored_norm))
+        fh.write(_pack_header(sk.config, _PAYLOAD_VALUES, sk.stored_norm))
         fh.write(values.tobytes())
 
 
 def load_sketch(path: str) -> Sketch:
     """Read back a float-valued sketch written by :func:`save_sketch`."""
-    buf, config, payload, flavor, norm = _read_sketch_file(path)
+    buf, config, payload, norm = _read_sketch_file(path)
     if payload != _PAYLOAD_VALUES:
         raise SketchFileError("file holds sign bits, not sketch values")
     values = np.frombuffer(buf, dtype="<f8", offset=_HEADER.size)
     if not np.isfinite(values).all():
         raise SketchFileError("sketch file holds inf or NaN values")
-    return Sketch(values.astype(np.float64), config, flavor, stored_norm=norm)
+    return Sketch(values.astype(np.float64), config, stored_norm=norm)
 
 
 def _are_signs(bits: np.ndarray) -> bool:
@@ -719,17 +698,15 @@ def save_sign_sketch(path: str, bits: np.ndarray, config: SketchConfig) -> None:
     if not _are_signs(bits):
         raise ValueError("sign bits must all be -1 or +1")
     with open(path, "wb") as fh:
-        fh.write(_pack_header(config, _PAYLOAD_SIGNS, "oporp", None))
+        fh.write(_pack_header(config, _PAYLOAD_SIGNS, None))
         fh.write(bits.astype(np.int8).tobytes())
 
 
 def load_sign_sketch(path: str) -> tuple[np.ndarray, SketchConfig]:
     """Read back sign bits and the config they were sketched under."""
-    buf, config, payload, flavor, _ = _read_sketch_file(path)
+    buf, config, payload, _ = _read_sketch_file(path)
     if payload != _PAYLOAD_SIGNS:
         raise SketchFileError("file holds sketch values, not sign bits")
-    if flavor != "oporp":
-        raise SketchFileError(f"sign files hold oporp sketches, not {flavor!r} ones")
     bits = np.frombuffer(buf, dtype=np.int8, offset=_HEADER.size)
     if not np.all(np.abs(bits) == 1):
         raise SketchFileError("sign file holds entries other than -1 and +1")

@@ -8,7 +8,9 @@ contributes the factor (D - k) / (D - 1) through the between-coordinate
 collision moment, with D the padded working dimension; variable-length
 binning contributes factor 1. The m repetitions of a sketch are independent,
 so an m-repetition average has the single-repetition variance over m; the
-estimator registry (``oporp.estimate``) divides in that one place.
+estimator registry (``oporp.estimate``) divides in that one place. A
+k-sample sparse projection (VSRP) is k one-bin repetitions, so its
+variance is the k = 1 oracle over k.
 """
 
 from __future__ import annotations
@@ -134,15 +136,6 @@ def var_inner(stats: PairStatistics, k: int, s: float, scheme: Binning) -> float
     return (s - 1.0) * stats.sum_u2v2 + _coupling(stats, k, scheme) * collision
 
 
-def var_inner_vsrp(stats: PairStatistics, k: int, s: float) -> float:
-    """Variance of the k-sample sparse-projection inner-product estimate."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return (
-        stats.a**2 + stats.sumsq_u * stats.sumsq_v + (s - 3.0) * stats.sum_u2v2
-    ) / k
-
-
 def var_distance(stats: PairStatistics, k: int, s: float, scheme: Binning) -> float:
     """Variance of the squared-distance estimate (single repetition)."""
     collision = 2.0 * stats.d**2 - 2.0 * stats.sum_diff4
@@ -157,13 +150,6 @@ def var_cosine(stats: PairStatistics, k: int, s: float, scheme: Binning) -> floa
     )
 
 
-def var_cosine_vsrp(stats: PairStatistics, k: int, s: float) -> float:
-    """Asymptotic variance of the pooled sparse-projection cosine estimate."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return ((1.0 - stats.rho**2) ** 2 + (s - 3.0) * stats.A) / k
-
-
 def var_normalized_inner(
     stats: PairStatistics, k: int, s: float, scheme: Binning
 ) -> float:
@@ -174,17 +160,16 @@ def var_normalized_inner(
 def variance_ratio(stats: PairStatistics, s: float, which: str) -> float:
     """Variance of a k-sample sparse projection over variable-binned OPORP.
 
-    The quotient of the two oracles at k = 1, where OPORP is Rademacher
-    (s = 1); k cancels. Equals 1 at s = 1 and grows linearly in s;
-    ``which`` selects the inner-product ("inner") or cosine ("cosine")
+    A k-sample sparse projection is k one-bin repetitions of sparse(s)
+    multipliers, so this is the one-bin oracle at s over the same oracle at
+    Rademacher's s = 1; k cancels. Equals 1 at s = 1 and grows linearly in
+    s; ``which`` selects the inner-product ("inner") or cosine ("cosine")
     comparison.
     """
-    if which == "inner":
-        num, den = var_inner_vsrp(stats, 1, s), var_inner(stats, 1, 1.0, Binning.VARIABLE)
-    elif which == "cosine":
-        num, den = var_cosine_vsrp(stats, 1, s), var_cosine(stats, 1, 1.0, Binning.VARIABLE)
-    else:
+    oracle = {"inner": var_inner, "cosine": var_cosine}.get(which)
+    if oracle is None:
         raise ValueError(f"which must be 'inner' or 'cosine', got {which!r}")
+    num, den = oracle(stats, 1, s, Binning.VARIABLE), oracle(stats, 1, 1.0, Binning.VARIABLE)
     if den <= 0.0:
         raise DegeneratePairError(
             f"variance ratio undefined for this pair ({which} denominator {den:g})"

@@ -15,7 +15,7 @@ import pytest
 from oporp.cli import _build_parser, load_matrix, run, save_matrix
 from oporp.projection import rademacher
 from oporp.sketch import Binning, SketchConfig, load_sign_sketch, load_sketch
-from oporp.variance import pair_statistics, var_cosine, var_inner, var_inner_vsrp
+from oporp.variance import pair_statistics, var_cosine, var_inner
 
 
 @pytest.fixture
@@ -158,15 +158,22 @@ def test_sketch_refuses_s_without_the_sparse_dist(tmp_path, capsys, matrix_file,
         assert load_sketch(out).config.dist.sparsity == float(ok[-1])
 
 
-def test_estimate_refuses_the_other_familys_sketches(tmp_path, capsys, matrix_file):
+def test_estimate_refuses_biased_reads_of_vsrp_sketches(tmp_path, capsys, matrix_file):
+    # a VSRP sketch is k = 1: a per-repetition cosine of it is a sign, while
+    # inner reads it as vsrp_inner does
     path, _ = matrix_file
     x, y = str(tmp_path / "x.sk"), str(tmp_path / "y.sk")
     for row, out in ((0, x), (1, y)):
         run_ok(capsys, ["sketch", "--input", path, "--row", str(row), "--k", "64",
                         "--vsrp", "--out", out])
-    for estimator in ("cosine", "normalized_inner", "inner"):
+    for estimator in ("cosine", "normalized_inner"):
         assert run(["estimate", "--x", x, "--y", y, "--estimator", estimator]) == 4
-    assert "vsrp" in capsys.readouterr().err
+        assert "one-bin cosine is a sign" in capsys.readouterr().err
+    inner, pooled = (
+        float(run_ok(capsys, ["estimate", "--x", x, "--y", y, "--estimator", e]).split()[-1])
+        for e in ("inner", "vsrp_inner")
+    )
+    assert inner == pytest.approx(pooled, rel=1e-12)
 
 
 def test_estimate_mismatched_sketches_is_invalid(tmp_path, capsys, matrix_file):
@@ -188,7 +195,7 @@ def _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file
     ])
     for old in (x, signs):
         raw = old.read_bytes()
-        assert raw[4:6] == (4).to_bytes(2, "little")
+        assert raw[4:6] == (5).to_bytes(2, "little")
         old.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
         assert run(["estimate", "--x", str(old), "--y", str(y), "--estimator", "inner"]) == 3
         assert f"version {version}" in capsys.readouterr().err
@@ -199,13 +206,18 @@ def test_estimate_refuses_version_1_files(tmp_path, capsys, matrix_file, bounded
 
 
 def test_estimate_refuses_version_2_files(tmp_path, capsys, matrix_file, bounded_matrix_file):
-    # version 2 files were drawn from Philox streams; versions 3 and 4 draw SFC64
+    # version 2 files were drawn from Philox streams; versions 3 to 5 draw SFC64
     _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, 2)
 
 
 def test_estimate_refuses_version_3_files(tmp_path, capsys, matrix_file, bounded_matrix_file):
-    # version 3 files summed fixed bins in numpy's pairwise order; version 4 left to right
+    # version 3 summed fixed bins in numpy's pairwise order; versions 4 and 5 left to right
     _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, 3)
+
+
+def test_estimate_refuses_version_4_files(tmp_path, capsys, matrix_file, bounded_matrix_file):
+    # version 4 drew k = 1 sketches, VSRP's among them, in another layout and stream
+    _estimate_refuses_version(tmp_path, capsys, matrix_file, bounded_matrix_file, 4)
 
 
 # --- variance tables -----------------------------------------------------------------
@@ -231,7 +243,7 @@ def test_variance_csv_matches_library(tmp_path, capsys, matrix_file):
             want = var_cosine(st, k, s, Binning(scheme))
         else:
             assert scheme == ""
-            want = var_inner_vsrp(st, k, s)
+            want = var_inner(st, 1, s, Binning.VARIABLE) / k
         assert value == pytest.approx(want, rel=1e-12)
         seen += 1
     # 2 schemes x 2 k x 2 s for each oporp estimator, 2 x 2 for vsrp

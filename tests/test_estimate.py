@@ -313,15 +313,20 @@ def test_mismatched_sketches_raise():
             estimator(x, y)
 
 
-def test_vsrp_estimators_reject_plain_sketches():
+def test_vsrp_estimators_pool_one_bin_sketches_and_reject_binned_ones():
+    # any k = 1 sketch is a sparse projection of its m samples (here s = 1);
+    # a sketch of k > 1 bins is refused, since its bins are no samples
     u = np.random.default_rng(13).standard_normal(16)
     config = SketchConfig(
         dim=16, k=1, binning=Binning.VARIABLE, dist=rademacher(), m=8, seed=0
     )
     x, y = sketch_pair(u, 2 * u, config)
-    with pytest.raises(ValueError):
+    assert vsrp_inner_product_hat(x, y) == pytest.approx(inner_product_hat(x, y), rel=1e-12)
+    assert vsrp_cosine_hat(x, y) == 1.0
+    x, y = sketch_pair(u, 2 * u, rademacher_config(16, 4, m=2))
+    with pytest.raises(SketchMismatchError, match="k=4"):
         vsrp_inner_product_hat(x, y)
-    with pytest.raises(ValueError):
+    with pytest.raises(SketchMismatchError, match="k=4"):
         vsrp_cosine_hat(x, y)
 
 

@@ -9,7 +9,8 @@ holds bit for bit. The pinned outputs are frozen-seed estimates recorded
 under sketch format version 3, one SFC64 generator per plan, and held
 under version 4: every pinned fixed-binning config has bins of 5
 entries, which numpy's pairwise sum (version 3) adds left to right as
-well (version 4).
+well (version 4). The VSRP ones are re-pinned under version 5, which
+draws a VSRP sketch as the k = 1 OPORP sketch it is.
 """
 
 import contextlib
@@ -47,13 +48,16 @@ from oporp.sketch import (
 from oporp.variance import pair_statistics
 
 ALL = list(Estimator)
-OPORP = [est for est in Estimator if _REGISTRY[est].family == "oporp"]
+OPORP = [est for est in Estimator if not _REGISTRY[est].pooled]
+# The estimators that normalize by the sketch norms: a one-bin cosine is a sign.
+ONE_BIN_REFUSED = {Estimator.COSINE, Estimator.NORMALIZED_INNER, Estimator.MLE_INNER}
 
 
 def test_registry_covers_every_estimator():
     assert set(_REGISTRY) == set(Estimator)
+    assert {est for est, entry in _REGISTRY.items() if entry.pooled} == {
+        Estimator.VSRP_INNER, Estimator.VSRP_COSINE}
     for est, entry in _REGISTRY.items():
-        assert entry.family in ("oporp", "vsrp"), est
         assert entry.truth in ("a", "d", "rho"), est
 
 
@@ -66,14 +70,23 @@ def test_cli_estimator_choices_follow_the_enum():
 
 
 @pytest.mark.parametrize("est", ALL, ids=[e.value for e in ALL])
-def test_estimators_read_only_their_own_family(est):
-    # a VSRP sketch read as k=1 OPORP repetitions gives each repetition's
-    # cosine as a sign; the other family's sketches are refused instead
+def test_estimators_read_only_sketches_they_read_without_bias(est):
+    # a VSRP sketch is k = 1: read as one-bin repetitions, each repetition's
+    # cosine is a sign, so the estimators that normalize refuse it; the
+    # pooled ones read one-bin samples and refuse k > 1; inner and distance
+    # read both, and at k = 1 inner equals vsrp_inner
     u, v = _pair(5, 16)
-    other = Estimator.VSRP_INNER if _REGISTRY[est].family == "oporp" else Estimator.INNER
-    x, y = _sketches(other, u, v, 1, 8, 3)
-    with pytest.raises(SketchMismatchError):
-        _estimate(est, x, y, float(u @ u), float(v @ v))
+    E, F = float(u @ u), float(v @ v)
+    one_bin = vsrp_sketch(u, 16, 8, 3.0, 3), vsrp_sketch(v, 16, 8, 3.0, 3)
+    binned = _sketches(Estimator.INNER, u, v, 4, 2, 3)
+    for (x, y), refused in ((one_bin, est in ONE_BIN_REFUSED), (binned, _REGISTRY[est].pooled)):
+        if refused:
+            with pytest.raises(SketchMismatchError):
+                _estimate(est, x, y, E, F)
+        else:
+            assert math.isfinite(_estimate(est, x, y, E, F))
+    assert _estimate(Estimator.INNER, *one_bin) == pytest.approx(
+        _estimate(Estimator.VSRP_INNER, *one_bin), rel=1e-12)
 
 
 # --- properties over every entry ----------------------------------------------------
@@ -86,9 +99,11 @@ def _pair(seed, D):
 
 
 def _sketches(est, u, v, k, m, seed, binning=Binning.VARIABLE):
-    if _REGISTRY[est].family == "vsrp":
+    if _REGISTRY[est].pooled:
         D = u.shape[0]
         return vsrp_sketch(u, D, k * m, 1.0, seed), vsrp_sketch(v, D, k * m, 1.0, seed)
+    if k == 1 and est in ONE_BIN_REFUSED:
+        k = 2  # refused at k = 1 (test_estimators_read_only_sketches_they_read_without_bias)
     config = SketchConfig(dim=u.shape[0], k=k, binning=binning, dist=rademacher(), m=m, seed=seed)
     return oporp_sketch(u, config), oporp_sketch(v, config)
 
@@ -166,7 +181,7 @@ def test_estimates_are_positive_scale_equivariant(est, case, a, b):
     assert scaled == base * factor
 
 
-# --- outputs pinned under format versions 3 and 4 --------------------------------------
+# --- outputs pinned under format versions 3 to 5 ---------------------------------------
 
 CONFIGS = {
     "fixed_m1": SketchConfig(dim=40, k=8, binning=Binning.FIXED, dist=rademacher(), m=1, seed=3),
@@ -193,10 +208,10 @@ PINNED = {
     "variable_m2/cosine": "0x1.42a82d433365bp-1",
     "variable_m2/normalized_inner": "0x1.9e3f34be352d5p+4",
     "variable_m2/mle_inner": "0x1.76a4fe8062b89p+4",
-    "vsrp16_s1/vsrp_inner": "0x1.c47135a6a5528p+3",
-    "vsrp16_s1/vsrp_cosine": "0x1.02e9a78511c2dp-1",
-    "vsrp200_s3/vsrp_inner": "0x1.a4e3d409c024fp+4",
-    "vsrp200_s3/vsrp_cosine": "0x1.516fee74c21b4p-1",
+    "vsrp16_s1/vsrp_inner": "0x1.8571b3b81906ep+5",
+    "vsrp16_s1/vsrp_cosine": "0x1.9e5935b486dc7p-1",
+    "vsrp200_s3/vsrp_inner": "0x1.9f5deeaf73b9bp+4",
+    "vsrp200_s3/vsrp_cosine": "0x1.54f594ac47ea9p-1",
     "roots/0": "0x1.63f4cbf330b72p+0",
     "roots/1": "-0x1.20b424baec644p+1",
     "roots/2": "0x1.3495f9674809cp+1",
@@ -205,8 +220,8 @@ PINNED = {
     "cli/cosine": "0x1.1a5752ea020afp-1",
     "cli/normalized_inner": "0x1.6a7ca86d85cfcp+4",
     "cli/mle_inner": "0x1.749f493459d95p+4",
-    "cli/vsrp_inner": "0x1.a4e3d409c024fp+4",
-    "cli/vsrp_cosine": "0x1.516fee74c21b4p-1",
+    "cli/vsrp_inner": "0x1.9f5deeaf73b9bp+4",
+    "cli/vsrp_cosine": "0x1.54f594ac47ea9p-1",
 }
 
 
@@ -247,8 +262,8 @@ def _cli_outputs(tmp_path):
                  [Estimator.VSRP_INNER, Estimator.VSRP_COSINE]),
     }
     out = {}
-    for flavor, (flags, estimators) in runs.items():
-        files = [str(tmp_path / f"{flavor}{row}.sk") for row in (0, 1)]
+    for kind, (flags, estimators) in runs.items():
+        files = [str(tmp_path / f"{kind}{row}.sk") for row in (0, 1)]
         with contextlib.redirect_stdout(io.StringIO()):
             for row, path in enumerate(files):
                 argv = ["sketch", "--input", matrix, "--row", str(row), "--out", path, *flags]

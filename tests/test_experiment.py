@@ -14,6 +14,7 @@ import pytest
 from oporp.estimate import (
     _REGISTRY,
     Estimator,
+    _estimate,
     cosine_hat,
     distance_hat,
     inner_product_hat,
@@ -57,7 +58,7 @@ from oporp.variance import pair_statistics, var_inner
 
 def vsrp_pairs(u, v, k, s, c, rng):
     """c k-sample VSRP pairs from the kernel a sweep cell picks for s."""
-    return _cell_draws("vsrp", u, v, k, s, None, Binning.VARIABLE)[1](c, rng)
+    return _cell_draws(True, u, v, k, s, None, Binning.VARIABLE)[1](c, rng)
 
 
 # --- synthetic pairs -----------------------------------------------------------
@@ -263,7 +264,7 @@ def test_sweep_refuses_a_non_integer_k():
     assert row.k == 8 and type(row.k) is int
 
 
-@pytest.mark.parametrize("Dp, c, k", [(1, 3, 1), (3, 5, 3), (16, 300, 4), (1000, 37, 8),
+@pytest.mark.parametrize("Dp, c, k", [(2, 3, 2), (3, 5, 3), (16, 300, 4), (1000, 37, 8),
                                      (70_000, 2, 7)])
 @pytest.mark.parametrize("block", (1 << 16, 50))
 def test_permutation_rows_match_one_shuffled_int32_tile(monkeypatch, Dp, c, k, block):
@@ -405,13 +406,27 @@ def test_similarity_matrix_entries_are_pair_estimates(name, binning):
         want = [[(q @ b) / (np.linalg.norm(q) * np.linalg.norm(b)) for b in base] for q in queries]
     else:
         est = Estimator(name)
-        if _REGISTRY[est].family == "vsrp":
+        if _REGISTRY[est].pooled:
             SB, SQ = ([vsrp_sketch(u, 20, 18, 3.0, 4) for u in M] for M in (base, queries))
         else:
             SB, SQ = ([oporp_sketch(u, config) for u in M] for M in (base, queries))
         want = [[PAIR_SCORES[est](q, b) for b in SB] for q in SQ]
     got = similarity_matrix(base, queries, config, name)
     assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dist", [rademacher(), gaussian()], ids=lambda d: d.kind.value)
+def test_pooled_scores_of_a_one_bin_config_are_its_pair_estimates(dist):
+    # a k = 1 config is scored as it is: its sketches are the pooled samples
+    rng = np.random.default_rng(15)
+    base, queries = rng.standard_normal((6, 20)), rng.standard_normal((2, 20))
+    config = SketchConfig(dim=20, k=1, binning=Binning.FIXED, dist=dist, m=12, seed=6)
+    SB, SQ = ([oporp_sketch(u, config) for u in M] for M in (base, queries))
+    for est in (Estimator.VSRP_INNER, Estimator.VSRP_COSINE, Estimator.INNER):
+        want = [[_estimate(est, q, b) for b in SB] for q in SQ]
+        assert np.allclose(similarity_matrix(base, queries, config, est), want, rtol=1e-12, atol=0)
+    with pytest.raises(ValueError, match="one-bin cosine is a sign"):
+        similarity_matrix(base, queries, config, "cosine")
 
 
 @pytest.mark.parametrize("scale", [2.0**270, 2.0**-270])

@@ -33,7 +33,7 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 
-GOLDEN_SHA256 = "f4af62e0b4c577c6f634499653ba666db49c95081a28706a6850266008defaa2"
+GOLDEN_SHA256 = "39a1798b0ee026dd5f31db129e93962302a159696cd0c93e667215a3c561e9e9"
 
 DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 SIMILARITY_ESTIMATORS = (
@@ -67,8 +67,17 @@ def _plan_outputs():
     M = np.random.default_rng(15).standard_normal((7, 23))
     M24 = np.random.default_rng(16).standard_normal((7, 24))
     out = [SketchPlan(c).apply(M24 if c.dim == 24 else M) for c in _plan_configs()]
-    out.append(SketchPlan(vsrp_config(23, 12, 3.0, 8), "vsrp").apply(M))
+    out.append(SketchPlan(vsrp_config(23, 12, 3.0, 8)).apply(M))
     return out
+
+
+def _k1_plan_outputs():
+    # k = 1 plans of both binnings and every distribution: one matrix
+    # product per row, which no block size may move either
+    M = np.random.default_rng(17).standard_normal((7, 23))
+    configs = [SketchConfig(dim=23, k=1, binning=binning, dist=dist, m=3, seed=47)
+               for binning in Binning for dist in DISTS]
+    return [SketchPlan(c).apply(M) for c in configs]
 
 
 def _golden_parts(tmp_path):
@@ -131,7 +140,7 @@ def test_sweep_rows_do_not_depend_on_the_blas_kernel():
 
 
 def test_sweep_rows_and_plans_do_not_depend_on_the_block_size(monkeypatch):
-    rows, plans = _sweep_rows(), _plan_outputs()
+    rows, plans = _sweep_rows(), _plan_outputs() + _k1_plan_outputs()
     # the one block size of the index draws, the kernels' tiles and the VSRP
     # blocks; 1: one index row per draw block, one row and one repetition
     # per tile, and one sample per VSRP block;
@@ -140,7 +149,7 @@ def test_sweep_rows_and_plans_do_not_depend_on_the_block_size(monkeypatch):
     for block in (1, 400, 7 * 2048):
         monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
         assert repr(_sweep_rows()) == repr(rows)
-        for got, want in zip(_plan_outputs(), plans):
+        for got, want in zip(_plan_outputs() + _k1_plan_outputs(), plans):
             assert np.array_equal(got, want)
 
 

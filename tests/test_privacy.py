@@ -349,7 +349,8 @@ def test_rr_beyond_exp_range_releases_the_signs(eps):
         (dp_sign_oporp_rr(u, config, eps, noise_seed=1), _flip_probs(values, eps)),
         (dp_sign_oporp_rr_smooth(u, config, eps, 0.5, noise_seed=1), _flip_probs(values, eps, 0.5)),
     ):
-        assert np.all(probs < 1e-300)
+        # floored at the draws' smallest step: only a draw of exactly 0 flips
+        assert np.all(probs == 2.0**-53)
         assert np.array_equal(released, clean)
 
 
@@ -480,17 +481,23 @@ def test_smooth_large_magnitude_probs_underflow_to_zero():
     assert smooth.min() >= 0.0
 
 
-@pytest.mark.parametrize("eps", [0.1, 1.0, 3.0, 12.0])
-def test_rr_smooth_levels_keep_eps_dp_on_the_uniform_draws_grid(eps):
+@pytest.mark.parametrize("eps", [0.1, 1.0, 3.0, 12.0, 40.0, 700.0, 746.0, 1e4])
+@pytest.mark.parametrize("beta", [None, 1.0], ids=["rr", "rr-smooth"])
+def test_rr_smooth_levels_keep_eps_dp_on_the_uniform_draws_grid(eps, beta):
     # A bit flips when its uniform draw, a multiple of 2**-53, falls below
     # p, so it flips w.p. ceil(p 2**53) / 2**53. Uncapped, at eps = 1
     # levels 36 and 37 flipped w.p. 3 and 1 times 2**-53 (a ratio of 3 > e)
-    # and level 746 never. Adjacent inputs L and L + 1 (beta = 1) reach
-    # every pair of adjacent levels.
+    # and level 746 never; under rr, from eps ~ 745 on a nonempty bin never
+    # flipped while an empty one was a fair coin. Adjacent inputs L and
+    # L + 1 (beta = 1) reach every pair of adjacent levels. Where e^eps
+    # overflows, the floor 2**-53 bounds the ratio by 2**53 instead.
     grid = 2**53
-    probs = _flip_probs(np.arange(801, dtype=np.float64), eps, beta=1.0)
+    probs = _flip_probs(np.arange(801, dtype=np.float64), eps, beta)
     flips = [Fraction(math.ceil(Fraction(float(p)) * grid), grid) for p in probs]
-    bound = Fraction(math.exp(eps)) * (1 + Fraction(1, 10**12))
+    try:
+        bound = Fraction(math.exp(eps)) * (1 + Fraction(1, 10**12))
+    except OverflowError:
+        bound = Fraction(grid)
     for level, (a, b) in enumerate(zip(flips, flips[1:])):
         for x, y in ((a, b), (1 - a, 1 - b)):  # flipped, kept
             assert x <= bound * y and y <= bound * x, (eps, level)

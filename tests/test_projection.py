@@ -4,7 +4,8 @@ The distribution checks are seeded Monte Carlo with generous z-score
 bounds (no flakes at the frozen seeds); the permutation uniformity test
 is exhaustive over all 5! = 120 permutations. Permutations and
 multipliers are drawn through the samplers a plan and a sweep chunk share:
-``oporp.sketch._oporp_draws`` and ``draw_multipliers``.
+``oporp.sketch._oporp_draws`` (its permutations by ``_permutations``) and
+``draw_multipliers``.
 """
 
 import math
@@ -17,6 +18,8 @@ from oporp.projection import (
     _STREAMS,
     ProjectionDistribution,
     ProjectionKind,
+    _index_dtype,
+    _permutations,
     check_seed,
     derive_seed,
     draw_multipliers,
@@ -26,16 +29,12 @@ from oporp.projection import (
     scaled_uniform,
     sparse,
 )
-from oporp.sketch import _FLAVOR_CODES, Binning, SketchConfig, _oporp_draws
+from oporp.sketch import Binning, SketchConfig, _oporp_draws
 
 
 def permutation_rows(rng, c, D):
-    """The c permutations of a fixed-binning draw, (c, D) rows.
-
-    Gaussian multipliers keep the signs out of them.
-    """
-    index, _ = _oporp_draws(rng, c, D, 1, gaussian(), fixed=True)
-    return index
+    """The c permutations a fixed-binning draw of Dp = D starts with, (c, D) rows."""
+    return _permutations(rng, c, D, _index_dtype(D))
 
 
 def test_fourth_moments_exact():
@@ -94,7 +93,6 @@ def test_derive_seed_deterministic_and_path_sensitive():
 def test_stream_tags_are_distinct():
     # Two purposes on one tag would draw the same stream.
     assert len(set(_STREAMS.values())) == len(_STREAMS)
-    assert set(_FLAVOR_CODES) <= set(_STREAMS)
 
 
 def test_generator_reproducible():

@@ -59,10 +59,8 @@ PUBLIC = [
     "solve_gaussian_sigma",
     "sparse",
     "var_cosine",
-    "var_cosine_vsrp",
     "var_distance",
     "var_inner",
-    "var_inner_vsrp",
     "var_normalized_inner",
     "variance_ratio",
     "vsrp_config",

@@ -60,9 +60,9 @@ from oporp.sketch import (
 )
 
 
-def plan_rng(seed, flavor="oporp"):
-    """The one generator a plan of this seed and flavor draws from."""
-    return generator(derive_seed(seed, _STREAMS[flavor]))
+def plan_rng(seed):
+    """The one generator a plan of this seed draws from."""
+    return generator(derive_seed(seed, _STREAMS["oporp"]))
 
 
 def row_draws(rng, c, Dp, k, dist, fixed):
@@ -247,7 +247,7 @@ def test_sketch_rejects_non_finite_input():
         with pytest.raises(ValueError):
             SketchPlan(cfg()).apply(M)
         with pytest.raises(ValueError):
-            SketchPlan(vsrp_config(16, 4, 2.0, 0), "vsrp").apply(M)
+            SketchPlan(vsrp_config(16, 4, 2.0, 0)).apply(M)
 
 
 def test_extreme_norms_neither_overflow_nor_underflow():
@@ -266,7 +266,7 @@ def test_extreme_norms_neither_overflow_nor_underflow():
 def test_overflowing_sketch_values_name_the_input_rows():
     M = np.ones((4, 16))
     M[[1, 3]] = 1e308
-    for plan in (SketchPlan(cfg()), SketchPlan(vsrp_config(16, 4, 1.0, 0), "vsrp")):
+    for plan in (SketchPlan(cfg()), SketchPlan(vsrp_config(16, 4, 1.0, 0))):
         with pytest.raises(ValueError, match=r"input rows 1, 3$"):
             plan.apply(M)
     with pytest.raises(ValueError, match="input rows 0"):
@@ -329,13 +329,12 @@ PLAN_DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 @pytest.mark.parametrize(
     "dim, k, binning",
     [(24, 6, Binning.FIXED), (23, 6, Binning.FIXED), (12, 1, Binning.FIXED),
-     (260, 2, Binning.FIXED), (23, 6, Binning.VARIABLE)],
-    ids=["fixed", "fixed-padded", "fixed-k1", "fixed-130-per-bin", "variable"],
+     (260, 2, Binning.FIXED), (23, 6, Binning.VARIABLE), (12, 1, Binning.VARIABLE)],
+    ids=["fixed", "fixed-padded", "fixed-k1", "fixed-130-per-bin", "variable", "variable-k1"],
 )
 def test_plan_is_bit_identical_to_per_row_sketches(monkeypatch, dim, k, binning, m, dist):
     # 30 elements per block: one row per block, so 7 rows span 7 blocks;
-    # at k = 1, m = 1 a block holds two rows of 12, so the plan sums bins
-    # two columns wide where a lone row's sketch sums a single column
+    # at k = 1 the plan takes one matrix product per row, as a lone row does
     monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", 30)
     M = np.random.default_rng(15).standard_normal((7, dim))
     config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=m, seed=41)
@@ -363,8 +362,13 @@ def reference_apply(config, M):
     The draw is the plan's one draw on its documented stream. A fixed bin
     is the last running sum of its products in bin order, plus +0.0: the
     sum from +0.0 one product at a time, as ``bincount`` sums a variable bin.
+    At k = 1 the draw is the (dim, m) float64 multiplier matrix alone, and
+    each row's sketch is its vector-matrix product with it.
     """
     dim, k, m, Dp = config.dim, config.k, config.m, config.padded_dim
+    if k == 1:
+        R = draw_multipliers(plan_rng(config.seed), (dim, m), config.dist).astype(np.float64)
+        return np.stack([u @ R for u in M]).reshape(M.shape[0], m)
     fixed = config.binning is Binning.FIXED
     index, R = row_draws(plan_rng(config.seed), m, Dp, k, config.dist, fixed)
     W = np.pad(M, ((0, 0), (0, Dp - dim)))
@@ -385,15 +389,15 @@ def reference_apply(config, M):
 @pytest.mark.parametrize(
     "dim, k, binning",
     [(24, 6, Binning.FIXED), (23, 6, Binning.FIXED), (70, 4, Binning.FIXED),
-     (130, 1, Binning.FIXED), (260, 2, Binning.FIXED), (23, 6, Binning.VARIABLE)],
+     (130, 1, Binning.FIXED), (260, 2, Binning.FIXED), (23, 6, Binning.VARIABLE),
+     (23, 1, Binning.VARIABLE)],
     ids=["fixed", "fixed-padded", "fixed-18-per-bin", "fixed-k1", "fixed-130-per-bin",
-         "variable"],
+         "variable", "variable-k1"],
 )
 def test_plan_apply_equals_the_reshape_sum_reference(monkeypatch, dim, k, binning, m, N, dist,
                                                      block):
     # 100 entries per tile at Dp = 24: 4 repetitions of one row, or 4 rows,
-    # and at Dp = 130 or 260 one row and one repetition; with k = 1 such a
-    # tile sums one column, which numpy's reduce alone would add pairwise
+    # and at Dp = 260 one row and one repetition; k = 1 takes no tiles
     if block is not None:
         monkeypatch.setattr(oporp.projection, "_BLOCK_ELEMENTS", block)
     M = np.random.default_rng(18).standard_normal((N, dim))
@@ -409,13 +413,13 @@ SPECIAL_SUMMANDS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e30
 
 
 @settings(max_examples=200, deadline=None)
-@given(L=st.one_of(st.integers(1, 300), st.just(16)), k=st.integers(1, 3), n=st.integers(1, 3),
+@given(L=st.one_of(st.integers(1, 300), st.just(16)), k=st.integers(2, 3), n=st.integers(1, 3),
        dist=st.sampled_from([rademacher(), gaussian()]), seed=st.integers(0, 2**32 - 1),
        special=st.floats(0.0, 1.0))
 def test_fixed_bins_are_left_to_right_sums_bit_for_bit(L, k, n, dist, seed, special):
     # n rows of summands over the whole float range, a share of them signed
     # zeros, subnormals or +-1e300, in bins of L under folded signs and
-    # float multipliers; k = n = 1 sums a single column
+    # float multipliers (k = 1 is one matrix product, not bin sums)
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((n, L * k)) * 10.0 ** rng.integers(-320, 308, (n, L * k))
     mask = rng.random(M.shape) < special
@@ -436,7 +440,7 @@ def sparse_matrix_reference(seed, D, k, s):
     is one when the next of the uniforms drawn after all bytes falls below
     128/s - T. An odd byte is negative.
     """
-    rng = plan_rng(seed, "vsrp")
+    rng = plan_rng(seed)
     n = D * k
     words = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
     data = [(int(w) >> (8 * j)) & 0xFF for w in words for j in range(8)][:n]
@@ -469,27 +473,25 @@ def test_sparse_signs_do_not_depend_on_the_block_size(monkeypatch, block):
         assert np.array_equal(a, b)
         assert x == y
     for s in (1.0, 3.0, 200.0):
-        plan = SketchPlan(vsrp_config(40, 12, s, 8), "vsrp")
-        assert np.array_equal(plan._projection, sparse_matrix_reference(8, 40, 12, s))
+        plan = SketchPlan(vsrp_config(40, 12, s, 8))
+        assert np.array_equal(plan._multipliers, sparse_matrix_reference(8, 40, 12, s))
 
 
 @pytest.mark.parametrize("s", (1.0, 3.0))
 def test_vsrp_plan_is_bit_identical_to_per_row_sketches(s):
     M = np.random.default_rng(16).standard_normal((9, 40))
     rows = [vsrp_sketch(u, 40, 12, s, 8) for u in M]
-    plan = SketchPlan(vsrp_config(40, 12, s, 8), "vsrp")
+    plan = SketchPlan(vsrp_config(40, 12, s, 8))
     assert np.array_equal(plan.apply(M), np.stack([sk.values for sk in rows]))
     assert np.array_equal(row_norms(M), [sk.stored_norm for sk in rows])
-    # the one-vector path is the plain matrix product u @ R on the vsrp stream
+    # the one-vector path is the plain matrix product u @ R on the sketch stream
     R = sparse_matrix_reference(8, 40, 12, s)
     assert np.array_equal(np.stack([u @ R for u in M]), plan.apply(M))
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        SketchPlan(cfg(), "vsrp")  # a vsrp plan needs the (k=1, m=samples) config
-    with pytest.raises(ValueError):
-        SketchPlan(cfg(), "dense")
+    with pytest.raises(TypeError):
+        SketchPlan(cfg(), "vsrp")  # one family: a VSRP plan is the plan of vsrp_config
     with pytest.raises(ValueError):
         SketchPlan(cfg()).apply(np.zeros((3, 15)))
     with pytest.raises(ValueError):
@@ -501,8 +503,6 @@ def test_plan_validation():
 
 
 def plan_arrays(plan):
-    if plan.flavor == "vsrp":
-        return [plan._projection]
     return [a for a in (plan._indices, plan._multipliers) if a is not None]
 
 
@@ -520,27 +520,21 @@ def plan_draws(plan):
 
 
 CACHE_CASES = [
-    (cfg(), "oporp"),
-    (cfg(dim=23, k=6, binning=Binning.VARIABLE, dist=gaussian(), m=3, seed=4), "oporp"),
-    (vsrp_config(16, 8, 3.0, 2), "vsrp"),
+    cfg(),
+    cfg(dim=23, k=6, binning=Binning.VARIABLE, dist=gaussian(), m=3, seed=4),
+    vsrp_config(16, 8, 3.0, 2),
 ]
 
 
-def sketch_through_cache(u, config, flavor):
-    if flavor == "vsrp":
-        return vsrp_sketch(u, config.dim, config.m, config.dist.sparsity, config.seed)
-    return oporp_sketch(u, config)
-
-
-@pytest.mark.parametrize("config, flavor", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
-def test_warm_cache_sketch_equals_cold_one(config, flavor):
+@pytest.mark.parametrize("config", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
+def test_warm_cache_sketch_equals_cold_one(config):
     u = np.random.default_rng(21).standard_normal(config.dim)
     _cached_plan.cache_clear()
-    cold = sketch_through_cache(u, config, flavor)
-    warm = sketch_through_cache(u, config, flavor)
+    cold = oporp_sketch(u, config)
+    warm = oporp_sketch(u, config)
     assert _cached_plan.cache_info()[:2] == (1, 1)
     assert np.array_equal(cold.values, warm.values)
-    assert np.array_equal(warm.values, SketchPlan(config, flavor).sketch(u).values)
+    assert np.array_equal(warm.values, SketchPlan(config).sketch(u).values)
 
 
 def test_equal_configs_hit_and_others_miss():
@@ -552,10 +546,11 @@ def test_equal_configs_hit_and_others_miss():
     assert np.array_equal(a.values, b.values)
     oporp_sketch(u, cfg(dist=sparse(3.0), seed=1))
     assert _cached_plan.cache_info()[:2] == (1, 2)
-    # the same config as another flavor is another plan
-    config = vsrp_config(16, 4, 3.0, 0)
-    assert _plan(config, "oporp") is not _plan(config, "vsrp")
-    assert _cached_plan.cache_info()[:2] == (1, 4)
+    # a VSRP sketch is the k = 1 sketch of vsrp_config: one plan serves both
+    a = vsrp_sketch(u, 16, 4, 3.0, 0)
+    b = oporp_sketch(u, vsrp_config(16, 4, 3.0, 0))
+    assert _cached_plan.cache_info()[:2] == (2, 3)
+    assert np.array_equal(a.values, b.values)
 
 
 @pytest.mark.parametrize("field, value", [("seed", 5.5), ("dim", 16.0), ("k", 4.0), ("m", 1.0)])
@@ -594,15 +589,14 @@ def test_plans_above_the_byte_bound_are_not_kept(monkeypatch):
     # cfg(m=2): 2 x 16 entries of uint16 index with the signs folded in,
     # 64 bytes; Gaussian multipliers are float64, 320 bytes;
     # vsrp_config(16, 4, ...): a 16 x 4 float64 matrix, 512 bytes
-    cases = ((cfg(m=2), "oporp", 64), (cfg(m=2, dist=gaussian()), "oporp", 320),
-             (vsrp_config(16, 4, 3.0, 0), "vsrp", 512))
-    for config, flavor, size in cases:
+    cases = ((cfg(m=2), 64), (cfg(m=2, dist=gaussian()), 320), (vsrp_config(16, 4, 3.0, 0), 512))
+    for config, size in cases:
         for bound, kept in ((size - 1, 0), (size, 1)):
             monkeypatch.setattr(oporp.sketch, "_PLAN_CACHE_BYTES", bound)
             _cached_plan.cache_clear()
-            a = sketch_through_cache(u, config, flavor)
+            a = oporp_sketch(u, config)
             assert _cached_plan.cache_info().currsize == kept
-            assert np.array_equal(a.values, SketchPlan(config, flavor).sketch(u).values)
+            assert np.array_equal(a.values, SketchPlan(config).sketch(u).values)
 
 
 def test_a_large_plan_leaves_nothing_held():
@@ -652,7 +646,7 @@ def test_building_a_fixed_plan_peaks_near_the_arrays_it_holds(dim, m, dist, binn
     # fixed plans have int32 indices, variable ones uint16 bin indices
     fixed = binning is Binning.FIXED
     assert plan._indices.dtype == (np.int32 if fixed else np.uint16)
-    assert held >= arrays == _plan_bytes(config, "oporp")
+    assert held >= arrays == _plan_bytes(config)
     assert peak <= 1.5 * arrays, f"{peak / 2**20:.1f} MiB peak for {arrays / 2**20:.1f} MiB"
 
 
@@ -705,12 +699,12 @@ def test_rademacher_plan_holds_int8_signs_and_16_bit_indices(binning):
 
 
 @pytest.mark.parametrize("config, dtype", [
-    (cfg(dim=1 << 15, k=1), np.uint16),
-    (cfg(dim=(1 << 15) + 1, k=1), np.int32),
-    (cfg(dim=1 << 16, k=1), np.int32),
-    (cfg(dim=(1 << 16) + 1, k=1), np.int32),
-    (cfg(dim=1 << 16, k=1, dist=gaussian()), np.uint16),
-    (cfg(dim=(1 << 16) + 1, k=1, dist=gaussian()), np.int32),
+    (cfg(dim=1 << 15, k=2), np.uint16),
+    (cfg(dim=(1 << 15) + 1, k=2), np.int32),
+    (cfg(dim=1 << 16, k=2), np.int32),
+    (cfg(dim=(1 << 16) + 1, k=2), np.int32),
+    (cfg(dim=1 << 16, k=2, dist=gaussian()), np.uint16),
+    (cfg(dim=(1 << 16) + 1, k=2, dist=gaussian()), np.int32),
     (cfg(dim=3, k=1 << 16, binning=Binning.VARIABLE), np.uint16),
     (cfg(dim=3, k=(1 << 16) + 1, binning=Binning.VARIABLE), np.int32),
 ], ids=["fixed-32768", "fixed-32769", "fixed-65536", "fixed-65537", "fixed-gaussian-65536",
@@ -732,20 +726,22 @@ def test_plan_indices_are_int32_beyond_65536_values(config, dtype):
 @pytest.mark.parametrize("dist", PLAN_DISTS, ids=lambda d: d.kind.value)
 @pytest.mark.parametrize("dim, k, binning", [
     (23, 6, Binning.FIXED), (23, 6, Binning.VARIABLE),
-    ((1 << 16) + 1, 1, Binning.FIXED), (5, (1 << 16) + 1, Binning.VARIABLE),
-], ids=["fixed", "variable", "fixed-int32", "variable-int32"])
+    ((1 << 16) + 1, 2, Binning.FIXED), (5, (1 << 16) + 1, Binning.VARIABLE),
+    (23, 1, Binning.FIXED), (23, 1, Binning.VARIABLE),
+], ids=["fixed", "variable", "fixed-int32", "variable-int32", "fixed-k1", "variable-k1"])
 def test_plan_bytes_are_the_drawn_arrays_nbytes(dist, dim, k, binning):
-    # the cache bound is checked before the draw, from the dtypes it will have
+    # the cache bound is checked before the draw, from the dtypes it will
+    # have; a k = 1 plan holds only its float64 multiplier matrix
     config = SketchConfig(dim=dim, k=k, binning=binning, dist=dist, m=2, seed=3)
     plan = SketchPlan(config)
-    assert _plan_bytes(config, "oporp") == sum(a.nbytes for a in plan_arrays(plan))
-    vsrp = vsrp_config(23, 5, 3.0, 0)
-    assert _plan_bytes(vsrp, "vsrp") == SketchPlan(vsrp, "vsrp")._projection.nbytes
+    assert _plan_bytes(config) == sum(a.nbytes for a in plan_arrays(plan))
+    if k == 1:
+        assert plan._indices is None and _plan_bytes(config) == 8 * dim * 2
 
 
-@pytest.mark.parametrize("config, flavor", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
-def test_plan_arrays_are_read_only(config, flavor):
-    for plan in (_plan(config, flavor), SketchPlan(config, flavor)):
+@pytest.mark.parametrize("config", CACHE_CASES, ids=["fixed", "variable", "vsrp"])
+def test_plan_arrays_are_read_only(config):
+    for plan in (_plan(config), SketchPlan(config)):
         for array in plan_arrays(plan):
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -758,13 +754,13 @@ def test_threads_sketching_through_one_cached_plan_get_their_own_results():
                cfg(dim=200, k=10, m=3, seed=9, binning=Binning.VARIABLE)]
     rng = np.random.default_rng(28)
     inputs = [rng.standard_normal((n, 200)) for n in (1, 5, 40, 1, 5, 40)]
-    want = [[_plan(c, "oporp").apply(M) for c in configs] for M in inputs]
+    want = [[_plan(c).apply(M) for c in configs] for M in inputs]
     failures, done = [], []
 
     def work(i):
         for _ in range(30):
             for c, expected in zip(configs, want[i]):
-                if not np.array_equal(_plan(c, "oporp").apply(inputs[i]), expected):
+                if not np.array_equal(_plan(c).apply(inputs[i]), expected):
                     failures.append(i)
         done.append(i)
 
@@ -826,7 +822,6 @@ def test_vsrp_matches_manual_matrix():
     u = np.random.default_rng(8).standard_normal(24)
     s, k, seed = 4.0, 6, 31
     sk = vsrp_sketch(u, 24, k, s, seed)
-    assert sk.flavor == "vsrp"
     assert sk.config.k == 1 and sk.config.m == k
     R = sparse_matrix_reference(seed, 24, k, s)
     assert np.allclose(sk.values, u @ R, atol=1e-12)
@@ -856,11 +851,12 @@ def test_check_compatible():
     b = oporp_sketch(u, cfg(seed=2))
     with pytest.raises(SketchMismatchError):
         check_compatible(a, b)
-    c = vsrp_sketch(u, 16, 4, 1.0, 1)
-    d = Sketch(c.values, c.config, "oporp", c.stored_norm)
-    with pytest.raises(SketchMismatchError):
-        check_compatible(c, d)
     check_compatible(a, oporp_sketch(2 * u, cfg(seed=1)))
+    # one family: a VSRP sketch is compatible with any sketch of its config
+    c = vsrp_sketch(u, 16, 4, 3.0, 1)
+    check_compatible(c, oporp_sketch(2 * u, vsrp_config(16, 4, 3.0, 1)))
+    with pytest.raises(SketchMismatchError):
+        check_compatible(c, oporp_sketch(u, replace(vsrp_config(16, 4, 3.0, 1), dist=gaussian())))
 
 
 def test_replace_changes_only_the_seed():
@@ -877,14 +873,13 @@ def test_value_round_trip_bit_exact(tmp_path):
     for sk in [
         oporp_sketch(u, SketchConfig(dim=20, k=5, binning=Binning.VARIABLE, dist=sparse(3.0), m=2, seed=17)),
         vsrp_sketch(u, 20, 9, 5.0, 23),
-        Sketch(rng.standard_normal(4), cfg(dim=8, k=4, seed=2), "oporp", None),
+        Sketch(rng.standard_normal(4), cfg(dim=8, k=4, seed=2), None),
     ]:
         path = tmp_path / "sk.bin"
         save_sketch(str(path), sk)
         back = load_sketch(str(path))
         assert np.array_equal(back.values, sk.values)
         assert back.config == sk.config
-        assert back.flavor == sk.flavor
         if sk.stored_norm is None:
             assert back.stored_norm is None
         else:
@@ -919,20 +914,17 @@ def _bits(x):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=_configs(), flavor=st.sampled_from(["oporp", "vsrp"]), data=st.data())
-def test_value_files_round_trip_bit_for_bit(tmp_path, config, flavor, data):
-    if flavor == "vsrp":
-        # a vsrp sketch is stored under vsrp_config's (k = 1, variable, sparse) shape
-        config = vsrp_config(config.dim, config.m, data.draw(st.floats(1.0, 1e300)), config.seed)
+@given(config=_configs(), data=st.data())
+def test_value_files_round_trip_bit_for_bit(tmp_path, config, data):
     n = config.k * config.m
     values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                          min_size=n, max_size=n)), dtype=np.float64)
     norm = data.draw(st.none() | st.just(-0.0)
                      | st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
     path = tmp_path / "sk.bin"
-    save_sketch(str(path), Sketch(values, config, flavor, norm))
+    save_sketch(str(path), Sketch(values, config, norm))
     back = load_sketch(str(path))
-    assert back.config == config and back.flavor == flavor
+    assert back.config == config
     assert back.values.dtype == np.float64 and _bits(back.values) == _bits(values)
     assert (back.stored_norm is None) == (norm is None)
     if norm is not None:
@@ -953,36 +945,19 @@ def test_sign_files_round_trip_bit_for_bit(tmp_path, config, data):
     assert back.dtype == np.int8 and np.array_equal(back, bits)
 
 
-def test_unknown_flavors_and_non_vsrp_configs_are_refused(tmp_path):
-    # Sketch took any flavor, and save_sketch then raised KeyError on it
-    with pytest.raises(ValueError, match="unknown sketch flavor"):
-        Sketch(np.zeros(4), cfg(), "bogus")
-    # a vsrp sketch is k = 1 bin, variable binning and sparse columns
-    for config in (cfg(), cfg(k=1, binning=Binning.VARIABLE), cfg(k=1, dist=sparse(3.0))):
-        with pytest.raises(ValueError, match="vsrp_config"):
-            Sketch(np.zeros(config.k), config, "vsrp")
-    Sketch(np.zeros(4), vsrp_config(16, 4, 3.0, 0), "vsrp")
-
-
-def test_loaders_refuse_a_flavor_the_header_cannot_have(tmp_path):
-    # a vsrp flavor byte on a k = 4, fixed, Rademacher file loaded, and estimated
+def test_byte_7_is_zero_padding(tmp_path):
+    # it held the sketch flavor (1 = vsrp) up to version 4; a VSRP sketch is
+    # now told by its config alone, and its file header is that of any sketch
     u = np.random.default_rng(29).standard_normal(16)
-    path = tmp_path / "v.bin"
-    save_sketch(str(path), oporp_sketch(u, cfg(seed=6)))
-    raw = path.read_bytes()
-    path.write_bytes(raw[:7] + b"\x01" + raw[8:])
-    with pytest.raises(SketchFileError, match="vsrp_config"):
-        load_sketch(str(path))
-    # load_sign_sketch read past the flavor byte, whatever it held
-    spath = tmp_path / "s.bin"
+    vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"
     config = vsrp_config(16, 4, 3.0, 0)
+    save_sketch(str(vpath), vsrp_sketch(u, 16, 4, 3.0, 0))
     save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), config)
-    raw = spath.read_bytes()
-    assert load_sign_sketch(str(spath))[1] == config
-    for flavor, error in ((b"\x01", "not 'vsrp'"), (b"\x07", "header field")):
-        spath.write_bytes(raw[:7] + flavor + raw[8:])
-        with pytest.raises(SketchFileError, match=error):
-            load_sign_sketch(str(spath))
+    for path in (vpath, spath):
+        raw = path.read_bytes()
+        assert raw[7] == 0 and raw[11:16] == bytes(5)
+        path.write_bytes(raw[:7] + b"\x01" + raw[8:])
+    assert load_sketch(str(vpath)).config == load_sign_sketch(str(spath))[1] == config
 
 
 def test_sign_save_rejects_non_sign_values(tmp_path):
@@ -1044,7 +1019,7 @@ def _refuses_version(tmp_path, version):
     vpath, spath = tmp_path / "v.bin", tmp_path / "s.bin"
     save_sketch(str(vpath), oporp_sketch(u, cfg(seed=6)))
     save_sign_sketch(str(spath), np.array([1, -1, 1, -1], dtype=np.int8), cfg(seed=6))
-    assert vpath.read_bytes()[4:6] == b"\x04\x00"
+    assert vpath.read_bytes()[4:6] == b"\x05\x00"
     for path, load in ((vpath, load_sketch), (spath, load_sign_sketch)):
         raw = path.read_bytes()
         path.write_bytes(raw[:4] + version.to_bytes(2, "little") + raw[6:])
@@ -1054,13 +1029,13 @@ def _refuses_version(tmp_path, version):
 
 def test_version_1_files_are_refused(tmp_path):
     # v1 files hold sketches of the per-repetition streams, which this
-    # version cannot rebuild; comparing them with v4 sketches would be wrong
+    # version cannot rebuild; comparing them with v5 sketches would be wrong
     _refuses_version(tmp_path, 1)
 
 
 def test_version_2_files_are_refused(tmp_path):
     # v2 files hold sketches of Philox streams with one int32 draw per
-    # Rademacher sign; v3 and v4 draw SFC64 streams with one bit per sign
+    # Rademacher sign; v3 to v5 draw SFC64 streams with one bit per sign
     _refuses_version(tmp_path, 2)
 
 
@@ -1068,6 +1043,12 @@ def test_version_3_files_are_refused(tmp_path):
     # v3 files share v4's draws but summed fixed bins in numpy's pairwise
     # order, so their values can differ from v4 sketches in the last bits
     _refuses_version(tmp_path, 3)
+
+
+def test_version_4_files_are_refused(tmp_path):
+    # v4 files share v5's k > 1 sketches, but drew k = 1 sketches in
+    # another layout, and VSRP's on a stream of its own
+    _refuses_version(tmp_path, 4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1096,18 +1077,18 @@ def test_save_sketch_refuses_non_finite_values_before_writing(tmp_path, bad):
     values[1] = bad
     path = tmp_path / "bad.bin"
     with pytest.raises(ValueError, match="inf or NaN"):
-        save_sketch(str(path), Sketch(values, sk.config, sk.flavor, sk.stored_norm))
+        save_sketch(str(path), Sketch(values, sk.config, sk.stored_norm))
     assert not path.exists()
 
 
 @pytest.mark.parametrize("norm", [-2.0, -5e-324, math.nan, math.inf, -math.inf])
 def test_sketch_refuses_a_norm_load_sketch_would_refuse(norm):
-    # save_sketch(p, Sketch(values, config, "oporp", -2.0)) used to write a
+    # save_sketch(p, Sketch(values, config, -2.0)) used to write a
     # file that load_sketch refused
     sk = oporp_sketch(np.ones(16), cfg(seed=5))
     with pytest.raises(ValueError, match="norm"):
-        Sketch(sk.values, sk.config, sk.flavor, norm)
-    assert Sketch(sk.values, sk.config, sk.flavor, 0.0).stored_norm == 0.0
+        Sketch(sk.values, sk.config, norm)
+    assert Sketch(sk.values, sk.config, 0.0).stored_norm == 0.0
 
 
 @pytest.mark.parametrize("bad", [7, 0, -128])
@@ -1164,7 +1145,7 @@ def test_negative_stored_norm_is_a_file_error(tmp_path, norm):
     # a norm of -2 used to load, and mle_inner then used its square
     sk = oporp_sketch(np.ones(16), cfg(seed=4))
     path = tmp_path / "v.bin"
-    save_sketch(str(path), Sketch(sk.values, sk.config, sk.flavor, 2.0))
+    save_sketch(str(path), Sketch(sk.values, sk.config, 2.0))
     _patch_f64(path, 56, norm)
     with pytest.raises(SketchFileError, match="norm"):
         load_sketch(str(path))
@@ -1184,7 +1165,7 @@ def test_stray_sparsity_under_a_dense_kind_is_a_file_error(tmp_path, dist, spars
 
 
 def _fuzz_seeds():
-    """Well-formed files of every payload, flavor, binning and distribution."""
+    """Well-formed files of every payload, binning and distribution, VSRP's among them."""
     u = np.random.default_rng(29).uniform(-1.0, 1.0, 16)
     sparse_cfg = cfg(dist=sparse(3.0), binning=Binning.VARIABLE, k=5, m=2, seed=7)
     files = []
@@ -1194,10 +1175,10 @@ def _fuzz_seeds():
         oporp_sketch(u, sparse_cfg),
         vsrp_sketch(u, 16, 6, 4.0, seed=8),
     ):
-        files.append(oporp.sketch._pack_header(sk.config, 0, sk.flavor, sk.stored_norm)
+        files.append(oporp.sketch._pack_header(sk.config, 0, sk.stored_norm)
                      + sk.values.astype("<f8").tobytes())
     signs = np.where(np.arange(10) % 3 == 0, 1, -1).astype(np.int8)
-    files.append(oporp.sketch._pack_header(sparse_cfg, 1, "oporp", None) + signs.tobytes())
+    files.append(oporp.sketch._pack_header(sparse_cfg, 1, None) + signs.tobytes())
     return files
 
 

@@ -21,10 +21,8 @@ from oporp.variance import (
     lemma1_moments,
     pair_statistics,
     var_cosine,
-    var_cosine_vsrp,
     var_distance,
     var_inner,
-    var_inner_vsrp,
     var_normalized_inner,
     variance_ratio,
 )
@@ -291,23 +289,30 @@ def test_fixed_needs_k_at_most_dim():
 # --- sparse-projection forms and ratios ----------------------------------------
 
 
-def test_vsrp_inner_equals_one_bin_many_reps():
+def test_vsrp_inner_oracle_is_the_sparse_projection_variance():
+    # Li, Hastie and Church (KDD 2006): k samples of sparse(s) columns give
+    # (a^2 + |u|^2 |v|^2 + (s - 3) sum u^2 v^2) / k; the pooled oracle is
+    # the one-bin oracle over k, and so is k one-bin repetitions of inner
     rng = np.random.default_rng(5)
     st = pair_statistics(rng.standard_normal(50), rng.standard_normal(50))
     for s in (1.0, 3.0, 10.0, 40.0):
         for k in (1, 16, 256):
-            direct = var_inner_vsrp(st, k, s)
+            direct = (st.a**2 + st.sumsq_u * st.sumsq_v + (s - 3.0) * st.sum_u2v2) / k
+            pooled = _REGISTRY[Estimator.VSRP_INNER].variance(st, k, s, None, 1)
             via_reps = _REGISTRY[Estimator.INNER].variance(st, 1, s, VARIABLE, k)
+            assert direct == pytest.approx(pooled, rel=1e-14)
             assert direct == pytest.approx(via_reps, rel=1e-14)
 
 
-def test_vsrp_cosine_matches_one_bin_at_k1():
+def test_vsrp_cosine_oracle_is_the_sparse_projection_variance():
+    # ((1 - rho^2)^2 + (s - 3) A) / k for the pooled cosine of k samples
     rng = np.random.default_rng(6)
     st = pair_statistics(rng.standard_normal(50), rng.standard_normal(50))
     for s in (1.0, 5.0):
-        assert var_cosine_vsrp(st, 1, s) == pytest.approx(
-            var_cosine(st, 1, s, VARIABLE), rel=1e-14
-        )
+        for k in (1, 64):
+            direct = ((1.0 - st.rho**2) ** 2 + (s - 3.0) * st.A) / k
+            pooled = _REGISTRY[Estimator.VSRP_COSINE].variance(st, k, s, None, 1)
+            assert direct == pytest.approx(pooled, rel=1e-14)
 
 
 def test_normalized_inner_is_cosine_scaled_by_norms():
@@ -362,6 +367,17 @@ def test_var_inner_m_validation():
                 entry.variance(st, 2, 1.0, FIXED, m)
 
 
+@pytest.mark.parametrize("k, m", [(0, 1), (-3, 1), (4, 0)])
+def test_every_oracle_refuses_k_or_m_below_one(k, m):
+    # the pooled oracles divide by k: k = 0 raised ZeroDivisionError there
+    st = pair_statistics(np.ones(4), 2 * np.ones(4))
+    for est, entry in _REGISTRY.items():
+        if entry.oracle is None:
+            continue
+        with pytest.raises(ValueError, match="must be >= 1"):
+            entry.variance(st, k, 1.0, VARIABLE, m)
+
+
 @pytest.mark.parametrize("s", [0.5, math.nan, math.inf])
 def test_every_oracle_refuses_an_impossible_s(s):
     # no multiplier has E(r^4) < 1, and s = inf or NaN has none to draw
@@ -374,18 +390,18 @@ def test_every_oracle_refuses_an_impossible_s(s):
 
 
 def test_variance_ratio_matches_its_closed_form_bit_for_bit():
-    # the ratio is a quotient of two oracles at k = 1; written out, it is
-    # (EF + a^2 + (s - 3) S) / (EF + a^2 - 2 S) for the inner product, with
-    # S = sum u^2 v^2, and ((1 - rho^2)^2 + (s - 3) A) / ((1 - rho^2)^2 - 2 A)
-    # for the cosine
+    # the ratio is the one-bin oracle at s over the same oracle at s = 1;
+    # written out, it is ((s - 1) S + C) / C for the inner product, with
+    # S = sum u^2 v^2 and C = EF + a^2 - 2 S, and ((s - 1) A + K) / K for
+    # the cosine, with K = (1 - rho^2)^2 - 2 A
     rng = np.random.default_rng(11)
     for trial in range(20):
         u = rng.standard_normal(24)
         st = pair_statistics(u, rng.uniform(-1, 1) * u + rng.standard_normal(24))
-        ef_a = st.sumsq_u * st.sumsq_v + st.a**2
-        one_minus = (1.0 - st.rho**2) ** 2
+        c_inner = st.sumsq_u * st.sumsq_v + st.a**2 - 2.0 * st.sum_u2v2
+        c_cosine = (1.0 - st.rho**2) ** 2 - 2.0 * st.A
         for s in (1.0, 1.8, 3.0, 17.5):
-            inner = (ef_a + (s - 3.0) * st.sum_u2v2) / (ef_a - 2.0 * st.sum_u2v2)
-            cosine = (one_minus + (s - 3.0) * st.A) / (one_minus - 2.0 * st.A)
+            inner = ((s - 1.0) * st.sum_u2v2 + c_inner) / c_inner
+            cosine = ((s - 1.0) * st.A + c_cosine) / c_cosine
             assert variance_ratio(st, s, "inner") == inner
             assert variance_ratio(st, s, "cosine") == cosine
