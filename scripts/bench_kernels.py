@@ -21,8 +21,9 @@ round. A worker runs every cell of ``SHAPES`` once and prints {cell: value}:
   draws) and ``sparse_signs`` (one dense VSRP chunk); ``faults_chunk_*``,
   the minor page faults of one chunk; and, in MiB, the tracemalloc peak of
   one ``mse_sweep`` call on each bench sweep cell (``peak_fixed``,
-  ``peak_variable``, ``peak_vsrp``) and of one large plan build
-  (``peak_plan``), and what that plan holds (``held_plan``)
+  ``peak_variable``, ``peak_vsrp``), on a k = 1 averaging cell
+  (``peak_k1``) and on one large plan build (``peak_plan``), and what that
+  plan holds (``held_plan``)
 - vsrp_kernel/{dense,gap}_s<s>: one VSRP ``mse_sweep`` cell with every
   cell forced onto the dense byte kernel or the gap kernel by setting
   ``experiment._DENSE_VSRP_BELOW``, once after one warm-up. The gap
@@ -99,6 +100,7 @@ SHAPES = {
                                               "normalized_inner", "mle_inner"]),
             "peak_variable": (64, 1.0, "variable", ["inner", "cosine"]),
             "peak_vsrp": (16, 3.0, "fixed", ["vsrp_inner", "vsrp_cosine"]),
+            "peak_k1": (1, 1.0, "fixed", ["inner", "distance"]),
         },
     },
     "vsrp_kernel": {"D": 1024, "k": 16, "trials": 2000, "seed": 1,

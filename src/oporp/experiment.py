@@ -6,8 +6,10 @@ next to it. Trials are drawn batch-wise from one derived SFC64 stream
 (:func:`~oporp.projection.generator`) per sweep cell for the averaging
 estimators and one for the pooled (VSRP) ones, with a fixed trial-major
 layout and fixed internal chunk sizes, so a given (inputs, seed) always
-produces bit-identical rows. An OPORP chunk of c trials is the draw of a
-sketch plan with m = c repetitions. A pooled cell of k samples, the k = 1
+produces bit-identical rows. For k >= 2 an OPORP chunk of c trials is the
+draw of a sketch plan with m = c repetitions; a k = 1 chunk is not: it
+draws c compact multiplier rows (int8 for Rademacher), where a k = 1 plan
+draws one dim-major float64 matrix. A pooled cell of k samples, the k = 1
 sketch of k repetitions, has kernels of its own that draw only what one
 bin needs: with s below the fixed switch ``_DENSE_VSRP_BELOW`` one random
 byte per projection entry, by the package's one sparse sampler (the dense
@@ -26,15 +28,18 @@ repetition block at a time (a pooled estimator's k*m samples as one block
 of a k = 1 plan, the ``exact`` pass as the cosine kernel on the raw rows).
 
 A chunk's draws are its only chunk-sized arrays. The OPORP products and
-their bin sums go through the plan's tiled kernel
+their bin sums for k >= 2 go through the plan's tiled kernel
 (:func:`~oporp.sketch._bin_sums`, the pair as two rows and the trials as
-repetitions) and the VSRP gather and segmented sums run over blocks of
+repetitions). The k = 1 rows and the dense VSRP kernel's rows are reduced
+one row at a time by einsum over blocks of whole rows (:func:`_dense_sums`),
+and the VSRP gap kernel's gather and segmented sums run over blocks of
 whole samples; tiles and blocks never change a result, while
-``_CHUNK_ELEMENTS`` fixes the draws and so the rows. The dense VSRP kernel
-splits its sign pass and its float blocks between the calling thread and
-one lane thread (:func:`~oporp.projection._two_lanes`); the calling thread
-alone draws, so the rows are the same bits. The bin sums and the gap
-kernel stay on the calling thread.
+``_CHUNK_ELEMENTS`` fixes the draws and so the rows. No sweep sum goes
+through BLAS, so no row depends on the BLAS kernel. The dense VSRP kernel
+splits its sign pass, and ``_dense_sums`` its float blocks, between the
+calling thread and a lane thread (:func:`~oporp.projection._two_lanes`);
+the calling thread alone draws, so the rows are the same bits. The bin
+sums and the gap kernel stay on the calling thread.
 
 The retrieval and classification harnesses sketch through one
 :class:`~oporp.sketch.SketchPlan` per config, the cached one that
@@ -64,6 +69,7 @@ from .projection import (
     _sparse_signs,
     _two_lanes,
     derive_seed,
+    draw_multipliers,
     gaussian,
     generator,
     rademacher,
@@ -88,9 +94,10 @@ _CHUNK_ELEMENTS = 4_000_000
 
 # VSRP sweep cells with s below this use the dense byte kernel, the others
 # the gap kernel. With the dense kernel in two lanes, BENCH_kernels.json
-# reads crossover_s = 16 (8 on one lane): at s = 10 the dense kernel took
-# 46.8 ms against the gap kernel's 50.4 ms, at s = 16 47.9 against 33.1 ms.
-# The switch stays at 10, because the rows depend on it.
+# reads crossover_s = 10 (16 in an earlier run, 8 on one lane): at s = 10
+# the dense kernel took 57.0 ms against the gap kernel's 56.7 ms, at s = 8
+# 56.0 against 70.8 ms and at s = 16 58.7 against 39.0 ms. The switch
+# stays at 10, because the rows depend on it.
 _DENSE_VSRP_BELOW = 10.0
 
 class ConvergenceError(RuntimeError):
@@ -173,50 +180,53 @@ def _oporp_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """c independent single-repetition sketch pairs, shapes (c, k).
 
-    Only the draws are chunk-sized: the draw of an m = c plan, one
-    permutation (fixed binning) or bin-index row (variable binning) and one
-    multiplier row per trial. The pair is sketched as the plan's kernel
-    sketches two rows.
+    Only the draws are chunk-sized: for k >= 2 the draw of an m = c plan,
+    one permutation (fixed binning) or bin-index row (variable binning) and
+    one multiplier row per trial, sketched as the plan's kernel sketches
+    two rows. At k = 1 every coordinate falls in the one bin: the chunk is
+    c compact multiplier rows (int8 for Rademacher), reduced by
+    :func:`_dense_sums` rather than the plan's matrix product.
     """
+    if k == 1:
+        return _dense_sums(u, v, draw_multipliers(rng, (c, u.shape[0]), dist), 1)
     fixed = scheme is Binning.FIXED
     index, R = _oporp_draws(rng, c, _padded_dim(u.shape[0], k, scheme), k, dist, fixed)
     X, Y = _bin_sums(np.stack([u, v]), index, R, k, fixed)
     return X.reshape(c, k), Y.reshape(c, k)
 
 
-def _vsrp_dense(
-    u: np.ndarray, v: np.ndarray, k: int, s: float, c: int, rng: np.random.Generator
+def _dense_sums(
+    u: np.ndarray, v: np.ndarray, rows: np.ndarray, k: int, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """c k-sample VSRP pairs, shapes (c, k), from one random byte per (sample, coordinate).
+    """``scale`` times the sums of u and of v times each of the drawn ``rows``, shapes (c, k).
 
-    The chunk's {-1, 0, +1} entries come from the package's one sparse
-    sampler, :func:`~oporp.projection._sparse_signs`. Each block of whole
-    samples becomes a float array, and every row is reduced on its own with
-    einsum, never BLAS, whose sums depend on the block shape. The blocks are
-    split over two lanes (:func:`~oporp.projection._two_lanes`), each with
-    its own float block.
+    The rows are the (c*k, D) draws of c trials of k samples or bins: the
+    dense VSRP kernel's {-1, 0, +1} entries, one random byte each
+    (:func:`~oporp.projection._sparse_signs`), or a k = 1 chunk's
+    multipliers. Each block of whole rows becomes a float array, and every
+    row is reduced on its own with einsum, never BLAS, whose sums depend on
+    the block shape and the CPU kernel. The blocks are split over two lanes
+    (:func:`~oporp.projection._two_lanes`), each with its own float block.
     """
-    D = u.shape[0]
-    samples = c * k
-    signs = _sparse_signs(rng, (samples, D), s)
-    X = np.empty(samples)
-    Y = np.empty(samples)
-    rows = _block_rows(D, samples)
-    # Both lanes' float blocks, lane 1's from row `rows` on (one block: no lane 1).
-    Z = np.empty((samples if samples <= rows else 2 * rows, D))
+    n, D = rows.shape
+    X = np.empty(n)
+    Y = np.empty(n)
+    step = _block_rows(D, n)
+    # Both lanes' float blocks, lane 1's from row `step` on (one block: no lane 1).
+    Z = np.empty((n if n <= step else 2 * step, D))
 
     def dense(lane: int, lo: int, hi: int) -> None:
-        for a in range(lo, hi, rows):
-            r = min(rows, hi - a)
-            block = Z[lane * rows : lane * rows + r]
-            np.copyto(block, signs[a : a + r])  # a slice assignment holds the GIL
+        for a in range(lo, hi, step):
+            r = min(step, hi - a)
+            block = Z[lane * step : lane * step + r]
+            np.copyto(block, rows[a : a + r])  # a slice assignment holds the GIL
             np.einsum("ij,j->i", block, u, out=X[a : a + r])
             np.einsum("ij,j->i", block, v, out=Y[a : a + r])
 
-    _two_lanes(dense, samples, rows)
-    X *= math.sqrt(s)
-    Y *= math.sqrt(s)
-    return X.reshape(c, k), Y.reshape(c, k)
+    _two_lanes(dense, n, step)
+    X *= scale
+    Y *= scale
+    return X.reshape(-1, k), Y.reshape(-1, k)
 
 
 def _vsrp_gaps(
@@ -288,19 +298,19 @@ def _cell_draws(pooled: bool, u, v, k: int, s: float, dist, scheme: Binning):
     over a random ternary row: sign +-1 with probability 1/s per
     coordinate, else 0 (Li, Hastie and Church, KDD 2006). Below
     ``_DENSE_VSRP_BELOW`` the dense byte kernel draws one random byte per
-    coordinate (:func:`_vsrp_dense`); from there on the gap kernel draws
+    coordinate (:func:`_dense_sums`); from there on the gap kernel draws
     only the nonzero entries, which is cheaper when they are rare
     (:func:`_vsrp_gaps`).
     """
     D = u.shape[0]
+    if pooled and s < _DENSE_VSRP_BELOW:
+        # _CHUNK_ELEMENTS random bytes per chunk.
+        return max(1, _CHUNK_ELEMENTS // (D * k)), lambda c, rng: _dense_sums(
+            u, v, _sparse_signs(rng, (c * k, D), s), k, math.sqrt(s))
     if pooled:
-        if s < _DENSE_VSRP_BELOW:
-            # _CHUNK_ELEMENTS random bytes per chunk.
-            chunk, kernel = max(1, _CHUNK_ELEMENTS // (D * k)), _vsrp_dense
-        else:
-            # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
-            chunk, kernel = max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k)), _vsrp_gaps
-        return chunk, lambda c, rng: kernel(u, v, k, s, c, rng)
+        # About _CHUNK_ELEMENTS / 4 expected nonzeros per chunk.
+        return max(1, int(_CHUNK_ELEMENTS * s) // (4 * D * k)), lambda c, rng: _vsrp_gaps(
+            u, v, k, s, c, rng)
     chunk = max(1, _CHUNK_ELEMENTS // _padded_dim(D, k, scheme))
     return chunk, lambda c, rng: _oporp_chunk(u, v, k, dist, scheme, c, rng)
 

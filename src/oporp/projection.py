@@ -25,9 +25,9 @@ and the one block-size rule (:func:`_block_rows`) that the index draws and
 the kernels share.
 
 One private helper, :func:`_two_lanes`, splits a pure numpy pass over the
-calling thread and one lane thread, a single worker made on first use. The
-sparse sampler's sign pass and the dense VSRP sweep kernel
-(:func:`oporp.experiment._vsrp_dense`) use it; only the calling thread ever
+calling thread and one lane thread, started for that call and joined before
+it returns. The sparse sampler's sign pass and the dense sweep kernel
+(:func:`oporp.experiment._dense_sums`) use it; only the calling thread ever
 touches a generator, so no draw depends on it. The lane thread runs numpy
 calls on the caller's buffers and no function of the package's public API.
 """
@@ -240,34 +240,6 @@ def _to_signs(b: np.ndarray, nonzero: np.ndarray) -> None:
     np.subtract(nonzero, b, out=b)
 
 
-# The second lane of _two_lanes: one worker thread, made on first use, and
-# dropped in a forked child, where the parent's thread does not run.
-_pool = None
-_pool_lock = threading.Lock()
-_in_lane = threading.local()
-
-
-def _lane_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # Imported here: importing the package should not load logging.
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="oporp-lane", initializer=setattr,
-                                       initargs=(_in_lane, "worker", True))
-        return _pool
-
-
-def _drop_lane_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_lane_pool)
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -275,24 +247,31 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _start_lane(run) -> threading.Thread:
+    """Start ``run()`` on a new lane thread, which the caller joins."""
+    thread = threading.Thread(target=run, name="oporp-lane")
+    thread.start()
+    return thread
+
+
 def _two_lanes(fn, n: int, step: int) -> None:
-    """Run ``fn(lane, lo, hi)`` over [0, n): lane 0 on this thread, lane 1 on the lane thread.
+    """Run ``fn(lane, lo, hi)`` over [0, n): lane 0 on this thread, lane 1 on a lane thread.
 
     Each lane takes the next whole step [lo, lo + step) from one shared
     counter until none is left, so a lane that starts late or is
     descheduled (the host's other CPU may be busy) does less of the work
-    instead of holding up the other.
-    One lane, ``fn(0, 0, n)``, runs when n <= step, when the process may
-    use only one CPU, or when called from the lane thread itself. ``fn``
-    must use only numpy calls and buffers its caller made, never a
-    generator, so that the two lanes give the same result as one. Lane 1 is
-    waited for even when lane 0 raises, and then lane 0's exception
-    propagates; otherwise lane 1's does, if it raised.
+    instead of holding up the other. One lane, ``fn(0, 0, n)``, runs when
+    n <= step or when the process may use only one CPU. Lane 1's thread is
+    started for this call (:func:`_start_lane`) and joined even when lane 0
+    raises; then lane 0's exception propagates, otherwise lane 1's does, if
+    it raised. ``fn`` must use only numpy calls and buffers its caller
+    made, never a generator, so that the two lanes give the same result as
+    one.
     """
-    if n <= step or _cpus() < 2 or getattr(_in_lane, "worker", False):
+    if n <= step or _cpus() < 2:
         fn(0, 0, n)
         return
-    starts, lock = iter(range(0, n, step)), threading.Lock()
+    starts, lock, errors = iter(range(0, n, step)), threading.Lock(), []
 
     def lane(k: int) -> None:
         while True:
@@ -302,13 +281,19 @@ def _two_lanes(fn, n: int, step: int) -> None:
                 return
             fn(k, lo, min(lo + step, n))
 
-    future = _lane_pool().submit(lane, 1)
+    def lane_1() -> None:
+        try:
+            lane(1)
+        except BaseException as exc:  # raised again on this thread below
+            errors.append(exc)
+
+    thread = _start_lane(lane_1)
     try:
         lane(0)
     finally:
-        error = future.exception()  # lane 1 writes into the caller's buffers
-    if error is not None:
-        raise error
+        thread.join()  # lane 1 writes into the caller's buffers
+    if errors:
+        raise errors[0]
 
 
 # Target entries per block of the index draws and of the VSRP sweep

@@ -33,7 +33,7 @@ from oporp.sketch import (
     vsrp_sketch,
 )
 
-GOLDEN_SHA256 = "39a1798b0ee026dd5f31db129e93962302a159696cd0c93e667215a3c561e9e9"
+GOLDEN_SHA256 = "b1d43fae95d064f9bca360f8d07447a33df8ca3cdcb9cced22c824028f7eb5ec"
 
 DISTS = (rademacher(), gaussian(), scaled_uniform(), sparse(3.0))
 SIMILARITY_ESTIMATORS = (
@@ -60,6 +60,10 @@ def _sweep_rows():
         rows += mse_sweep(u, v, [16], s, "fixed", ["vsrp_inner", "vsrp_cosine"], 600, seed=5)
     # s = 1 and 3 run the dense VSRP kernel, s = 30 the gap kernel
     rows += mse_sweep(u, v, [16], 30.0, "fixed", ["vsrp_inner", "vsrp_cosine"], 600, seed=5)
+    # k = 1 chunks: compact multiplier rows, each reduced on its own
+    for s in (1.0, 3.0):
+        for scheme in ("fixed", "variable"):
+            rows += mse_sweep(u, v, [1], s, scheme, ["inner", "distance"], 600, seed=5)
     return rows
 
 
@@ -153,13 +157,14 @@ def test_sweep_rows_and_plans_do_not_depend_on_the_block_size(monkeypatch):
             assert np.array_equal(got, want)
 
 
-# The bench's sweep cells and a dense VSRP cell at s = 1: D = 1024, 2000
-# trials (k, s, scheme, estimators).
+# The bench's sweep cells, a dense VSRP cell at s = 1 and an averaging
+# cell at k = 1: D = 1024, 2000 trials (k, s, scheme, estimators).
 BENCH_CELLS = {
     "fixed": (64, 1.0, "fixed", ["inner", "distance", "cosine", "normalized_inner", "mle_inner"]),
     "variable": (64, 1.0, "variable", ["inner", "cosine"]),
     "vsrp": (16, 3.0, "fixed", ["vsrp_inner", "vsrp_cosine"]),
     "vsrp_s1": (16, 1.0, "fixed", ["vsrp_inner", "vsrp_cosine"]),
+    "k1": (1, 1.0, "fixed", ["inner", "distance"]),
 }
 
 
@@ -168,7 +173,8 @@ def test_sweep_cell_peak_memory(cell):
     # a chunk keeps its draws and one block buffer; whole-chunk gathers,
     # products and int64 draws once put these cells at 49-65 MiB, and
     # dense int32 signs with their float copy put VSRP at s = 1 at 46 MiB;
-    # float64 signs and int32 index rows put the OPORP cells at 29.5 MiB
+    # float64 signs and int32 index rows put the OPORP cells at 29.5 MiB,
+    # and a float64 (D, trials) multiplier matrix put k = 1 at 17.6 MiB
     k, s, scheme, estimators = BENCH_CELLS[cell]
     u, v = generate_pair_with_cosine(1024, 0.5, 0.01, seed=3)
     was_tracing = tracemalloc.is_tracing()

@@ -1,18 +1,19 @@
-"""The two-lane split of the sparse sampler and the dense VSRP sweep kernel.
+"""The two-lane split of the sparse sampler and the dense sweep kernel.
 
 ``projection._two_lanes`` runs a pure numpy pass over the calling thread
-and one lane thread. Only the caller touches the generator, so every draw,
-sweep row and stream position must match a one-lane run bit for bit. The
-lane count is set through ``projection._cpus``, so these tests run both
-paths on any host.
+and a lane thread started for that call. Only the caller touches the
+generator, so every draw, sweep row and stream position must match a
+one-lane run bit for bit. The lane count is set through
+``projection._cpus`` and the lane thread started through
+``projection._start_lane``, so these tests run every path on any host.
 """
 
+import math
 import os
 import signal
 import sys
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ import pytest
 from oporp import projection
 from oporp.cli import run, save_matrix
 from oporp.experiment import (
-    _vsrp_dense,
+    _dense_sums,
     generate_pair_with_cosine,
     mse_sweep,
     retrieval_eval,
@@ -36,42 +37,40 @@ def set_cpus(monkeypatch, cpus):
     monkeypatch.setattr(projection, "_cpus", lambda: cpus)
 
 
-def count_pool_uses(monkeypatch):
-    """A list that gets one entry per call that hands a lane to the lane thread."""
-    uses, pool = [], projection._lane_pool
-    monkeypatch.setattr(projection, "_lane_pool", lambda: uses.append(1) or pool())
-    return uses
+def count_lane_starts(monkeypatch):
+    """A list that gets one entry per lane thread a call starts."""
+    starts, start = [], projection._start_lane
+    monkeypatch.setattr(projection, "_start_lane", lambda run: starts.append(1) or start(run))
+    return starts
 
 
 class LaneOneFirst:
-    """A stand-in lane pool that runs lane 1 to its end at submit: it takes every step."""
+    """A stand-in lane thread that runs lane 1 to its end as it starts: it takes every step."""
 
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
+    def __init__(self, run):
+        run()
+
+    def join(self):
+        pass
 
 
 SCHEDULES = {
     "one lane": lambda mp: set_cpus(mp, 1),
     "two lanes": lambda mp: set_cpus(mp, 2),
     "lane 1 first": lambda mp: (set_cpus(mp, 2),
-                                mp.setattr(projection, "_lane_pool", LaneOneFirst)),
+                                mp.setattr(projection, "_start_lane", LaneOneFirst)),
 }
 
 
 def under_each_schedule(monkeypatch, run):
-    """run() under each schedule; the two-lane one must hand work to the lane thread."""
+    """run() under each schedule; the two-lane ones must start a lane thread."""
     out = {}
     for name, schedule in SCHEDULES.items():
         with monkeypatch.context() as mp:
             schedule(mp)
-            uses = count_pool_uses(mp)
+            starts = count_lane_starts(mp)
             out[name] = run()
-            assert bool(uses) == (name != "one lane"), name
+            assert bool(starts) == (name != "one lane"), name
     return out
 
 
@@ -97,21 +96,24 @@ def test_sparse_signs_in_two_lanes_match_one_lane(monkeypatch, s):
             assert x == y
     # one block runs one lane
     set_cpus(monkeypatch, 2)
-    uses = count_pool_uses(monkeypatch)
+    starts = count_lane_starts(monkeypatch)
     _sparse_signs(generator(0), block, s)
-    assert not uses
+    assert not starts
 
 
 @pytest.mark.parametrize("s", S_VALUES)
-def test_vsrp_dense_kernel_and_sweep_rows_in_two_lanes_match_one_lane(monkeypatch, s):
+def test_dense_kernel_and_sweep_rows_in_two_lanes_match_one_lane(monkeypatch, s):
     u, v = generate_pair_with_cosine(1024, 0.5, 0.01, seed=3)
 
     def run():
         rng = generator(11)
         # 61 blocks of 64 samples, 16 sign blocks: the bench sweep's chunk;
         # then 80 samples, a block and a part
-        kernels = [_vsrp_dense(u, v, 16, s, c, rng) for c in (244, 5)]
+        kernels = [_dense_sums(u, v, _sparse_signs(rng, (16 * c, 1024), s), 16, math.sqrt(s))
+                   for c in (244, 5)]
         rows = mse_sweep(u, v, [16], s, "fixed", ["vsrp_inner", "vsrp_cosine"], 500, 1)
+        # a k = 1 averaging cell reduces its multiplier rows with the same kernel
+        rows += mse_sweep(u, v, [1], s, "variable", ["inner", "distance"], 500, 1)
         return kernels, rng.random(), repr(rows)
 
     runs = under_each_schedule(monkeypatch, run)
@@ -159,14 +161,11 @@ def test_two_lanes_take_whole_steps_and_raise_either_lanes_error(monkeypatch):
         _two_lanes(fail_in_lane_0, 10, 3)
     assert ended.is_set()  # lane 0 stopped at its first step; lane 1 took the rest
 
-    # the next call runs both lanes again; a call from the lane thread, one
-    # step or one CPU runs one lane
-    lanes, nested = set(), []
+    # the next call runs both lanes again; one step or one CPU runs one lane
+    lanes = set()
 
     def both(lane, lo, hi):
         lanes.add(lane)
-        if lane == 1:
-            _two_lanes(lambda *a: nested.append(a), 10, 3)
         time.sleep(0.01)
 
     for _ in range(100):
@@ -174,7 +173,6 @@ def test_two_lanes_take_whole_steps_and_raise_either_lanes_error(monkeypatch):
         if lanes == {0, 1}:
             break
     assert lanes == {0, 1}
-    assert set(nested) == {(0, 0, 10)}
     for n, step, cpus in ((3, 3, 2), (10, 3, 1)):
         set_cpus(monkeypatch, cpus)
         seen.clear()
@@ -182,7 +180,55 @@ def test_two_lanes_take_whole_steps_and_raise_either_lanes_error(monkeypatch):
         assert seen == [(0, 0, n)]
 
 
-def test_concurrent_callers_share_the_lane_thread(monkeypatch):
+def test_a_call_inside_a_lane_runs_two_lanes_and_matches_one_lane(monkeypatch):
+    # each lane's call starts a lane thread of its own, so none waits on another
+    u, v = generate_pair_with_cosine(1024, 0.5, 0.01, seed=3)
+    rows = _sparse_signs(generator(2), (300, 1024), 3.0)  # 5 blocks of 64 rows
+    set_cpus(monkeypatch, 1)
+    want = _dense_sums(u, v, rows, 1)
+    set_cpus(monkeypatch, 2)
+    starts = count_lane_starts(monkeypatch)
+    got, barrier = {}, threading.Barrier(2, timeout=10.0)
+
+    def nested(lane, lo, hi):
+        barrier.wait()  # each lane holds its step until the other has one
+        got[lane] = _dense_sums(u, v, rows, 1)
+
+    _two_lanes(nested, 2, 1)
+    assert len(starts) == 3 and sorted(got) == [0, 1]
+    for X, Y in got.values():
+        assert np.array_equal(X, want[0]) and np.array_equal(Y, want[1])
+
+
+def test_a_two_lane_call_leaves_no_thread_running(monkeypatch):
+    # lane 1 is joined before the call returns or raises, whichever lane raised
+    set_cpus(monkeypatch, 2)
+    before = threading.active_count()
+
+    def fail_in(which):
+        # each lane holds its first step until the other has one, so both run
+        met, barrier = set(), threading.Barrier(2, timeout=10.0)
+
+        def fn(lane, lo, hi):
+            if lane not in met:
+                met.add(lane)
+                barrier.wait()
+            if lane == which:
+                raise ValueError(lane)
+        return fn
+
+    for which in (None, 0, 1):
+        for _ in range(20):
+            try:
+                _two_lanes(fail_in(which), 10, 1)
+            except ValueError as exc:
+                assert exc.args == (which,)
+            else:
+                assert which is None
+            assert threading.active_count() == before
+
+
+def test_concurrent_callers_match_one_lane(monkeypatch):
     # more callers than cores, switching often: every draw still matches one lane
     n = 3 * projection._SIGN_BLOCK + 5
     set_cpus(monkeypatch, 1)
@@ -210,13 +256,13 @@ def test_concurrent_callers_share_the_lane_thread(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_sweeps_in_two_lanes(monkeypatch):
-    # the child's copy of the lane thread does not run; the child makes its own
+    # the parent's lane threads ended with their calls; the child starts its own
     set_cpus(monkeypatch, 2)
     u, v = generate_pair_with_cosine(256, 0.5, 0.05, seed=1)
     args = (u, v, [8], 3.0, "fixed", ["vsrp_inner"], 400, 2)
-    uses = count_pool_uses(monkeypatch)
+    starts = count_lane_starts(monkeypatch)
     want = mse_sweep(*args)
-    assert uses
+    assert starts
     pid = os.fork()
     if pid == 0:
         code = 1
@@ -237,7 +283,7 @@ def test_a_forked_child_sweeps_in_two_lanes(monkeypatch):
 def test_retrieval_similarity_and_the_cli_sketch_start_no_thread(monkeypatch, tmp_path):
     # the bench retrieval and cli_pairs shapes: no lane runs on their paths
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(projection, "_pool", None)  # a lane started here adds a thread
+    starts = count_lane_starts(monkeypatch)
     rng = np.random.default_rng(4)
     base, queries = rng.standard_normal((600, 1024)), rng.standard_normal((60, 1024))
     oporp = SketchConfig(dim=1024, k=64, binning=Binning.FIXED, dist=rademacher(), m=8, seed=1)
@@ -251,4 +297,4 @@ def test_retrieval_similarity_and_the_cli_sketch_start_no_thread(monkeypatch, tm
     assert run(["sketch", "--input", path, "--k", "1024", "--seed", "1",
                 "--out", str(tmp_path / "x.sk")]) == 0
     assert threading.active_count() == before
-    assert projection._pool is None
+    assert not starts
