@@ -3,14 +3,16 @@
 Every estimate is a function of per-repetition pair sums: with X and Y the
 repetition blocks of two sketches, sxy, sxx and syy are the sums of X*Y,
 X*X and Y*Y over each block and sdd the sum of (X - Y)^2
-(:func:`_pair_sums`; :func:`_matrix_sums` for all row pairs of two
-matrices). One private registry, ``_REGISTRY``, keyed by :class:`Estimator`,
-holds whether each estimator pools, the
-:class:`~oporp.variance.PairStatistics` field it estimates, its variance
-oracle and its kernel from pair sums to per-repetition estimates, the one
-place its math is written. The public functions below, ``mse_sweep``,
-``similarity_matrix`` and the CLI all read it, so adding an estimator means
-adding one entry.
+(:func:`~oporp.sketch._pair_sums`, which ``pair_statistics`` takes too;
+:func:`_matrix_sums` for all row pairs of two matrices). Both refuse sums
+that overflow float64, and every cosine takes its sqrt(sxx*syy) from
+:func:`~oporp.sketch._sqrt_product`. One private registry,
+``_REGISTRY``, keyed by :class:`Estimator`, holds whether each estimator
+pools, the :class:`~oporp.variance.PairStatistics` field it estimates,
+its variance oracle and its kernel from pair sums to per-repetition
+estimates, the one place its math is written. The public functions
+below, ``mse_sweep``, ``similarity_matrix`` and the CLI all read it, so
+adding an estimator means adding one entry.
 
 All estimators require the two sketches to share a config (same
 randomness). Most average their kernel over the m repetitions; the pooled
@@ -31,7 +33,17 @@ import numpy as np
 
 from . import variance as var
 from .projection import sparse
-from .sketch import _TINY, Binning, Sketch, SketchMismatchError, ZeroNormError, check_compatible
+from .sketch import (
+    Binning,
+    Sketch,
+    SketchMismatchError,
+    ZeroNormError,
+    _check_sums,
+    _pair_sums,
+    _PairSums,
+    _sqrt_product,
+    check_compatible,
+)
 
 
 class Estimator(enum.Enum):
@@ -50,16 +62,6 @@ class EstimationError(RuntimeError):
     """Numerical estimation failed (diagnostic; not expected on real data)."""
 
 
-class _PairSums(NamedTuple):
-    """Sums over the last axis of two sketch arrays, one per repetition."""
-
-    xy: np.ndarray
-    xx: np.ndarray
-    yy: np.ndarray
-    dd: np.ndarray
-    n: int
-
-
 class _MatrixSums(NamedTuple):
     """Pair sums of every row pair of two blocks: xy (nq, nb), xx (nq, 1) and yy (1, nb)."""
 
@@ -70,26 +72,29 @@ class _MatrixSums(NamedTuple):
 
     @property
     def dd(self) -> np.ndarray:
-        # formed only where a kernel reads it
-        return self.xx + self.yy - 2.0 * self.xy
+        """xx + yy - 2*xy, floored at 0; formed only where a kernel reads it.
+
+        It agrees with the pair path's sum of squared differences
+        (``distance_hat``) only to the rounding of xx + yy: for rows 1e-7
+        apart it was 0.56 % and 1.2 % off, and for identical rows it is a
+        rounding error of either sign, which the floor keeps from reading
+        as a negative squared distance.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            dd = np.maximum(self.xx + self.yy - 2.0 * self.xy, 0.0)
+        _check_sums(dd)
+        return dd
 
 
 def _matrix_sums(X: np.ndarray, Y: np.ndarray) -> _MatrixSums:
-    """All-pairs sums of the rows of X and Y: one BLAS product and two row sums of squares."""
+    """All-pairs sums of the rows of X and Y: one BLAS product and two row sums of squares.
+
+    Raises ValueError when a row's sum of squares overflows; those bound
+    every entry of the product.
+    """
     xx, yy = np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", Y, Y)
+    _check_sums(xx, yy)
     return _MatrixSums(X @ Y.T, xx[:, None], yy[None, :], X.shape[1])
-
-
-def _pair_sums(X: np.ndarray, Y: np.ndarray) -> _PairSums:
-    """Pair sums of two (..., n) arrays: sxy, sxx, syy and the difference sum sdd."""
-    diff = X - Y
-    return _PairSums(
-        np.einsum("...i,...i->...", X, Y),
-        np.einsum("...i,...i->...", X, X),
-        np.einsum("...i,...i->...", Y, Y),
-        np.einsum("...i,...i->...", diff, diff),
-        X.shape[-1],
-    )
 
 
 def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
@@ -107,7 +112,7 @@ def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
     any element has no feasible root. Scalar inputs give a 0-d array.
     """
     sxy, sxx, syy, E, F = (np.asarray(z, dtype=np.float64) for z in (sxy, sxx, syy, E, F))
-    bound = np.sqrt(E * F)
+    bound = _sqrt_product(E, F)
     B = sxy / bound
     C = sxx / E + syy / F - 1.0
     # depressed cubic t^3 + p t + q = 0 with x = t + B/3
@@ -128,9 +133,8 @@ def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
             value = ((x - Bc) * x + Cc) * x - Bc
             slope = (3.0 * x - 2.0 * Bc) * x + Cc
             x = x - np.where(slope != 0.0, value / slope, 0.0)
-        rho = np.where(
-            (sxx > 0.0) & (syy > 0.0), np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0), 0.0
-        )
+        norms = _sqrt_product(sxx, syy)
+        rho = np.where(norms > 0.0, np.clip(sxy / norms, -1.0, 1.0), 0.0)
     feasible = np.abs(x) <= 1.0 + 1e-9
     if not np.all(np.any(feasible, axis=-1)):
         raise EstimationError("no admissible likelihood root in [-sqrt(E*F), sqrt(E*F)]")
@@ -143,13 +147,7 @@ def likelihood_roots(sxy, sxx, syy, E, F) -> np.ndarray:
 
 
 def _cosines(s: _PairSums, E=None, F=None) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        squares = s.xx * s.yy
-        denom = np.sqrt(squares)
-        if squares.size and not _TINY <= squares.min() <= squares.max() < math.inf:
-            # A product outside the normal range is taken norm by norm; no other entry moves.
-            odd = ~(squares >= _TINY) | (squares == math.inf)
-            denom[odd] = (np.sqrt(s.xx) * np.sqrt(s.yy))[odd]
+    denom = _sqrt_product(s.xx, s.yy)
     if np.any(denom == 0.0):
         raise ZeroNormError("cosine estimate undefined for a zero-norm repetition")
     return np.clip(s.xy / denom, -1.0, 1.0)

@@ -31,15 +31,21 @@ A chunk's draws are its only chunk-sized arrays. The OPORP products and
 their bin sums for k >= 2 go through the plan's tiled kernel
 (:func:`~oporp.sketch._bin_sums`, the pair as two rows and the trials as
 repetitions). The k = 1 rows and the dense VSRP kernel's rows are reduced
-one row at a time by einsum over blocks of whole rows (:func:`_dense_sums`),
-and the VSRP gap kernel's gather and segmented sums run over blocks of
-whole samples; tiles and blocks never change a result, while
-``_CHUNK_ELEMENTS`` fixes the draws and so the rows. No sweep sum goes
-through BLAS, so no row depends on the BLAS kernel. The dense VSRP kernel
-splits its sign pass, and ``_dense_sums`` its float blocks, between the
-calling thread and a lane thread (:func:`~oporp.projection._two_lanes`);
-the calling thread alone draws, so the rows are the same bits. The bin
-sums and the gap kernel stay on the calling thread.
+by einsum over blocks of whole rows (:func:`_dense_sums`), and the VSRP
+gap kernel's gather and segmented sums run over blocks of whole samples.
+The plan's tiles and the gap kernel's blocks never change a result, and
+``_CHUNK_ELEMENTS`` fixes the draws and so the rows. The einsum blocks
+can change a row's last bits once D exceeds numpy's 8192-entry buffer:
+einsum then sums a row in chunks when its call holds several rows and in
+one pass when it holds only one (at D = 16384, the lone last row of 101
+differs between ``_BLOCK_ELEMENTS`` = 2**16 and 2**17). The rows stay a
+pure function of the inputs, the seed and the fixed constants. No sweep
+sum goes through BLAS, so no row depends on the BLAS kernel. The dense
+VSRP kernel splits its sign pass, and ``_dense_sums`` its float blocks,
+between the calling thread and a lane thread
+(:func:`~oporp.projection._two_lanes`); the calling thread alone draws,
+so the rows are the same bits. The bin sums and the gap kernel stay on
+the calling thread.
 
 The retrieval and classification harnesses sketch through one
 :class:`~oporp.sketch.SketchPlan` per config, the cached one that
@@ -60,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variance as var
-from .estimate import _REGISTRY, Estimator, _matrix_sums, _pair_sums
+from .estimate import _REGISTRY, Estimator, _matrix_sums
 from .projection import (
     _STREAMS,
     ProjectionDistribution,
@@ -82,9 +88,12 @@ from .sketch import (
     ZeroNormError,
     _as_matrix,
     _bin_sums,
+    _check_sums,
     _oporp_draws,
     _padded_dim,
+    _pair_sums,
     _plan,
+    _sqrt_product,
     row_norms,
     vsrp_config,
 )
@@ -150,12 +159,11 @@ def generate_pair_with_cosine(
         u = rng.standard_normal(D)
         w = rng.standard_normal(D)
         v = rho_target * u + mix * w
-        # einsum, not BLAS (np.dot), whose sums depend on the CPU kernel it picks.
-        ssu = float(np.einsum("i,i->", u, u))
-        ssv = float(np.einsum("i,i->", v, v))
+        sums = _pair_sums(u, v)
+        ssu, ssv = float(sums.xx), float(sums.yy)
         if ssu == 0.0 or ssv == 0.0:
             continue
-        cos = float(np.einsum("i,i->", u, v)) / math.sqrt(ssu * ssv)
+        cos = float(sums.xy) / float(_sqrt_product(ssu, ssv))
         if abs(cos - rho_target) <= tol:
             return u / math.sqrt(ssu), v / math.sqrt(ssv)
     raise ConvergenceError(
@@ -203,10 +211,14 @@ def _dense_sums(
     The rows are the (c*k, D) draws of c trials of k samples or bins: the
     dense VSRP kernel's {-1, 0, +1} entries, one random byte each
     (:func:`~oporp.projection._sparse_signs`), or a k = 1 chunk's
-    multipliers. Each block of whole rows becomes a float array, and every
-    row is reduced on its own with einsum, never BLAS, whose sums depend on
-    the block shape and the CPU kernel. The blocks are split over two lanes
-    (:func:`~oporp.projection._two_lanes`), each with its own float block.
+    multipliers. Each block of whole rows becomes a float array reduced
+    with einsum, never BLAS, whose sums depend on the CPU kernel. At
+    D > 8192 einsum sums each row in chunks when the block holds several
+    rows and in one pass when it holds one, so there a row's last bits
+    depend on the block size, ``projection._BLOCK_ELEMENTS``, too. The
+    blocks are split over two lanes (:func:`~oporp.projection._two_lanes`),
+    each with its own float block; both take the blocks one lane would, so
+    they give the same bits.
     """
     n, D = rows.shape
     X = np.empty(n)
@@ -453,7 +465,9 @@ def _similarity(
     entry = _REGISTRY[est]
     E = F = None
     if entry.margins:
-        E, F = row_norms(queries)[:, None] ** 2, row_norms(base)[None, :] ** 2
+        with np.errstate(over="ignore"):  # refused just below
+            E, F = row_norms(queries)[:, None] ** 2, row_norms(base)[None, :] ** 2
+        _check_sums(E, F)
     # One repetition block at a time keeps the temporaries to a few (nq, nb) arrays.
     w = Q.shape[1] // m
     total = sum(entry.kernel(_matrix_sums(Q[:, r : r + w], B[:, r : r + w]), E, F)

@@ -297,9 +297,12 @@ def _two_lanes(fn, n: int, step: int) -> None:
 
 
 # Target entries per block of the index draws and of the VSRP sweep
-# kernels, and per tile of the sketch kernels. Blocks and tiles decide only
-# where temporaries live: no result depends on this size. At 2**16 a kernel
-# tile's gathered block and index temporary (512 KiB each) stay in L2.
+# kernels, and per tile of the sketch kernels. The sketch tiles, the index
+# blocks and the gap kernel's blocks decide only where temporaries live.
+# The dense sweep kernel's einsum blocks also decide a row's last bits once
+# D > 8192 (experiment._dense_sums), so those sweep rows depend on this
+# size. At 2**16 a kernel tile's gathered block and index temporary
+# (512 KiB each) stay in L2.
 _BLOCK_ELEMENTS = 1 << 16
 
 

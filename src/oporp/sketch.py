@@ -26,6 +26,10 @@ holding inf or NaN are rejected, and so is a finite row whose sketch
 values overflow, by its row number.
 :func:`row_norms` scales a row by its largest entry only when its sum of
 squares would overflow or underflow, so ordinary norms keep their bits.
+The estimators' sums live here too, for :mod:`oporp.estimate` and
+:mod:`oporp.variance` alike: :func:`_pair_sums`, which refuses sums that
+overflow (:func:`_check_sums`), and :func:`_sqrt_product`, the one
+sqrt(a*b) of two sums.
 
 The draws are a pure function of the frozen config, so the package keeps
 the plans of the last ``_PLAN_CACHE_SIZE`` = 2 configs it used
@@ -67,21 +71,14 @@ Each thread keeps the kernels' buffers between calls (up to 1 MiB each,
 :func:`_buffer`), so that repeated sketches of a few rows reuse their
 memory instead of faulting fresh pages in.
 
-Sketch file layout (little-endian, 64-byte header). The version names the
-stream the sketch was drawn from and how its bins were summed: version 1
-drew each repetition from its own Philox streams, version 2 a plan's
-repetitions from one Philox stream with one int32 draw per Rademacher
-sign, version 3 from SFC64 streams with one random bit per sign, and
-version 4 draws as version 3 does but sums every fixed bin left to
-right, where version 3 summed it in numpy's pairwise order, which can
-differ in the last bits once a bin holds 8 entries. Version 5 draws and
-sums a k > 1 sketch as version 4 does. It draws a k = 1 sketch, VSRP's
-among them, on the one sketch stream as a dim-major multiplier matrix,
-where VSRP had a stream of its own, and makes byte 7, which marked VSRP
-sketches, padding. A sketch of another version shares no randomness with
-this version's sketches (versions 1 and 2, and version 4 at k = 1) or was
-summed in another order (version 3), so an estimate from the pair would
-be silently wrong, and loading refuses it:
+Sketch file layout (little-endian, 64-byte header). Version 5 draws a
+k > 1 sketch's permutations or bin rows and multipliers from one SFC64
+stream with one random bit per Rademacher sign, sums every bin left to
+right, and draws a k = 1 sketch, VSRP's among them, on the same stream as
+a dim-major multiplier matrix. A sketch of any other version shares no
+randomness with this version's sketches or was summed in another order,
+so an estimate from the pair would be silently wrong, and loading
+refuses it:
 
     offset  size  field
     0       4     magic b"OPRP"
@@ -111,6 +108,7 @@ import operator
 import struct
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,6 +276,61 @@ def row_norms(M: np.ndarray) -> np.ndarray:
             S = M[redo] / scale[:, None]
             norms[redo] = scale * np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0])
     return norms
+
+
+def _sqrt_product(a, b) -> np.ndarray:
+    """sqrt(a*b) of two nonnegative sums, elementwise, whatever the size of their product.
+
+    Where the product is a normal float this is np.sqrt(a * b), bit for
+    bit, so sqrt(a*a) == a. Where it overflows or falls below the smallest
+    normal float it is sqrt(a)*sqrt(b), finite and accurate whenever the
+    root is; no other entry moves.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        product = np.multiply(a, b)
+        root = np.sqrt(product)
+        if product.size and not _TINY <= product.min() <= product.max() < math.inf:
+            normal = (product >= _TINY) & (product < math.inf)
+            root = np.where(normal, root, np.sqrt(a) * np.sqrt(b))
+    return root
+
+
+def _check_sums(*sums: np.ndarray) -> None:
+    """Raise ValueError where a sum of squares overflowed float64.
+
+    The sums of squares bound every sum of products (Cauchy-Schwarz), so
+    callers check those alone.
+    """
+    if not all(np.isfinite(s).all() for s in sums):
+        raise ValueError("sums of squares overflow float64; scale the values down")
+
+
+class _PairSums(NamedTuple):
+    """The four sums of two arrays over their last axis, one per row, and its length n."""
+
+    xy: np.ndarray
+    xx: np.ndarray
+    yy: np.ndarray
+    dd: np.ndarray
+    n: int
+
+
+def _pair_sums(X: np.ndarray, Y: np.ndarray) -> _PairSums:
+    """Sums of X*Y, X*X, Y*Y and (X - Y)**2 over the last axis of two (..., n) arrays.
+
+    einsum, not BLAS (np.dot), whose sums depend on the CPU kernel it
+    picks. Raises ValueError when a sum overflows (:func:`_check_sums`).
+    """
+    diff = X - Y
+    sums = _PairSums(
+        np.einsum("...i,...i->...", X, Y),
+        np.einsum("...i,...i->...", X, X),
+        np.einsum("...i,...i->...", Y, Y),
+        np.einsum("...i,...i->...", diff, diff),
+        X.shape[-1],
+    )
+    _check_sums(sums.xx, sums.yy, sums.dd)
+    return sums
 
 
 def vsrp_config(D: int, k: int, s: float, seed: int) -> SketchConfig:

@@ -16,12 +16,12 @@ variance is the k = 1 oracle over k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .sketch import Binning, ZeroNormError, _padded_dim
+from .sketch import Binning, ZeroNormError, _padded_dim, _pair_sums, _sqrt_product
 
 
 class DegeneratePairError(ValueError):
@@ -53,39 +53,46 @@ class PairStatistics:
 
 
 def pair_statistics(u: np.ndarray, v: np.ndarray) -> PairStatistics:
-    """Compute every moment sum the variance oracles need, in one pass."""
+    """Compute every moment sum the variance oracles need, in one pass.
+
+    Raises ValueError, naming the fields, when a moment sum overflows
+    float64 (at D = 1024, from entries near 3e76 on).
+    """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"need two equal-length vectors, got {u.shape} and {v.shape}")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValueError("pair statistics need finite vectors, got inf or NaN entries")
-    # einsum, not BLAS (np.dot), whose sums depend on the CPU kernel it picks.
-    sumsq_u = float(np.einsum("i,i->", u, u))
-    sumsq_v = float(np.einsum("i,i->", v, v))
+    sums = _pair_sums(u, v)
+    a, sumsq_u, sumsq_v = float(sums.xy), float(sums.xx), float(sums.yy)
     if sumsq_u == 0.0 or sumsq_v == 0.0:
         raise ZeroNormError("pair statistics need two nonzero vectors")
-    a = float(np.einsum("i,i->", u, v))
-    rho = float(np.clip(a / math.sqrt(sumsq_u * sumsq_v), -1.0, 1.0))
+    rho = float(np.clip(a / _sqrt_product(sumsq_u, sumsq_v), -1.0, 1.0))
     diff = u - v
     un = u / math.sqrt(sumsq_u)
     vn = v / math.sqrt(sumsq_v)
     curvature = un * vn - 0.5 * rho * (un * un + vn * vn)
-    return PairStatistics(
-        dim=int(u.shape[0]),
-        a=a,
-        sumsq_u=sumsq_u,
-        sumsq_v=sumsq_v,
-        sum_u2v2=float(np.sum(u * u * v * v)),
-        sum_u4=float(np.sum(u**4)),
-        sum_v4=float(np.sum(v**4)),
-        sum_u3v=float(np.sum(u**3 * v)),
-        sum_uv3=float(np.sum(u * v**3)),
-        sum_diff4=float(np.sum(diff**4)),
-        rho=rho,
-        d=float(np.einsum("i,i->", diff, diff)),
-        A=float(np.sum(curvature * curvature)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by field, below
+        stats = PairStatistics(
+            dim=int(u.shape[0]),
+            a=a,
+            sumsq_u=sumsq_u,
+            sumsq_v=sumsq_v,
+            sum_u2v2=float(np.sum(u * u * v * v)),
+            sum_u4=float(np.sum(u**4)),
+            sum_v4=float(np.sum(v**4)),
+            sum_u3v=float(np.sum(u**3 * v)),
+            sum_uv3=float(np.sum(u * v**3)),
+            sum_diff4=float(np.sum(diff**4)),
+            rho=rho,
+            d=float(sums.dd),
+            A=float(np.sum(curvature * curvature)),
+        )
+    overflowed = [f.name for f in fields(stats) if not math.isfinite(getattr(stats, f.name))]
+    if overflowed:
+        raise ValueError(f"pair statistics overflow float64: {', '.join(overflowed)}")
+    return stats
 
 
 class Lemma1Moments(NamedTuple):

@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oporp.estimate import (
+    _REGISTRY,
     EstimationError,
     Estimator,
     _estimate,
@@ -33,7 +34,9 @@ from oporp.sketch import (
     SketchConfig,
     SketchMismatchError,
     ZeroNormError,
+    load_sketch,
     oporp_sketch,
+    save_sketch,
     vsrp_sketch,
 )
 
@@ -289,7 +292,45 @@ def test_normalized_inner_recovers_inner_at_k_equals_dim():
     assert got == pytest.approx(float(u @ v), rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_likelihood_roots_are_homogeneous_where_products_leave_the_float_range(scale):
+    # E*F and sxx*syy overflow (underflow) at these scales while every
+    # argument is normal; the roots scale with the arguments
+    rng = np.random.default_rng(8)
+    E, F = rng.uniform(0.5, 4, 50), rng.uniform(0.5, 4, 50)
+    sxx, syy = E * rng.uniform(0.5, 1.5, 50), F * rng.uniform(0.5, 1.5, 50)
+    sxy = rng.uniform(-1, 1, 50) * np.sqrt(sxx * syy)
+    cases = [(0.3, 1.1, 0.9, 1.0, 1.0), (sxy, sxx, syy, E, F)]
+    for args in cases:
+        want = likelihood_roots(*args)
+        got = likelihood_roots(*(scale * np.asarray(a) for a in args)) / scale
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+
 # --- guards ----------------------------------------------------------------------
+
+
+def test_estimates_whose_sums_overflow_are_refused(tmp_path):
+    # finite 1e200-scale vectors sketch, save and load fine, but every sum
+    # of squares of their sketches overflows float64
+    rng = np.random.default_rng(12)
+    u, v = 1e200 * rng.standard_normal(64), 1e200 * rng.standard_normal(64)
+    config = rademacher_config(64, 8, m=2, seed=3)
+
+    def reloaded(sk):
+        save_sketch(str(tmp_path / "sk.oporp"), sk)
+        return load_sketch(str(tmp_path / "sk.oporp"))
+
+    pairs = {False: [reloaded(oporp_sketch(w, config)) for w in (u, v)],
+             True: [reloaded(vsrp_sketch(w, 64, 8, 1.0, 3)) for w in (u, v)]}
+    for est in Estimator:
+        x, y = pairs[_REGISTRY[est].pooled]
+        with pytest.raises(ValueError, match="overflow float64"):
+            _estimate(est, x, y, 1.0, 1.0)
+    x, y = pairs[False]
+    for estimate in (cosine_hat, inner_product_hat, distance_hat):
+        with pytest.raises(ValueError, match="overflow float64"):
+            estimate(x, y)
 
 
 def test_zero_norm_cosine_raises():

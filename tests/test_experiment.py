@@ -254,6 +254,13 @@ def test_sweep_validation():
         mse_sweep(u, v, [], 1.0, Binning.FIXED, ["inner"], 500, 0)
 
 
+def test_sweep_refuses_a_pair_whose_sums_overflow():
+    u, v = generate_pair_with_cosine(64, 0.5, 0.05, seed=1)
+    for est, k in (("inner", 8), ("vsrp_inner", 8)):
+        with pytest.raises(ValueError, match="overflow float64"):
+            mse_sweep(1e200 * u, 1e200 * v, [k], 1.0, "fixed", [est], 100, seed=1)
+
+
 def test_sweep_refuses_a_non_integer_k():
     # int(k) used to run k = 8.7 as k = 8, under the label of neither
     u, v = generate_pair_with_cosine(16, 0.5, 0.01, seed=7)
@@ -442,6 +449,27 @@ def test_cosine_scores_hold_where_sxx_times_syy_leaves_the_normal_range(scale):
         assert np.allclose(got, want, rtol=1e-14, atol=0), name
     x, y = oporp_sketch(scale * base[0], config), oporp_sketch(scale * queries[0], config)
     assert cosine_hat(x, y) == pytest.approx(want[0, 0], rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["exact", "cosine", "distance", "inner", "normalized_inner",
+                                  "vsrp_inner", "vsrp_cosine"])
+def test_similarity_matrix_refuses_sums_that_overflow(name):
+    # finite 1e200-scale rows sketch fine; their sums of squares overflow
+    rng = np.random.default_rng(18)
+    base, queries = rng.standard_normal((3, 64)), rng.standard_normal((2, 64))
+    base[1] *= 1e200
+    config = SketchConfig(dim=64, k=8, binning=Binning.FIXED, dist=rademacher(), m=2)
+    with pytest.raises(ValueError, match="overflow float64"):
+        similarity_matrix(base, queries, config, name)
+
+
+def test_distance_scores_of_identical_rows_are_never_positive():
+    # xx + yy - 2xy rounds to +-1e-14 for a row scored against itself; a
+    # positive score would be a negative squared distance
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((3, 64))
+    config = SketchConfig(dim=64, k=8, binning=Binning.FIXED, dist=gaussian(), m=2)
+    assert np.all(np.diag(similarity_matrix(M, M, config, "distance")) <= 0.0)
 
 
 @pytest.mark.parametrize("name", ["exact", "cosine"])

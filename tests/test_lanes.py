@@ -104,6 +104,7 @@ def test_sparse_signs_in_two_lanes_match_one_lane(monkeypatch, s):
 @pytest.mark.parametrize("s", S_VALUES)
 def test_dense_kernel_and_sweep_rows_in_two_lanes_match_one_lane(monkeypatch, s):
     u, v = generate_pair_with_cosine(1024, 0.5, 0.01, seed=3)
+    U, V = generator(5).standard_normal((2, 16384))
 
     def run():
         rng = generator(11)
@@ -111,6 +112,9 @@ def test_dense_kernel_and_sweep_rows_in_two_lanes_match_one_lane(monkeypatch, s)
         # then 80 samples, a block and a part
         kernels = [_dense_sums(u, v, _sparse_signs(rng, (16 * c, 1024), s), 16, math.sqrt(s))
                    for c in (244, 5)]
+        # D = 16384: 25 blocks of 4 rows, which einsum sums in chunks, and a
+        # lone last row, which it sums in one pass
+        kernels.append(_dense_sums(U, V, _sparse_signs(rng, (101, 16384), s), 1, math.sqrt(s)))
         rows = mse_sweep(u, v, [16], s, "fixed", ["vsrp_inner", "vsrp_cosine"], 500, 1)
         # a k = 1 averaging cell reduces its multiplier rows with the same kernel
         rows += mse_sweep(u, v, [1], s, "variable", ["inner", "distance"], 500, 1)

@@ -188,6 +188,29 @@ def test_pair_statistics_scale_invariance_of_rho_and_A():
     assert st2.A == pytest.approx(st1.A, rel=1e-12)
 
 
+def test_pair_statistics_hold_where_sumsq_u_times_sumsq_v_overflows():
+    # at D = 1024 and scale 1e76 each sum of squares is about 1e155, so
+    # their product overflows while every moment sum stays finite
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal(1024), rng.standard_normal(1024)
+    v += u
+    want = pair_statistics(u, v)
+    got = pair_statistics(1e76 * u, 1e76 * v)
+    assert got.rho == pytest.approx(want.rho, rel=1e-12)
+    assert got.A == pytest.approx(want.A, rel=1e-12)
+
+
+def test_pair_statistics_refuse_a_moment_sum_that_overflows():
+    # fourth-power sums overflow at this scale while the vectors are finite
+    rng = np.random.default_rng(3)
+    u, v = rng.standard_normal(1024), rng.standard_normal(1024)
+    with pytest.raises(ValueError, match="overflow float64: .*sum_u4"):
+        pair_statistics(1e77 * u, 1e77 * v)
+    # sums of squares overflow too
+    with pytest.raises(ValueError, match="overflow float64"):
+        pair_statistics(1e200 * u, v)
+
+
 def test_pair_statistics_rejects_zero_and_mismatch():
     with pytest.raises(ValueError):
         pair_statistics(np.zeros(4), np.ones(4))
